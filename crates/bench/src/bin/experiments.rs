@@ -4,9 +4,8 @@
 //!
 //! ```text
 //! experiments [--full | --smoke] [--json <path>] [--servers <n>]
-//!             [--routing <policy>] [--scenario <file.json>] [--shards <k>]
-//!             [--threads <t|auto>] [--robots <n>] [--frames <n>]
-//!             [--telemetry] [name ...]
+//!             [--routing <policy>] [--scenario <file.json>] [--robots <n>]
+//!             [--frames <n>] [--telemetry] [name ...]
 //! ```
 //!
 //! Experiment names: `fig2`, `table1`, `table2`, `fig11`, `fig12`, `fig13`,
@@ -43,16 +42,9 @@
 //!   routing and sweep axes all come from the file; the flag selects the
 //!   `fleet` experiment by itself when no names are given.  Combined with
 //!   `--smoke`, the expanded cells are scaled down to a CI footprint (at
-//!   most 64 robots and 30 frames each) while keeping the pool, routing and
-//!   shard knob — so a committed 10k-robot scenario smoke-tests the exact
-//!   code paths of the full run;
-//! * `--shards <k>` overrides the engine shard count of every fleet cell
-//!   (results are shard-count invariant by contract; the knob only changes
-//!   how the work is executed);
-//! * `--threads <t|auto>` overrides the worker-thread count driving the
-//!   shards (`auto` = available cores).  Thread counts are capped by the
-//!   cell's shard count — surplus threads would never receive a shard —
-//!   and results are thread-count invariant by the same contract;
+//!   most 64 robots and 30 frames each) while keeping the pool and routing
+//!   — so a committed 10k-robot scenario smoke-tests the exact code paths
+//!   of the full run;
 //! * without it, the legacy flags build the spec: `--servers <n>` pins the
 //!   pool to exactly `n` servers and `--routing <policy>` (round-robin |
 //!   least-queue-depth | device-affinity, or the aliases rr/lqd/affinity)
@@ -65,7 +57,7 @@ use corki::fleet::{
     measured_adaptive_lengths, robots_within_budget, DetailedSweepCell, FleetExperiment,
     FleetScale, FleetSweepRow,
 };
-use corki::scenario::{ScenarioSpec, ThreadSpec};
+use corki::scenario::ScenarioSpec;
 use corki::RoutingPolicy;
 use corki_system::FrameKind;
 use std::collections::BTreeMap;
@@ -165,8 +157,6 @@ fn main() {
     let mut json_path = None;
     let mut servers_override: Option<usize> = None;
     let mut routing_override: Option<RoutingPolicy> = None;
-    let mut shards_override: Option<usize> = None;
-    let mut threads_override: Option<ThreadSpec> = None;
     let mut scenario_path: Option<String> = None;
     let mut robots_clamp: Option<usize> = None;
     let mut frames_clamp: Option<usize> = None;
@@ -228,29 +218,6 @@ fn main() {
                 Some(Ok(n)) if n >= 1 => frames_clamp = Some(n),
                 _ => {
                     eprintln!("error: --frames requires a positive integer argument");
-                    std::process::exit(2);
-                }
-            },
-            "--shards" => match raw.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(k)) if k >= 1 => shards_override = Some(k),
-                _ => {
-                    eprintln!("error: --shards requires a positive integer argument");
-                    std::process::exit(2);
-                }
-            },
-            "--threads" => match raw.next().as_deref() {
-                Some("auto") => threads_override = Some(ThreadSpec::Auto),
-                Some(raw_threads) => match raw_threads.parse::<usize>() {
-                    Ok(t) if t >= 1 => threads_override = Some(ThreadSpec::Fixed(t)),
-                    _ => {
-                        eprintln!(
-                            "error: --threads requires a positive integer or `auto` argument"
-                        );
-                        std::process::exit(2);
-                    }
-                },
-                None => {
-                    eprintln!("error: --threads requires a positive integer or `auto` argument");
                     std::process::exit(2);
                 }
             },
@@ -581,35 +548,19 @@ fn main() {
                 std::process::exit(2);
             });
             if smoke {
-                // CI footprint: keep the pool/routing/shard shape of the
+                // CI footprint: keep the pool/routing shape of the
                 // committed scenario, shrink the fleet and the horizon.
                 cells = corki::fleet::smoke_scale_cells(cells, 64, 30);
                 println!("(smoke: cells scaled down to at most 64 robots x 30 frames)");
             }
-            if let Some(shards) = shards_override {
-                for cell in &mut cells {
-                    cell.shards = shards;
-                }
-            }
-            if let Some(threads) = threads_override {
-                // Cap at the cell's shard count — surplus worker threads
-                // would never receive a shard to drain.
-                for cell in &mut cells {
-                    cell.threads = threads.resolve(cell.shards).min(cell.shards);
-                }
-            }
-            let shards_label = cells.first().map_or(1, |cell| cell.shards);
-            let threads_label = cells.first().map_or(1, |cell| cell.threads);
             println!(
-                "scenario `{}`: {} cell(s), {} frames/robot, seed {}, {} routing, {} warm-up, {} shard(s), {} thread(s)",
+                "scenario `{}`: {} cell(s), {} frames/robot, seed {}, {} routing, {} warm-up",
                 spec.name,
                 cells.len(),
                 spec.frames_per_robot,
                 spec.seed,
                 spec.routing,
-                spec.warmup_ms,
-                shards_label,
-                threads_label
+                spec.warmup_ms
             );
             (corki::fleet::scenario_sweep_detailed(&cells), spec.latency_budget_ms)
         } else {
@@ -644,17 +595,10 @@ fn main() {
                 experiment.routing,
                 experiment.scale.warmup_ms
             );
-            // The shim lowers to a spec anyway; threading the shard and
-            // thread knobs through it keeps one expansion path (and gives
-            // the legacy flags the same detailed, telemetry-carrying sweep
-            // as scenario files).
-            let mut spec = experiment.to_scenario();
-            if let Some(shards) = shards_override {
-                spec.shards = shards;
-            }
-            if let Some(threads) = threads_override {
-                spec.threads = ThreadSpec::Fixed(threads.resolve(spec.shards).min(spec.shards));
-            }
+            // The shim lowers to a spec anyway; expanding it here keeps one
+            // expansion path (and gives the legacy flags the same detailed,
+            // telemetry-carrying sweep as scenario files).
+            let spec = experiment.to_scenario();
             let cells =
                 spec.expand().expect("FleetExperiment axis lists always lower to a valid scenario");
             (corki::fleet::scenario_sweep_detailed(&cells), experiment.latency_budget_ms)

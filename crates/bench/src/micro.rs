@@ -60,7 +60,9 @@ use std::time::{Duration, Instant};
 /// rows) plus the `telemetry/record` and `telemetry/shm_record` micro
 /// cases pinning the recorder's in-path cost in both of its homes, with a
 /// `telemetry/shm_overhead` comparison of the shared-memory atomics
-/// against plain memory.
+/// against plain memory.  The sharding/threading cases of versions 4 and 6
+/// and the K=1 parity pair left with the sharded engine itself; the
+/// layout of version 8 is unchanged.
 pub const SCHEMA_VERSION: u32 = 8;
 
 /// Timing-loop configuration.
@@ -146,7 +148,7 @@ pub struct FleetServingRow {
     /// Routing policy name.
     pub routing: String,
     /// Content fingerprint of the expanded scenario cell (16 lowercase hex
-    /// chars, shards-normalised): `--compare` uses it to distinguish an
+    /// chars): `--compare` uses it to distinguish an
     /// engine regression (same hash, different metrics) from an edited
     /// scenario (different hash).
     pub scenario_hash: String,
@@ -189,7 +191,7 @@ pub struct E2eWallClockRow {
     /// Row name (`e2e/<scenario>`).
     pub name: String,
     /// Content fingerprint of the expanded scenario cells (16 lowercase hex
-    /// chars, shards/threads-normalised) — lets `--compare` pair rows with
+    /// chars) — lets `--compare` pair rows with
     /// their baseline by content.
     pub scenario_hash: String,
     /// Number of timed process runs folded into the row.
@@ -210,8 +212,8 @@ pub struct E2eWallClockRow {
 pub struct LiveServingRow {
     /// Row name (`live_e2e/<scenario>`).
     pub name: String,
-    /// Content fingerprint of the executed cell (16 lowercase hex chars,
-    /// shards/threads-normalised) — pairs the live row with its baseline
+    /// Content fingerprint of the executed cell (16 lowercase hex chars) —
+    /// pairs the live row with its baseline
     /// and with the simulator's `fleet_serving` row for the same cell.
     pub scenario_hash: String,
     /// Robots in the live fleet (one client process each).
@@ -774,88 +776,28 @@ pub fn run_suite_filtered(config: &RunnerConfig, mode: &str, filter: Option<&str
         },
     ];
     for (name, cell) in &fleet_cases {
-        if cell.shards > 1 {
-            // Sharded scenarios time both engines so the report records the
-            // single-thread-vs-sharded speedup as a first-class comparison.
-            let shards = cell.shards;
-            cases.push(BenchCase {
-                name: format!("{name}/shards1"),
-                routine: Box::new(move || {
-                    black_box(FleetSimulator::new(cell.config.clone()).run());
-                }),
-            });
-            cases.push(BenchCase {
-                name: format!("{name}/shards{shards}"),
-                routine: Box::new(move || {
-                    black_box(FleetSimulator::new(cell.config.clone()).with_shards(shards).run());
-                }),
-            });
-        } else {
-            cases.push(BenchCase {
-                name: name.clone(),
-                routine: Box::new(move || {
-                    black_box(FleetSimulator::new(cell.config.clone()).run());
-                }),
-            });
-        }
-        if cell.threads > 1 {
-            // Threaded scenarios sweep the worker-thread axis.  Thread
-            // counts beyond the committed shard count raise the shard count
-            // with them (threads are capped by shards), so the sweep stays
-            // runnable on any spec.
-            for threads in THREAD_SWEEP {
-                let shards = cell.shards.max(threads);
-                cases.push(BenchCase {
-                    name: format!("{name}/threads{threads}"),
-                    routine: Box::new(move || {
-                        black_box(
-                            FleetSimulator::new(cell.config.clone())
-                                .with_shards(shards)
-                                .with_threads(threads)
-                                .run(),
-                        );
-                    }),
-                });
-            }
-        }
+        cases.push(BenchCase {
+            name: name.clone(),
+            routine: Box::new(move || {
+                black_box(FleetSimulator::new(cell.config.clone()).run());
+            }),
+        });
     }
 
-    // K=1 parity: the sharded queue specializes a single shard down to a
-    // plain heap (no cached heads, no tournament tree), so steady-state
-    // schedule/pop traffic through it must cost the same as the unsharded
-    // queue it generalises — the committed `k1_parity` speedup hovering
-    // around 1.0 is the proof.
-    let mut parity_plain = corki_system::des::EventQueue::new();
-    let mut parity_sharded = corki_system::des::ShardedEventQueue::new(1);
-    let mut plain_state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut sharded_state = plain_state;
+    // Steady-state schedule/pop traffic through the event queue that backs
+    // every fleet run.
+    let mut queue = corki_system::des::EventQueue::new();
+    let mut queue_state = 0x9e37_79b9_7f4a_7c15u64;
     for _ in 0..512 {
-        plain_state = lcg(plain_state);
-        parity_plain.schedule(1.0 + (plain_state >> 40) as f64 / 64.0, plain_state);
-        sharded_state = lcg(sharded_state);
-        parity_sharded.schedule(0, 1.0 + (sharded_state >> 40) as f64 / 64.0, sharded_state);
+        queue_state = lcg(queue_state);
+        queue.schedule(1.0 + (queue_state >> 40) as f64 / 64.0, queue_state);
     }
     cases.push(BenchCase {
         name: "des_queue/event_queue".to_owned(),
         routine: Box::new(move || {
-            plain_state = lcg(plain_state);
-            parity_plain.schedule(
-                parity_plain.now_ms() + 1.0 + (plain_state >> 40) as f64 / 64.0,
-                plain_state,
-            );
-            black_box(parity_plain.pop());
-        }),
-    });
-    cases.push(BenchCase {
-        name: "des_queue/sharded_k1".to_owned(),
-        routine: Box::new(move || {
-            sharded_state = lcg(sharded_state);
-            parity_sharded.schedule(
-                0,
-                parity_sharded.now_ms() + 1.0 + (sharded_state >> 40) as f64 / 64.0,
-                sharded_state,
-            );
-            black_box(parity_sharded.pop());
+            queue_state = lcg(queue_state);
+            queue.schedule(queue.now_ms() + 1.0 + (queue_state >> 40) as f64 / 64.0, queue_state);
+            black_box(queue.pop());
         }),
     });
     // Shared-memory transit: the per-hop costs of the live serving path —
@@ -950,7 +892,7 @@ pub fn run_suite_filtered(config: &RunnerConfig, mode: &str, filter: Option<&str
     let benches = measure_interleaved(config, &mut cases);
     drop(cases);
 
-    let mut comparison_specs: Vec<(String, String, String)> = [
+    let comparison_specs = [
         (
             "policy_inference",
             "policy_inference/corki_reference_alloc",
@@ -958,53 +900,31 @@ pub fn run_suite_filtered(config: &RunnerConfig, mode: &str, filter: Option<&str
         ),
         ("trajectory_fit", "trajectory_fit/reference_alloc", "trajectory_fit/refit_fast"),
         ("control_kernel", "control_kernel/reference_refactor", "control_kernel/ts_ctc_fast"),
-    ]
-    .into_iter()
-    .map(|(name, reference, fast)| (name.to_owned(), reference.to_owned(), fast.to_owned()))
-    .collect();
-    for (name, cell) in &fleet_cases {
-        if cell.shards > 1 {
-            comparison_specs.push((
-                format!("{name}/sharding"),
-                format!("{name}/shards1"),
-                format!("{name}/shards{}", cell.shards),
-            ));
-        }
-        if cell.threads > 1 {
-            comparison_specs.push((
-                format!("{name}/threading"),
-                format!("{name}/threads1"),
-                format!("{name}/threads{}", cell.threads),
-            ));
-        }
-    }
-    comparison_specs.push((
-        "des_queue/k1_parity".to_owned(),
-        "des_queue/sharded_k1".to_owned(),
-        "des_queue/event_queue".to_owned(),
-    ));
-    // Cross-thread RTT over the same-thread hop: how much the wakeup and
-    // scheduling cost on top of the shared-memory copy itself (the live
-    // path's per-hop floor).
-    comparison_specs.push((
-        "ipc_transit/scheduling_overhead".to_owned(),
-        "ipc_transit/cross_thread_rtt".to_owned(),
-        "ipc_transit/ring_push_pop".to_owned(),
-    ));
-    // What the shared-memory home of the recorder costs over plain memory
-    // (fetch_add atomics vs ordinary adds on the same log2-bucket layout).
-    comparison_specs.push((
-        "telemetry/shm_overhead".to_owned(),
-        "telemetry/shm_record".to_owned(),
-        "telemetry/record".to_owned(),
-    ));
+        // Cross-thread RTT over the same-thread hop: how much the wakeup and
+        // scheduling cost on top of the shared-memory copy itself (the live
+        // path's per-hop floor).
+        (
+            "ipc_transit/scheduling_overhead",
+            "ipc_transit/cross_thread_rtt",
+            "ipc_transit/ring_push_pop",
+        ),
+        // What the shared-memory home of the recorder costs over plain
+        // memory (fetch_add atomics vs ordinary adds on the same
+        // log2-bucket layout).
+        ("telemetry/shm_overhead", "telemetry/shm_record", "telemetry/record"),
+    ];
     let comparisons = comparison_specs
         .into_iter()
         .filter_map(|(name, reference, fast)| {
             let find = |n: &str| benches.iter().find(|b| b.name == n).map(|b| b.median_ns);
-            let reference_ns = find(&reference)?;
-            let fast_ns = find(&fast)?;
-            Some(Comparison { name, reference_ns, fast_ns, speedup: reference_ns / fast_ns })
+            let reference_ns = find(reference)?;
+            let fast_ns = find(fast)?;
+            Some(Comparison {
+                name: name.to_owned(),
+                reference_ns,
+                fast_ns,
+                speedup: reference_ns / fast_ns,
+            })
         })
         .collect();
 
@@ -1020,9 +940,6 @@ pub fn run_suite_filtered(config: &RunnerConfig, mode: &str, filter: Option<&str
         live,
     }
 }
-
-/// The worker-thread axis swept for every threaded scenario.
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Timed process runs folded into each e2e wall-clock row.
 const E2E_RUNS: usize = 5;
@@ -1097,10 +1014,7 @@ fn fleet_metric_rows(
     let mut fleet_rows = Vec::with_capacity(cases.len());
     let mut telemetry_rows = Vec::new();
     for (name, cell) in cases {
-        let outcome = FleetSimulator::new(cell.config.clone())
-            .with_shards(cell.shards)
-            .with_threads(cell.threads)
-            .run();
+        let outcome = FleetSimulator::new(cell.config.clone()).run();
         let summary = &outcome.summary;
         let scenario_hash = scenario_fingerprint(std::slice::from_ref(cell));
         fleet_rows.push(FleetServingRow {
@@ -1270,36 +1184,17 @@ mod tests {
         assert_eq!(parsed, report);
         assert_eq!(
             report.comparisons.len(),
-            8,
-            "3 fast-path + sharding + threading + k1-parity + ipc-transit + telemetry comparisons"
+            5,
+            "3 fast-path + ipc-transit + telemetry comparisons"
         );
         assert!(report.benches.len() >= 16);
         assert!(report.benches.iter().any(|b| b.name.starts_with("fleet_serving/")));
         assert_eq!(report.fleet_rows.len(), FLEET_SCENARIO_SOURCES.len());
         assert!(report.e2e.is_empty(), "e2e wall-clock rows are full-mode only");
         assert!(!report.to_table().is_empty());
-        // The sharded 10k scenario times both engines and records a speedup.
-        assert!(report.benches.iter().any(|b| b.name == "fleet_serving/fleet_10k_pool/shards1"));
-        assert!(report.benches.iter().any(|b| b.name == "fleet_serving/fleet_10k_pool/shards4"));
-        assert!(report
-            .comparisons
-            .iter()
-            .any(|c| c.name == "fleet_serving/fleet_10k_pool/sharding"));
-        // The threaded 10k scenario sweeps the worker-thread axis.
-        for threads in THREAD_SWEEP {
-            assert!(report
-                .benches
-                .iter()
-                .any(|b| b.name == format!("fleet_serving/fleet_10k_pool/threads{threads}")));
-        }
-        assert!(report
-            .comparisons
-            .iter()
-            .any(|c| c.name == "fleet_serving/fleet_10k_pool/threading"));
-        // The K=1 parity pair pins zero single-shard overhead.
+        // The 10k scenario is one case like every other committed scenario.
+        assert!(report.benches.iter().any(|b| b.name == "fleet_serving/fleet_10k_pool"));
         assert!(report.benches.iter().any(|b| b.name == "des_queue/event_queue"));
-        assert!(report.benches.iter().any(|b| b.name == "des_queue/sharded_k1"));
-        assert!(report.comparisons.iter().any(|c| c.name == "des_queue/k1_parity"));
         // The shared-memory transit group and its scheduling comparison.
         assert!(report.benches.iter().any(|b| b.name == "ipc_transit/ring_push_pop"));
         assert!(report.benches.iter().any(|b| b.name == "ipc_transit/seqlock_publish_read"));
@@ -1340,16 +1235,11 @@ mod tests {
     fn filtered_suite_keeps_only_the_prefix_and_drops_broken_comparisons() {
         let report = run_suite_filtered(&RunnerConfig::quick(), "quick", Some("fleet_serving"));
         report.validate().expect("filtered report must validate");
-        // Ten single-shard scenarios, the two engine cases of the sharded
-        // 10k scenario, and its four worker-thread sweep cases.
-        assert_eq!(report.benches.len(), FLEET_SCENARIO_SOURCES.len() + 1 + THREAD_SWEEP.len());
+        // One case per committed scenario.
+        assert_eq!(report.benches.len(), FLEET_SCENARIO_SOURCES.len());
         assert!(report.benches.iter().all(|b| b.name.starts_with("fleet_serving/")));
-        // The fast-path and k1-parity comparisons lose their members to the
-        // filter; the sharding and threading comparisons keep both of their
-        // benches and survive.
-        assert_eq!(report.comparisons.len(), 2);
-        assert!(report.comparisons.iter().any(|c| c.name.ends_with("/sharding")));
-        assert!(report.comparisons.iter().any(|c| c.name.ends_with("/threading")));
+        // Every comparison loses its members to the filter.
+        assert!(report.comparisons.is_empty());
         // The deterministic metric rows ride along in every mode, each
         // fleet cell contributing its six telemetry stage rows.
         assert_eq!(report.fleet_rows.len(), FLEET_SCENARIO_SOURCES.len());
@@ -1395,7 +1285,7 @@ mod tests {
             .expect("adaptive on-robot row present");
         assert_eq!(adap.variant, "3xCorki-ADAP+Corki-5");
         assert!(adap.composition.starts_with("mix("), "{}", adap.composition);
-        // The 10k-robot sharded scenario rides along as a metric row too.
+        // The 10k-robot scenario rides along as a metric row too.
         let big = a.iter().find(|r| r.name.contains("fleet_10k_pool")).expect("10k row present");
         assert_eq!((big.robots, big.servers), (10_000, 32));
         // Fault-free scenarios report all-zero fault counters.

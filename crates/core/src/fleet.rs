@@ -36,7 +36,7 @@
 use corki_sim::evaluation::{parallel_map, run_job, session_seed, EvalConfig};
 use corki_system::fleet::{fleet_robot_seed, FleetSimulator, SchedulerKind, ServerConfig};
 use corki_system::scenario::{
-    ConcreteScenario, ScenarioAxes, ScenarioSpec, ThreadSpec, VariantMix, WarmupSpec,
+    ConcreteScenario, ScenarioAxes, ScenarioSpec, VariantMix, WarmupSpec,
 };
 use corki_system::{ControlBackend, InferenceModel, RoutingPolicy, Variant};
 use corki_telemetry::TelemetryReport;
@@ -160,8 +160,6 @@ impl FleetExperiment {
             servers: vec![ServerConfig::new(InferenceModel::default(), SchedulerKind::Fifo)],
             adaptive_lengths: self.adaptive_lengths.clone().filter(|lengths| !lengths.is_empty()),
             latency_budget_ms: self.latency_budget_ms,
-            shards: 1,
-            threads: ThreadSpec::Fixed(1),
             axes: ScenarioAxes {
                 robot_counts: self.scale.robot_counts.clone(),
                 variants: self.variants.iter().cloned().map(VariantMix::uniform).collect(),
@@ -298,13 +296,7 @@ pub fn scenario_sweep_detailed_with_jobs(
     jobs: usize,
 ) -> Vec<DetailedSweepCell> {
     let run_cell = |cell: &ConcreteScenario| {
-        // Honour the cell's shard and thread knobs; results are invariant
-        // in both, so the rows stay byte-identical whatever the spec
-        // requested.
-        let outcome = FleetSimulator::new(cell.config.clone())
-            .with_shards(cell.shards)
-            .with_threads(cell.threads)
-            .run();
+        let outcome = FleetSimulator::new(cell.config.clone()).run();
         let summary = &outcome.summary;
         let row = FleetSweepRow {
             robots: cell.robots,
@@ -336,8 +328,8 @@ pub fn scenario_sweep_detailed_with_jobs(
 /// Scales expanded cells down to a smoke footprint (the CI path for
 /// full-scale committed scenarios): each fleet keeps at most `max_robots`
 /// robots — the leading ones, preserving group order and derived seeds —
-/// and runs at most `max_frames` frames per robot.  The pool, routing,
-/// labels and shard knob are untouched, so a smoke run exercises exactly
+/// and runs at most `max_frames` frames per robot.  The pool, routing and
+/// labels are untouched, so a smoke run exercises exactly
 /// the code paths of the full-scale scenario, just smaller.
 pub fn smoke_scale_cells(
     cells: Vec<ConcreteScenario>,

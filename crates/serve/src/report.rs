@@ -63,7 +63,7 @@ pub struct TransitStats {
 pub struct LiveReport {
     /// Scenario name the cell came from.
     pub scenario: String,
-    /// Fingerprint of the executed cell (shards/threads-normalised), for
+    /// Fingerprint of the executed cell, for
     /// matching live rows against simulator rows in bench history.
     pub fingerprint: String,
     /// The simulator-shaped summary row (fault counters are structurally

@@ -7,47 +7,13 @@
 //! instant fire in scheduling order and every run of the same configuration
 //! pops events in exactly the same order — determinism is structural, not
 //! accidental.
-//!
-//! # Cross-shard determinism contract
-//!
-//! The sharded fleet engine partitions its future-event set across K
-//! per-shard queues ([`ShardedEventQueue`]) but keeps **one** global
-//! sequence counter: every scheduled event — whichever shard it lands on —
-//! draws its `seq` from the same monotone stream, in scheduling order.
-//! Because `seq` is shard-canonical (globally unique and globally ordered),
-//! the total order on `(time, seq)` is independent of the partitioning:
-//! popping the globally earliest head across all shards replays *exactly*
-//! the pop order of an unsharded [`EventQueue`] fed the same schedule
-//! calls.  A K-shard run is therefore byte-identical to K = 1 by
-//! construction, including ties at window barriers: two events at the same
-//! instant on different shards still fire in scheduling order, never in
-//! shard order (see `window_boundary_ties_break_on_global_seq_not_shard`).
-//!
-//! # Threaded window execution
-//!
-//! [`ThreadedWindows`] runs shard-local event loops on real worker threads
-//! under conservative synchronization windows: within a window every shard
-//! drains its own heap on its own thread, cross-shard sends are buffered
-//! into per-`(src, dst)` ordered mailboxes, and at the window barrier the
-//! mailboxes are merged in the canonical `(time, src, mailbox-order)` order
-//! while a single post-merge counter assigns the destination sequence
-//! numbers.  Because every input to that merge is produced by a
-//! deterministic shard-local replay, a T-thread run is byte-identical to
-//! T = 1 by construction (see the type-level docs for the full argument).
 
 use std::cmp::Ordering;
 
 /// An event scheduled at a point in simulated time.
 ///
-/// Comparison (equality *and* ordering) is by the queue key `(time_ms,
-/// seq)` only — `seq` is unique per queue, so two distinct events of one
-/// queue never compare equal, and the `PartialEq`/`PartialOrd` contract
-/// (`a == b ⟺ partial_cmp(a, b) == Some(Equal)`) holds by construction.
-///
-/// Under the sharded engine the same key defines the *cross-shard* total
-/// order: `seq` is drawn from one global counter shared by every shard, so
-/// `(time_ms, seq)` orders events of different shards exactly as it orders
-/// events of one queue (see the module-level determinism contract).
+/// Events fire in `(time_ms, seq)` order; `seq` is unique per queue, so the
+/// order is total.
 #[derive(Debug, Clone, Copy)]
 pub struct Scheduled<E> {
     /// Absolute simulated time of the event, in milliseconds.
@@ -59,49 +25,10 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-/// Reverse ordering on `(time, seq)` so a max-heap (e.g. the standard
-/// `BinaryHeap`) pops the earliest event first.  The queues below use their
-/// own min-heaps and compare keys directly; this impl is kept for external
-/// consumers that want heap-ready ordering.
-impl<E> Scheduled<E> {
-    fn key(&self) -> (f64, u64) {
-        (self.time_ms, self.seq)
-    }
-
-    fn key_cmp(&self, other: &Self) -> Ordering {
-        other.time_ms.total_cmp(&self.time_ms).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key_cmp(other) == Ordering::Equal
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key_cmp(other)
-    }
-}
-
-/// `(time_ms, seq)` ordering identical to the event order (earliest
-/// first): `total_cmp` on time, lower sequence number first.
-fn key_before(a: (f64, u64), b: (f64, u64)) -> bool {
-    a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)) == Ordering::Less
-}
-
-/// `true` when `a` fires strictly before `b` (earlier `(time_ms, seq)`).
+/// `true` when `a` fires strictly before `b` (earlier `(time_ms, seq)`):
+/// `total_cmp` on time, lower sequence number first.
 fn fires_before<E>(a: &Scheduled<E>, b: &Scheduled<E>) -> bool {
-    key_before(a.key(), b.key())
+    a.time_ms.total_cmp(&b.time_ms).then_with(|| a.seq.cmp(&b.seq)) == Ordering::Less
 }
 
 /// Children per node of the event min-heaps.
@@ -115,9 +42,9 @@ const HEAP_ARITY: usize = 4;
 
 /// A flat 4-ary min-heap on the `(time_ms, seq)` key.
 ///
-/// The backing `Vec` is the per-shard *event arena*: it is never shrunk, so
-/// after the first window of a run push/pop recycle the same allocation and
-/// the steady-state event loop allocates nothing (see the
+/// The backing `Vec` is the *event arena*: it is never shrunk, so once a
+/// run's queue has reached its resident size push/pop recycle the same
+/// allocation and the steady-state event loop allocates nothing (see the
 /// `event_arena` allocation-counting test of the fleet engine).
 #[derive(Debug, Clone, Default)]
 struct MinHeap<E> {
@@ -257,572 +184,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Sentinel head key of an empty shard (or of a padding slot beyond the
-/// real shard count): `+∞` sorts after every real timestamp under
-/// `total_cmp`, so empty slots lose every tournament match without a branch
-/// on emptiness.
-const EMPTY_HEAD: (f64, u64) = (f64::INFINITY, u64::MAX);
-
-/// A deterministic future-event queue partitioned across K shards.
-///
-/// Each shard owns a private heap, but all shards share **one** sequence
-/// counter and one clock.  `pop` returns the globally earliest event by the
-/// `(time_ms, seq)` key — so the pop order is byte-identical to a single
-/// [`EventQueue`] given the same `schedule` calls, for any K (the
-/// cross-shard determinism contract in the module docs).  The partitioning
-/// exists so a coordinator can drain or hand off per-shard work (e.g.
-/// per-robot trace decoration) in parallel between synchronization windows
-/// without perturbing the event order.
-///
-/// # Cost model
-///
-/// The earliest shard is tracked by a tournament (winner) tree over the K
-/// cached head keys, replayed along one root path whenever a head changes:
-/// pops cost O(log K) comparisons on a contiguous key array instead of the
-/// former O(K) head scan.  K = 1 bypasses the tree and the head cache
-/// entirely, so the single-shard path is exactly the unsharded queue plus
-/// one predictable branch (`des_queue/*` micro benches pin the parity).
-#[derive(Debug, Clone)]
-pub struct ShardedEventQueue<E> {
-    shards: Vec<MinHeap<E>>,
-    /// Cached `(time_ms, seq)` key of each shard's head ([`EMPTY_HEAD`]
-    /// when the shard is empty), kept in sync by `schedule`/`pop` and
-    /// padded with [`EMPTY_HEAD`] slots to the tournament's power-of-two
-    /// leaf count so every tree slot indexes a real entry.  The tournament
-    /// compares entries of this contiguous array instead of peeking K heap
-    /// allocations.  Unused (empty) when K = 1.
-    heads: Vec<(f64, u64)>,
-    /// Winner tree over the (padded) shard heads: a complete binary tree in
-    /// array form whose leaves are the slot ids `0..leaves` and whose
-    /// internal nodes cache the id of the slot with the earlier head key —
-    /// every match is one branch-free key comparison.  `tree[0]` is the
-    /// global winner (a padding slot only when everything is empty).  Empty
-    /// when K = 1.
-    tree: Vec<u32>,
-    /// Index of the first leaf inside `tree`.
-    leaf_base: usize,
-    next_seq: u64,
-    now_ms: f64,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// An empty K-shard queue with its clock at time zero.  `shards` is
-    /// clamped to at least 1.
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        let (heads, tree, leaf_base) = if shards == 1 {
-            // Single-shard runs take the direct heap path: no head cache,
-            // no tournament tree, no per-pop scan.
-            (Vec::new(), Vec::new(), 0)
-        } else {
-            let leaves = shards.next_power_of_two();
-            let leaf_base = leaves - 1;
-            let mut tree = vec![0u32; leaf_base + leaves];
-            for (slot, leaf) in tree[leaf_base..].iter_mut().enumerate() {
-                *leaf = slot as u32;
-            }
-            // All heads start empty, so any bottom-up propagation of the
-            // leaf ids keeps the winner invariant (ties between empty
-            // slots are irrelevant — `pop` checks the winner's head).
-            for node in (0..leaf_base).rev() {
-                tree[node] = tree[2 * node + 1].min(tree[2 * node + 2]);
-            }
-            (vec![EMPTY_HEAD; leaves], tree, leaf_base)
-        };
-        ShardedEventQueue {
-            shards: (0..shards).map(|_| MinHeap::new()).collect(),
-            heads,
-            tree,
-            leaf_base,
-            next_seq: 0,
-            now_ms: 0.0,
-        }
-    }
-
-    /// Number of shards (always ≥ 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The current simulated time (the timestamp of the last popped event).
-    pub fn now_ms(&self) -> f64 {
-        self.now_ms
-    }
-
-    /// The winner of two tree slots: the shard whose cached head fires
-    /// first.  Empty shards hold the `+∞` sentinel key and padding slots
-    /// compare as `+∞`, so both lose without an emptiness branch; ties
-    /// between real heads cannot occur because head keys contain the
-    /// globally unique `seq`.
-    #[inline]
-    fn winner(&self, a: u32, b: u32) -> u32 {
-        if key_before(self.heads[b as usize], self.heads[a as usize]) {
-            b
-        } else {
-            a
-        }
-    }
-
-    /// Replays the tournament along the root path of `shard` after its head
-    /// key changed — O(log K) comparisons on the contiguous head array.
-    fn replay(&mut self, shard: usize) {
-        let mut node = self.leaf_base + shard;
-        while node > 0 {
-            let parent = (node - 1) / 2;
-            self.tree[parent] = self.winner(self.tree[2 * parent + 1], self.tree[2 * parent + 2]);
-            node = parent;
-        }
-    }
-
-    /// Schedules `event` on `shard` at absolute time `time_ms` and returns
-    /// its globally unique sequence number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time_ms` is NaN or `shard` is out of range, and (in debug
-    /// builds) if `time_ms` lies before the current clock.
-    pub fn schedule(&mut self, shard: usize, time_ms: f64, event: E) -> u64 {
-        assert!(!time_ms.is_nan(), "cannot schedule an event at NaN");
-        debug_assert!(
-            time_ms >= self.now_ms,
-            "scheduling into the past: {time_ms} < {}",
-            self.now_ms
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.shards[shard].push(Scheduled { time_ms, seq, event });
-        if self.shards.len() > 1 {
-            // A fresh event carries the highest seq so far, so it only
-            // becomes the shard head when it is strictly earlier in time
-            // (or the shard was empty — the sentinel loses to any real key).
-            let key = (time_ms, seq);
-            if key_before(key, self.heads[shard]) {
-                self.heads[shard] = key;
-                self.replay(shard);
-            }
-        }
-        seq
-    }
-
-    /// Pops the globally earliest event (minimum `(time_ms, seq)` across all
-    /// shard heads) and advances the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let scheduled = if self.shards.len() == 1 {
-            self.shards[0].pop()?
-        } else {
-            let shard = self.tree[0] as usize;
-            // A winner holding the sentinel key means every shard is empty
-            // (real heads always win their matches against the sentinel).
-            if self.heads[shard] == EMPTY_HEAD {
-                return None;
-            }
-            let scheduled = self.shards[shard].pop().expect("cached head implies a pending event");
-            self.heads[shard] = self.shards[shard].peek().map_or(EMPTY_HEAD, |next| next.key());
-            self.replay(shard);
-            scheduled
-        };
-        self.now_ms = scheduled.time_ms;
-        Some(scheduled)
-    }
-
-    /// The timestamp of the globally next event, if any.
-    pub fn peek_time_ms(&self) -> Option<f64> {
-        if self.shards.len() == 1 {
-            return self.shards[0].peek().map(|s| s.time_ms);
-        }
-        let head = self.heads[self.tree[0] as usize];
-        (head != EMPTY_HEAD).then_some(head.0)
-    }
-
-    /// Total number of pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(MinHeap::len).sum()
-    }
-
-    /// Whether no events are pending on any shard.
-    pub fn is_empty(&self) -> bool {
-        if self.shards.len() == 1 {
-            return self.shards[0].is_empty();
-        }
-        self.heads[self.tree[0] as usize] == EMPTY_HEAD
-    }
-}
-
-/// Tracks the conservative synchronization windows of a sharded run.
-///
-/// Simulated time is cut into fixed-width windows `[n·w, (n+1)·w)`.  All
-/// events strictly inside a window are causally safe to decorate in
-/// parallel per shard once the window closes; the coordinator reports when
-/// the event about to be processed has crossed into a later window so the
-/// engine can run its barrier (flush deferred per-shard work) *before*
-/// handling the event.  The window width only sets the flush cadence — it
-/// never influences event order or any simulated result.
-#[derive(Debug, Clone)]
-pub struct WindowCoordinator {
-    window_ms: f64,
-    window_end_ms: f64,
-}
-
-impl WindowCoordinator {
-    /// A coordinator whose first window ends at `window_ms`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `window_ms` is finite and positive.
-    pub fn new(window_ms: f64) -> Self {
-        assert!(
-            window_ms.is_finite() && window_ms > 0.0,
-            "window width must be finite and positive, got {window_ms}"
-        );
-        WindowCoordinator { window_ms, window_end_ms: window_ms }
-    }
-
-    /// The fixed window width, in milliseconds.
-    pub fn window_ms(&self) -> f64 {
-        self.window_ms
-    }
-
-    /// The exclusive end of the current window, in milliseconds.
-    pub fn window_end_ms(&self) -> f64 {
-        self.window_end_ms
-    }
-
-    /// Reports whether `time_ms` falls at or beyond the current window's
-    /// end — i.e. whether a barrier is due before processing an event at
-    /// `time_ms` — and, if so, advances to the window containing `time_ms`.
-    ///
-    /// An event exactly *at* the boundary belongs to the next window (the
-    /// windows are half-open), so it triggers the barrier first.
-    pub fn crossed(&mut self, time_ms: f64) -> bool {
-        if time_ms < self.window_end_ms {
-            return false;
-        }
-        let windows_past = ((time_ms - self.window_end_ms) / self.window_ms).floor() + 1.0;
-        self.window_end_ms += windows_past * self.window_ms;
-        // Guard against f64 rounding leaving the boundary at/below `time_ms`.
-        while self.window_end_ms <= time_ms {
-            self.window_end_ms += self.window_ms;
-        }
-        true
-    }
-}
-
-/// A buffered cross-shard message: scheduled on `dst` at `time_ms` once the
-/// current window's barrier merges the mailboxes.
-#[derive(Debug, Clone)]
-struct MailboxSend<E> {
-    time_ms: f64,
-    dst: u32,
-    event: E,
-}
-
-/// One entry of the barrier merge, carrying its canonical sort key: send
-/// time, source shard, and position inside the source's mailbox.
-#[derive(Debug)]
-struct MergeEntry<E> {
-    time_ms: f64,
-    src: u32,
-    mailbox_order: u32,
-    dst: u32,
-    event: E,
-}
-
-/// The per-window, per-shard execution context handed to a
-/// [`ThreadedWindows`] handler.
-///
-/// A handler may schedule follow-up events on its *own* shard at any future
-/// time ([`ShardCtx::schedule_local`]) and send events to *any* shard —
-/// itself included — via the mailbox ([`ShardCtx::send`]).  Mailbox sends
-/// are the conservative cross-shard edges: they must target a time at or
-/// beyond the current window's end (the destination shard has already
-/// advanced its local clock inside the open window), and they are held back
-/// until the window barrier merges all mailboxes in canonical order.
-#[derive(Debug)]
-pub struct ShardCtx<'a, E> {
-    local: &'a mut EventQueue<E>,
-    mailbox: &'a mut Vec<MailboxSend<E>>,
-    shard: usize,
-    shard_count: usize,
-    window_end_ms: f64,
-}
-
-impl<E> ShardCtx<'_, E> {
-    /// The shard this handler invocation runs on.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Total number of shards of the executor.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The shard-local clock (timestamp of the event being handled).
-    pub fn now_ms(&self) -> f64 {
-        self.local.now_ms()
-    }
-
-    /// The exclusive end of the window being executed: the earliest time a
-    /// cross-shard send may target.
-    pub fn window_end_ms(&self) -> f64 {
-        self.window_end_ms
-    }
-
-    /// Schedules a follow-up event on this shard's own queue at `time_ms`
-    /// (which may lie inside the open window) and returns its shard-local
-    /// sequence number.
-    pub fn schedule_local(&mut self, time_ms: f64, event: E) -> u64 {
-        self.local.schedule(time_ms, event)
-    }
-
-    /// Buffers `event` for `dst` into this shard's mailbox.  The send is
-    /// scheduled on the destination at the window barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range, `time_ms` is NaN, or `time_ms` lies
-    /// inside the open window — cross-shard sends must respect the
-    /// conservative lookahead (the destination may already have advanced
-    /// past `time_ms` on its own thread).
-    pub fn send(&mut self, dst: usize, time_ms: f64, event: E) {
-        assert!(dst < self.shard_count, "mailbox destination {dst} out of range");
-        assert!(!time_ms.is_nan(), "cannot send an event at NaN");
-        assert!(
-            time_ms >= self.window_end_ms,
-            "conservative lookahead violated: cross-shard send at {time_ms} ms targets the open \
-             window (end {} ms)",
-            self.window_end_ms
-        );
-        self.mailbox.push(MailboxSend { time_ms, dst: dst as u32, event });
-    }
-}
-
-/// One shard of a [`ThreadedWindows`] executor: its local event queue, its
-/// user state, and its outgoing mailbox for the open window.
-#[derive(Debug)]
-struct ShardCell<E, S> {
-    queue: EventQueue<E>,
-    state: S,
-    mailbox: Vec<MailboxSend<E>>,
-}
-
-/// A window-synchronized multi-threaded shard executor.
-///
-/// Each of the K shards owns a private [`EventQueue`] and a private state
-/// `S`.  Execution proceeds window by window: within a conservative window
-/// `[n·w, (n+1)·w)` every shard drains its own queue on its own thread
-/// (scoped threads, ≤ `threads` at a time), handling events in shard-local
-/// `(time, seq)` order; cross-shard communication is buffered into
-/// per-shard mailboxes.  At the window barrier the mailboxes are merged in
-/// the canonical `(time, src shard, mailbox order)` order and scheduled
-/// onto their destination queues, with one post-merge counter
-/// ([`ThreadedWindows::merged_total`]) numbering the merged sends globally.
-///
-/// # Why a T-thread run is byte-identical to T = 1
-///
-/// * Within a window each shard's replay is a sequential, deterministic
-///   function of its queue contents at the window start: events pop in
-///   `(time, seq)` order, local follow-ups draw local sequence numbers in
-///   handling order, and mailbox entries append in handling order.  No
-///   other thread can touch the shard's queue, state, or mailbox (enforced
-///   by `&mut` partitioning — no locks, no unsafe), and handlers cannot
-///   observe wall-clock interleaving.
-/// * The barrier merge sorts all buffered sends by `(time, src,
-///   mailbox-order)` — a key computed entirely from simulated quantities —
-///   and assigns destination sequence numbers in that order from a single
-///   counter.  Thread scheduling can reorder *when* mailboxes are filled,
-///   never *what* they contain or how the merge orders them.
-/// * Window boundaries depend only on event timestamps, not on the thread
-///   count.
-///
-/// Hence every queue, state, and mailbox evolves identically whatever
-/// `threads` is; the thread count is pure execution policy.  The
-/// conservative constraint that makes this sound is checked at runtime:
-/// cross-shard sends must target the *next* window or later
-/// ([`ShardCtx::send`]).
-#[derive(Debug)]
-pub struct ThreadedWindows<E, S> {
-    cells: Vec<ShardCell<E, S>>,
-    window_ms: f64,
-    threads: usize,
-    merged: u64,
-    /// Barrier scratch buffer, reused across windows (arena discipline: the
-    /// steady-state barrier allocates nothing).
-    merge_buf: Vec<MergeEntry<E>>,
-}
-
-impl<E: Send, S: Send> ThreadedWindows<E, S> {
-    /// An executor with one shard per entry of `states`, conservative
-    /// windows of `window_ms`, and at most `threads` worker threads
-    /// (clamped to `[1, shards]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty or `window_ms` is not finite and
-    /// positive.
-    pub fn new(states: Vec<S>, window_ms: f64, threads: usize) -> Self {
-        assert!(!states.is_empty(), "a threaded executor needs at least one shard");
-        assert!(
-            window_ms.is_finite() && window_ms > 0.0,
-            "window width must be finite and positive, got {window_ms}"
-        );
-        let shard_count = states.len();
-        ThreadedWindows {
-            cells: states
-                .into_iter()
-                .map(|state| ShardCell { queue: EventQueue::new(), state, mailbox: Vec::new() })
-                .collect(),
-            window_ms,
-            threads: threads.clamp(1, shard_count),
-            merged: 0,
-            merge_buf: Vec::new(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// The effective worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The post-merge counter: total cross-shard sends merged so far.  The
-    /// n-th merged send (in canonical order) is number n of this counter,
-    /// independent of the thread count.
-    pub fn merged_total(&self) -> u64 {
-        self.merged
-    }
-
-    /// Schedules an initial event on `shard` before (or between) runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or `time_ms` is NaN.
-    pub fn seed(&mut self, shard: usize, time_ms: f64, event: E) -> u64 {
-        self.cells[shard].queue.schedule(time_ms, event)
-    }
-
-    /// Read access to a shard's state.
-    pub fn state(&self, shard: usize) -> &S {
-        &self.cells[shard].state
-    }
-
-    /// Consumes the executor and returns the per-shard states.
-    pub fn into_states(self) -> Vec<S> {
-        self.cells.into_iter().map(|cell| cell.state).collect()
-    }
-
-    /// Runs the event loops to completion (all queues empty and all
-    /// mailboxes merged).
-    ///
-    /// The handler receives `(shard, &mut state, event, ctx)` and must be
-    /// callable from worker threads (`Sync`); it gets exclusive access to
-    /// its shard's state and context for the duration of the call.
-    pub fn run<F>(&mut self, handler: F)
-    where
-        F: Fn(usize, &mut S, Scheduled<E>, &mut ShardCtx<'_, E>) + Sync,
-    {
-        while let Some(next_ms) = self
-            .cells
-            .iter()
-            .filter_map(|cell| cell.queue.peek_time_ms())
-            .min_by(|a, b| a.total_cmp(b))
-        {
-            // The window containing the globally next event; empty windows
-            // are skipped wholesale.
-            let mut window_end_ms =
-                (next_ms / self.window_ms).floor() * self.window_ms + self.window_ms;
-            while window_end_ms <= next_ms {
-                window_end_ms += self.window_ms;
-            }
-            let shard_count = self.cells.len();
-            if self.threads == 1 {
-                // Single-threaded execution stays on the caller's stack: no
-                // spawns, identical semantics.
-                for (shard, cell) in self.cells.iter_mut().enumerate() {
-                    drain_window(shard, cell, shard_count, window_end_ms, &handler);
-                }
-            } else {
-                let chunk_len = shard_count.div_ceil(self.threads);
-                std::thread::scope(|scope| {
-                    for (chunk_index, chunk) in self.cells.chunks_mut(chunk_len).enumerate() {
-                        let handler = &handler;
-                        scope.spawn(move || {
-                            for (offset, cell) in chunk.iter_mut().enumerate() {
-                                drain_window(
-                                    chunk_index * chunk_len + offset,
-                                    cell,
-                                    shard_count,
-                                    window_end_ms,
-                                    handler,
-                                );
-                            }
-                        });
-                    }
-                });
-            }
-            self.merge_mailboxes();
-        }
-    }
-
-    /// The window barrier: merges every shard's mailbox in canonical
-    /// `(time, src, mailbox-order)` order and schedules the sends onto
-    /// their destination queues, numbering them from the single post-merge
-    /// counter.
-    fn merge_mailboxes(&mut self) {
-        let mut buf = std::mem::take(&mut self.merge_buf);
-        for (src, cell) in self.cells.iter_mut().enumerate() {
-            for (mailbox_order, send) in cell.mailbox.drain(..).enumerate() {
-                buf.push(MergeEntry {
-                    time_ms: send.time_ms,
-                    src: src as u32,
-                    mailbox_order: mailbox_order as u32,
-                    dst: send.dst,
-                    event: send.event,
-                });
-            }
-        }
-        buf.sort_by(|a, b| {
-            a.time_ms
-                .total_cmp(&b.time_ms)
-                .then_with(|| a.src.cmp(&b.src))
-                .then_with(|| a.mailbox_order.cmp(&b.mailbox_order))
-        });
-        for entry in buf.drain(..) {
-            self.merged += 1;
-            self.cells[entry.dst as usize].queue.schedule(entry.time_ms, entry.event);
-        }
-        self.merge_buf = buf;
-    }
-}
-
-/// Drains one shard's queue up to (exclusive) `window_end_ms`, invoking the
-/// handler for each event in shard-local `(time, seq)` order.
-fn drain_window<E, S, F>(
-    shard: usize,
-    cell: &mut ShardCell<E, S>,
-    shard_count: usize,
-    window_end_ms: f64,
-    handler: &F,
-) where
-    F: Fn(usize, &mut S, Scheduled<E>, &mut ShardCtx<'_, E>),
-{
-    while cell.queue.peek_time_ms().is_some_and(|t| t < window_end_ms) {
-        let scheduled = cell.queue.pop().expect("peeked event is present");
-        let mut ctx = ShardCtx {
-            local: &mut cell.queue,
-            mailbox: &mut cell.mailbox,
-            shard,
-            shard_count,
-            window_end_ms,
-        };
-        handler(shard, &mut cell.state, scheduled, &mut ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -859,7 +220,7 @@ mod tests {
         assert_eq!(q.now_ms(), 4.5);
         q.pop();
         assert_eq!(q.now_ms(), 7.25);
-        assert_eq!(q.pop(), None);
+        assert!(q.pop().is_none());
         assert_eq!(q.now_ms(), 7.25);
     }
 
@@ -884,279 +245,5 @@ mod tests {
     fn nan_times_are_rejected() {
         let mut q = EventQueue::new();
         q.schedule(f64::NAN, ());
-    }
-
-    /// A deterministic pseudo-random schedule (splitmix-style) for stress
-    /// tests — no external RNG, identical across runs.
-    fn pseudo_random_schedule(n: usize) -> Vec<(f64, u32)> {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            // Coarse buckets force plenty of (time, seq) ties.
-            let time = ((state >> 33) % 97) as f64 * 0.5;
-            out.push((time, i as u32));
-        }
-        out
-    }
-
-    /// Replays the same schedule calls into an unsharded queue and a K-shard
-    /// queue (events dealt round-robin across shards) and asserts identical
-    /// pop order — the cross-shard determinism contract.
-    #[test]
-    fn sharded_pop_order_matches_the_unsharded_queue_for_any_shard_count() {
-        let mut schedule: Vec<(f64, u32)> = vec![
-            (5.0, 0),
-            (1.0, 1),
-            (5.0, 2),
-            (3.0, 3),
-            (1.0, 4),
-            (8.0, 5),
-            (3.0, 6),
-            (3.0, 7),
-            (0.0, 8),
-        ];
-        schedule.extend(pseudo_random_schedule(5000));
-        let mut reference = EventQueue::new();
-        for &(t, e) in &schedule {
-            reference.schedule(t, e);
-        }
-        let mut expected = Vec::new();
-        while let Some(s) = reference.pop() {
-            expected.push((s.time_ms.to_bits(), s.seq, s.event));
-        }
-        for shards in [1, 2, 3, 5, 8] {
-            let mut q = ShardedEventQueue::new(shards);
-            for (i, &(t, e)) in schedule.iter().enumerate() {
-                q.schedule(i % shards, t, e);
-            }
-            let mut got = Vec::new();
-            while let Some(s) = q.pop() {
-                got.push((s.time_ms.to_bits(), s.seq, s.event));
-            }
-            assert_eq!(got, expected, "{shards} shards must replay the unsharded pop order");
-        }
-    }
-
-    /// Interleaved schedule/pop traffic (the event-loop access pattern) must
-    /// also be partition-independent — this exercises tournament replays
-    /// after pops, not just a pre-loaded drain.
-    #[test]
-    fn interleaved_push_pop_matches_the_unsharded_queue() {
-        let traffic = pseudo_random_schedule(4000);
-        let run = |shards: usize| {
-            let mut q = ShardedEventQueue::new(shards);
-            let mut log = Vec::new();
-            let mut clock = 0.0f64;
-            for (i, &(dt, e)) in traffic.iter().enumerate() {
-                q.schedule(i % shards, clock + dt, e);
-                if i % 3 == 0 {
-                    if let Some(s) = q.pop() {
-                        clock = s.time_ms;
-                        log.push((s.time_ms.to_bits(), s.seq, s.event));
-                    }
-                }
-            }
-            while let Some(s) = q.pop() {
-                log.push((s.time_ms.to_bits(), s.seq, s.event));
-            }
-            log
-        };
-        let expected = run(1);
-        for shards in [2, 3, 4, 8] {
-            assert_eq!(run(shards), expected, "{shards} shards diverged under interleaved traffic");
-        }
-    }
-
-    /// Satellite: ties exactly at a window boundary break on the global
-    /// sequence number, never on shard index, and the barrier fires before
-    /// the boundary events are processed.
-    #[test]
-    fn window_boundary_ties_break_on_global_seq_not_shard() {
-        let mut q = ShardedEventQueue::new(3);
-        let mut windows = WindowCoordinator::new(10.0);
-        // Scheduling order deliberately walks the shards backwards so a
-        // shard-ordered (wrong) merge would differ from seq order.
-        q.schedule(2, 10.0, "seq0-shard2");
-        q.schedule(1, 10.0, "seq1-shard1");
-        q.schedule(0, 10.0, "seq2-shard0");
-        q.schedule(0, 9.5, "seq3-shard0");
-
-        let first = q.pop().expect("pre-boundary event");
-        assert_eq!(first.event, "seq3-shard0");
-        assert!(!windows.crossed(first.time_ms), "9.5 is inside the first window");
-
-        let mut order = Vec::new();
-        let mut barriers = 0;
-        while let Some(s) = q.pop() {
-            if windows.crossed(s.time_ms) {
-                barriers += 1;
-            }
-            order.push((s.seq, s.event));
-        }
-        // The boundary instant (10.0 — half-open windows) triggers exactly
-        // one barrier, before the first tied event is handled.
-        assert_eq!(barriers, 1);
-        assert_eq!(windows.window_end_ms(), 20.0);
-        assert_eq!(order, [(0, "seq0-shard2"), (1, "seq1-shard1"), (2, "seq2-shard0")]);
-    }
-
-    #[test]
-    fn window_coordinator_skips_over_empty_windows() {
-        let mut windows = WindowCoordinator::new(5.0);
-        assert!(!windows.crossed(4.999));
-        assert!(windows.crossed(23.0), "23.0 lies four windows past the first");
-        assert_eq!(windows.window_end_ms(), 25.0);
-        assert!(!windows.crossed(24.0));
-    }
-
-    #[test]
-    fn sharded_queue_tracks_len_clock_and_peek() {
-        let mut q = ShardedEventQueue::new(2);
-        assert!(q.is_empty());
-        assert_eq!(q.shard_count(), 2);
-        q.schedule(0, 4.0, "late");
-        q.schedule(1, 2.0, "early");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time_ms(), Some(2.0));
-        assert_eq!(q.pop().map(|s| s.event), Some("early"));
-        assert_eq!(q.now_ms(), 2.0);
-        assert_eq!(q.pop().map(|s| s.event), Some("late"));
-        assert_eq!(q.now_ms(), 4.0);
-        assert!(q.is_empty());
-    }
-
-    /// The toy workload for the threaded-executor tests: tokens hop across
-    /// shards; each hop logs on the local state, schedules a local echo
-    /// inside the window, and forwards the token to another shard in the
-    /// next window.  Every quantity is a pure function of simulated state,
-    /// so any two correct executions must produce byte-identical logs.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Toy {
-        Token { id: u32, hops: u32 },
-        Echo { id: u32 },
-    }
-
-    #[derive(Debug, Default, PartialEq)]
-    struct ToyState {
-        log: Vec<(u64, u64, String)>,
-    }
-
-    fn run_toy(shards: usize, threads: usize) -> (Vec<ToyState>, u64) {
-        let states = (0..shards).map(|_| ToyState::default()).collect();
-        let mut exec = ThreadedWindows::new(states, 10.0, threads);
-        for id in 0..(shards as u32 * 3) {
-            exec.seed(id as usize % shards, (id % 7) as f64, Toy::Token { id, hops: 6 });
-        }
-        exec.run(|shard, state, scheduled, ctx| {
-            state.log.push((
-                scheduled.time_ms.to_bits(),
-                scheduled.seq,
-                format!("{:?}@{shard}", scheduled.event),
-            ));
-            match scheduled.event {
-                Toy::Token { id, hops } => {
-                    // A local echo later in the same window (may spill into
-                    // a later one — both are fine for schedule_local).
-                    ctx.schedule_local(scheduled.time_ms + 0.25, Toy::Echo { id });
-                    if hops > 0 {
-                        let dst = (shard + 1 + id as usize) % ctx.shard_count();
-                        let depart = ctx.window_end_ms() + (id % 3) as f64;
-                        ctx.send(dst, depart, Toy::Token { id, hops: hops - 1 });
-                    }
-                }
-                Toy::Echo { .. } => {}
-            }
-        });
-        let merged = exec.merged_total();
-        (exec.into_states(), merged)
-    }
-
-    /// The tentpole contract: a T-thread run is byte-identical to T = 1 —
-    /// same per-shard logs (times, local seqs, payloads) and same post-merge
-    /// counter — for T ∈ {1, 2, 4} over several shard counts.
-    #[test]
-    fn threaded_windows_are_byte_identical_across_thread_counts() {
-        for shards in [1usize, 2, 4, 5] {
-            let reference = run_toy(shards, 1);
-            assert!(
-                reference.0.iter().any(|s| !s.log.is_empty()),
-                "the toy workload must produce events"
-            );
-            if shards > 1 {
-                assert!(reference.1 > 0, "tokens must hop across shards");
-            }
-            for threads in [2usize, 4] {
-                let got = run_toy(shards, threads);
-                assert_eq!(
-                    got, reference,
-                    "{threads} threads diverged from single-thread at {shards} shards"
-                );
-            }
-        }
-    }
-
-    /// Reruns with the same thread count are identical too (no hidden
-    /// wall-clock dependence).
-    #[test]
-    fn threaded_windows_are_rerun_stable() {
-        assert_eq!(run_toy(4, 4), run_toy(4, 4));
-    }
-
-    /// The conservative-lookahead guard: a cross-shard send into the open
-    /// window is a contract violation and must panic rather than silently
-    /// reorder history.
-    #[test]
-    #[should_panic(expected = "conservative lookahead violated")]
-    fn sends_into_the_open_window_panic() {
-        let mut exec = ThreadedWindows::new(vec![(), ()], 10.0, 1);
-        exec.seed(0, 1.0, 0u32);
-        exec.run(|_, _, scheduled, ctx| {
-            ctx.send(1, scheduled.time_ms + 0.5, 1u32);
-        });
-    }
-
-    /// Mailbox merges assign destination sequence numbers in canonical
-    /// `(time, src, mailbox-order)` order, independent of which shard's
-    /// mailbox fills first.
-    #[test]
-    fn mailbox_merge_orders_by_time_then_source_then_mailbox_order() {
-        let states: Vec<Vec<u32>> = vec![Vec::new(), Vec::new(), Vec::new()];
-        let mut exec = ThreadedWindows::new(states, 10.0, 1);
-        // Three seeds in shard order 2, 1, 0 — every shard sends twice to
-        // shard 0 at the same post-window instant, so the merge must order
-        // the sends by source shard (then mailbox order), not by seed order
-        // or arrival order.
-        exec.seed(2, 0.0, 1002u32);
-        exec.seed(1, 0.0, 1001u32);
-        exec.seed(0, 0.0, 1000u32);
-        exec.run(|_, state, scheduled, ctx| {
-            if scheduled.event >= 1000 {
-                let tag = (scheduled.event - 1000) * 10;
-                ctx.send(0, 10.0, tag);
-                // A second same-time send from the same shard: mailbox
-                // order must be preserved.
-                ctx.send(0, 10.0, tag + 1);
-            } else {
-                state.push(scheduled.event);
-            }
-        });
-        assert_eq!(exec.merged_total(), 6);
-        let states = exec.into_states();
-        // Canonical order: src 0 first (its two sends in mailbox order),
-        // then src 1, then src 2.
-        assert_eq!(states[0], [0, 1, 10, 11, 20, 21]);
-    }
-
-    /// The executor reuses its barrier scratch and queue arenas across
-    /// windows; this just pins that multi-window runs with mixed local and
-    /// cross-shard traffic terminate with every queue drained.
-    #[test]
-    fn executor_drains_all_queues() {
-        let (states, merged) = run_toy(4, 2);
-        assert!(merged >= 4 * 3, "every token must hop at least once");
-        let events: usize = states.iter().map(|s| s.log.len()).sum();
-        // 12 tokens × (1 + 6 hops) token events, each with one echo.
-        assert_eq!(events, 12 * 7 * 2);
     }
 }

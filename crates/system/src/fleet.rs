@@ -46,27 +46,14 @@
 //! outputs and warm-up trimming) — all re-exported here, so the public
 //! `corki_system::fleet::*` paths are unchanged.  This module keeps what is
 //! genuinely DES-specific: the event enum, the engine that lowers session
-//! and server transitions onto the sharded event queue, and the simulator
+//! and server transitions onto the event queue, and the simulator
 //! front-end.  The live `corki-serve` path drives the *same* cores from
 //! wall-clock time, which is why a live run can be checked against the DES
 //! as an oracle.
 //!
-//! # The sharded engine
-//!
-//! [`FleetSimulator::with_shards`] partitions the run across K shards:
-//! robot-addressed events live on shard `robot % K`, server-addressed
-//! events on shard `server % K`, all drawn from one global sequence counter
-//! ([`crate::des::ShardedEventQueue`]).  The uplink, the router and the
-//! server pool are the *only* cross-shard edges — every other interaction
-//! is robot-local — so they stay with the coordinator, which processes
-//! events sequentially in global `(time, seq)` order; shard-local work
-//! (per-robot jitter decoration of frame traces) is deferred and executed
-//! in parallel per shard at conservative window barriers
-//! ([`crate::des::WindowCoordinator`]), and the final metric aggregation
-//! fans out across threads.  Because the event order, every float
-//! expression and every per-robot RNG stream are independent of K, a
-//! K-shard run is **byte-identical** to K = 1 (regression-proven by the
-//! shard-invariance suites and the unchanged `fleet_golden` fixtures).
+//! The engine is one sequential loop over one [`crate::des::EventQueue`] in
+//! global `(time, seq)` order; a sweep parallelises across cells, not
+//! within one.
 
 pub mod faults;
 pub mod scheduler;
@@ -87,7 +74,7 @@ pub use session::{
 };
 pub use stats::{trim_warmup, EventRecord, FleetOutcome, FleetSummary, RobotOutcome};
 
-use crate::des::{Scheduled, ShardedEventQueue, WindowCoordinator};
+use crate::des::{EventQueue, Scheduled};
 use crate::devices::CommunicationModel;
 use crate::pipeline::{mean, percentile, FrameKind, PipelineConfig};
 use crate::routing::{Router, RoutingPolicy, ServerSnapshot};
@@ -97,7 +84,7 @@ use corki_telemetry::{ns_of_ms, EventKind, Recorder, Stage};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use server::ServerState;
-use session::{FrameTask, Session};
+use session::Session;
 use stats::mser5_warmup;
 
 /// Configuration of a fleet-serving simulation.
@@ -314,42 +301,14 @@ enum FleetEvent {
 }
 
 /// Simulates a fleet of robots sharing an inference server pool.
-///
-/// By default the run is single-sharded; [`with_shards`](Self::with_shards)
-/// enables the sharded engine, which is byte-identical for every shard
-/// count (see the module docs).
 #[derive(Debug, Clone)]
 pub struct FleetSimulator {
     config: FleetConfig,
-    shards: usize,
-    threads: usize,
 }
-
-/// Width of the conservative synchronization windows, ms.  Purely a flush
-/// cadence for deferred shard-local work — it never influences event order
-/// or any simulated value, so it is not a configuration knob.
-const WINDOW_MS: f64 = 1000.0;
-
-/// Minimum number of deferred decorations before a window barrier fans the
-/// flush out over threads (sharded runs only).  Spawning scoped threads
-/// costs on the order of a hundred microseconds, so small batches stay
-/// deferred until a later window — or the final drain — has accumulated
-/// enough work to amortize the spawns.  Purely a scheduling threshold:
-/// per-session decoration order (and so every simulated value) is
-/// independent of the flush cadence.
-const DECORATION_FLUSH_TASKS: usize = 1 << 17;
 
 struct Engine<'a> {
     cfg: &'a FleetConfig,
-    shards: usize,
-    /// `shards - 1` when the shard count is a power of two (the common
-    /// case: 1, 2, 4, 8), letting [`Engine::shard_of`] mask instead of
-    /// paying an integer division on every scheduled event.
-    shard_mask: Option<usize>,
-    /// Worker-thread cap for barrier fan-out, clamped to `[1, shards]`.
-    threads: usize,
-    queue: ShardedEventQueue<FleetEvent>,
-    windows: WindowCoordinator,
+    queue: EventQueue<FleetEvent>,
     sessions: Vec<Session>,
     link: Arbiter,
     shared_accelerator: Option<Arbiter>,
@@ -372,9 +331,6 @@ struct Engine<'a> {
     /// `(time, total pool queue depth)` samples for MSER-5 warm-up
     /// detection; only recorded when [`FleetConfig::auto_warmup`] is set.
     queue_depth_series: Vec<(f64, f64)>,
-    /// Frames pushed onto session `pending` queues since the last
-    /// decoration flush (drives the [`DECORATION_FLUSH_TASKS`] threshold).
-    deferred_tasks: usize,
     /// Recycled dispatch-batch buffers (at most one per server): the event
     /// loop's steady state moves batches between this pool and
     /// [`ServerState::batch`] without allocating (see the `event_arena`
@@ -383,8 +339,8 @@ struct Engine<'a> {
     log: Vec<EventRecord>,
     /// Always-on stage histograms + bounded per-robot timelines, recorded
     /// with the same six-stage taxonomy as the live path.  Records only
-    /// already-computed values (no RNG draws, no scheduling), entirely in
-    /// the sequential control plane, so it cannot perturb determinism.
+    /// already-computed values (no RNG draws, no scheduling), so it cannot
+    /// perturb determinism.
     telemetry: Recorder,
 }
 
@@ -405,27 +361,7 @@ impl FleetSimulator {
     /// fleet keeps a pool definition for its labels).
     pub fn new(config: FleetConfig) -> Self {
         assert!(!config.servers.is_empty(), "a fleet needs at least one inference server");
-        FleetSimulator { config, shards: 1, threads: 1 }
-    }
-
-    /// Runs the engine with `shards` worker shards (clamped to ≥ 1).
-    /// Results are byte-identical for every shard count; shards > 1 spread
-    /// the deferred per-robot work and the final aggregation across threads.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Caps the worker threads the window barriers fan deferred shard work
-    /// (frame decoration, final aggregation) over — clamped to `[1,
-    /// shards]` at run time.  Results are byte-identical for every thread
-    /// count: the control-plane event loop stays sequential (the shared
-    /// uplink and router have zero lookahead, see the module docs), and the
-    /// threaded data plane only runs per-session work whose order is fixed
-    /// per session.  `threads = 1` spawns no threads at all.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        FleetSimulator { config }
     }
 
     /// The configuration in use.
@@ -433,27 +369,12 @@ impl FleetSimulator {
         &self.config
     }
 
-    /// Number of worker shards the run will use.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Worker-thread cap for the window barriers (before the run-time clamp
-    /// to the shard count).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs the fleet to completion and aggregates the serving metrics.
     pub fn run(&self) -> FleetOutcome {
         let cfg = &self.config;
         let mut engine = Engine {
             cfg,
-            shards: self.shards,
-            shard_mask: self.shards.is_power_of_two().then(|| self.shards - 1),
-            threads: self.threads.clamp(1, self.shards),
-            queue: ShardedEventQueue::new(self.shards),
-            windows: WindowCoordinator::new(WINDOW_MS),
+            queue: EventQueue::new(),
             sessions: cfg
                 .robots
                 .iter()
@@ -479,7 +400,6 @@ impl FleetSimulator {
             dropped_requests: 0,
             recovery: Vec::new(),
             queue_depth_series: Vec::new(),
-            deferred_tasks: 0,
             batch_pool: Vec::new(),
             log: Vec::new(),
             telemetry: Recorder::new(cfg.robots.len()),
@@ -491,7 +411,7 @@ impl FleetSimulator {
             if let Some(churn) = cfg.faults.as_ref().and_then(|f| f.churn_of(robot)) {
                 start = start.max(churn.join_at_ms);
             }
-            engine.queue.schedule(engine.shard_of(robot), start, FleetEvent::Capture { robot });
+            engine.queue.schedule(start, FleetEvent::Capture { robot });
         }
         // Crash/recovery pairs are ordinary events scheduled upfront, after
         // the capture loop — a fault-free run schedules nothing here, so its
@@ -499,16 +419,12 @@ impl FleetSimulator {
         if let Some(faults) = cfg.faults.as_ref() {
             for crash in &faults.crashes {
                 let recover_at_ms = crash.at_ms + crash.down_ms;
-                engine.queue.schedule(
-                    crash.server % self.shards,
-                    crash.at_ms,
-                    FleetEvent::ServerCrash { server: crash.server },
-                );
-                engine.queue.schedule(
-                    crash.server % self.shards,
-                    recover_at_ms,
-                    FleetEvent::ServerRecover { server: crash.server },
-                );
+                engine
+                    .queue
+                    .schedule(crash.at_ms, FleetEvent::ServerCrash { server: crash.server });
+                engine
+                    .queue
+                    .schedule(recover_at_ms, FleetEvent::ServerRecover { server: crash.server });
                 engine.recovery.push(RecoveryTracker {
                     server: crash.server,
                     recover_at_ms,
@@ -517,34 +433,14 @@ impl FleetSimulator {
             }
         }
         while let Some(scheduled) = engine.queue.pop() {
-            // Conservative barrier: the first event at/beyond the current
-            // window's end closes the window, so all frames observed inside
-            // it are final and can be decorated shard-parallel before the
-            // event is handled.
-            if engine.windows.crossed(scheduled.time_ms) {
-                engine.flush_decorations(false);
-            }
             engine.record(&scheduled);
             engine.handle(scheduled);
         }
-        engine.flush_decorations(true);
         engine.finish()
     }
 }
 
 impl Engine<'_> {
-    /// The shard owning robot/server `index` (`index % shards`), computed
-    /// with a mask when the shard count is a power of two — this runs on
-    /// every scheduled event, where a general integer division is
-    /// measurable.
-    #[inline]
-    fn shard_of(&self, index: usize) -> usize {
-        match self.shard_mask {
-            Some(mask) => index & mask,
-            None => index % self.shards,
-        }
-    }
-
     fn record(&mut self, scheduled: &Scheduled<FleetEvent>) {
         if !self.cfg.record_event_log {
             return;
@@ -620,11 +516,7 @@ impl Engine<'_> {
             // robot's own device runs the plan back to back with capture.
             session.upload_ms = 0.0;
             session.link_wait_ms = 0.0;
-            self.queue.schedule(
-                self.shard_of(robot),
-                now + local_service_ms,
-                FleetEvent::LocalInferenceDone { robot },
-            );
+            self.queue.schedule(now + local_service_ms, FleetEvent::LocalInferenceDone { robot });
             return;
         }
         session.base_upload_ms = plan_upload_ms(
@@ -646,7 +538,7 @@ impl Engine<'_> {
         self.link_waits_ms.push((grant.end_ms, grant.wait_ms));
         self.telemetry.record_ms(Stage::Encode, session.upload_ms);
         self.telemetry.record_ms(Stage::UplinkQueue, grant.wait_ms);
-        self.queue.schedule(self.shard_of(robot), grant.end_ms, FleetEvent::UploadDone { robot });
+        self.queue.schedule(grant.end_ms, FleetEvent::UploadDone { robot });
     }
 
     fn on_upload_done(&mut self, robot: usize, now: f64) {
@@ -661,7 +553,6 @@ impl Engine<'_> {
                 .expect("an upload in flight always has an active attempt");
             if let Some(policy) = faults.timeout {
                 self.queue.schedule(
-                    self.shard_of(robot),
                     now + policy.timeout_ms,
                     FleetEvent::RequestTimeout { robot, attempt },
                 );
@@ -735,7 +626,6 @@ impl Engine<'_> {
         let faults = cfg.faults.as_ref().expect("timeouts only fire with a fault plan");
         let policy = faults.timeout.expect("a scheduled timeout implies a timeout policy");
         self.timed_out_requests += 1;
-        let shard = self.shard_of(robot);
         let session = &mut self.sessions[robot];
         if session.retries_this_plan < policy.max_retries {
             session.retries_this_plan += 1;
@@ -744,7 +634,6 @@ impl Engine<'_> {
             session.active_attempt = Some(session.attempt);
             let backoff = policy.backoff_ms * 2.0_f64.powi(session.retries_this_plan as i32 - 1);
             self.queue.schedule(
-                shard,
                 now + backoff,
                 FleetEvent::RetryUpload { robot, attempt: session.attempt },
             );
@@ -755,7 +644,7 @@ impl Engine<'_> {
         if let Some(model) = faults.fallback.as_ref() {
             let (service_ms, energy_j) = on_robot_inference_cost(model, session.is_baseline);
             session.fallback_pending = Some((service_ms, energy_j));
-            self.queue.schedule(shard, now + service_ms, FleetEvent::LocalInferenceDone { robot });
+            self.queue.schedule(now + service_ms, FleetEvent::LocalInferenceDone { robot });
         } else {
             // No fallback model: drop the plan and execute one blind step so
             // the robot keeps making (degraded) progress.
@@ -786,7 +675,7 @@ impl Engine<'_> {
         self.link_waits_ms.push((grant.end_ms, grant.wait_ms));
         self.telemetry.record_ms(Stage::Encode, retry_upload_ms);
         self.telemetry.record_ms(Stage::UplinkQueue, grant.wait_ms);
-        self.queue.schedule(self.shard_of(robot), grant.end_ms, FleetEvent::UploadDone { robot });
+        self.queue.schedule(grant.end_ms, FleetEvent::UploadDone { robot });
     }
 
     /// An injected crash: the in-flight batch is aborted, the queue dropped
@@ -812,7 +701,6 @@ impl Engine<'_> {
     }
 
     fn try_dispatch(&mut self, server_index: usize, now: f64) {
-        let shard = self.shard_of(server_index);
         let server = &mut self.servers[server_index];
         if server.busy || !server.up {
             return;
@@ -826,11 +714,8 @@ impl Engine<'_> {
                     let release = if release > now { release } else { now };
                     let need = server.next_wake_ms.is_none_or(|wake| release < wake);
                     if need {
-                        self.queue.schedule(
-                            shard,
-                            release,
-                            FleetEvent::SchedulerWake { server: server_index },
-                        );
+                        self.queue
+                            .schedule(release, FleetEvent::SchedulerWake { server: server_index });
                         server.next_wake_ms = Some(release);
                     }
                 }
@@ -861,7 +746,6 @@ impl Engine<'_> {
         server.busy = true;
         server.busy_since_ms = now;
         self.queue.schedule(
-            shard,
             inference_done,
             FleetEvent::InferenceDone { server: server_index, epoch: server.epoch },
         );
@@ -951,7 +835,7 @@ impl Engine<'_> {
         let paced_end = now + self.cfg.execution_step_ms;
         let step_end = if compute_end > paced_end { compute_end } else { paced_end };
         self.telemetry.record_ms(Stage::ControlStep, step_end - now);
-        self.queue.schedule(self.shard_of(robot), step_end, FleetEvent::StepDone { robot });
+        self.queue.schedule(step_end, FleetEvent::StepDone { robot });
     }
 
     fn on_step_done(&mut self, robot: usize, now: f64) {
@@ -983,17 +867,7 @@ impl Engine<'_> {
                 session.control_energy_j + hidden_comm_energy,
             )
         };
-        let latency = latency.max(0.0);
-        let energy = energy.max(0.0);
-        // Decoration (the jitter draw + trace construction) is deferred to
-        // the next window barrier, where it runs shard-parallel.
-        session.pending.push(FrameTask {
-            index: session.frame_index,
-            kind,
-            latency_ms: latency,
-            energy_j: energy,
-        });
-        self.deferred_tasks += 1;
+        session.record_frame(kind, latency.max(0.0), energy.max(0.0), self.cfg.jitter);
         session.frame_index += 1;
         session.step_in_plan += 1;
         // The frame that will trigger the next plan streams in the
@@ -1015,47 +889,8 @@ impl Engine<'_> {
         } else if session.step_in_plan < session.plan_steps {
             self.start_step(robot, now);
         } else {
-            self.queue.schedule(self.shard_of(robot), now, FleetEvent::Capture { robot });
+            self.queue.schedule(now, FleetEvent::Capture { robot });
         }
-    }
-
-    /// Window barrier: decorates every deferred frame.  Per-session
-    /// decoration order is fixed (frame order), and sessions are mutually
-    /// independent, so neither the flush cadence nor the fan-out strategy
-    /// ever shows up in the results.
-    ///
-    /// Barriers that have accumulated fewer than [`DECORATION_FLUSH_TASKS`]
-    /// frames are skipped (unless `force`d, at the end of the run): visiting
-    /// every session at every window costs more in cache traffic than the
-    /// decoration itself, and a threaded flush of a tiny batch costs more
-    /// in thread spawns.  When the batch is large and the engine has
-    /// `threads > 1`, the sessions are split into contiguous chunks, one
-    /// scoped thread each; `threads = 1` decorates inline with no spawns.
-    fn flush_decorations(&mut self, force: bool) {
-        if self.deferred_tasks == 0 || (!force && self.deferred_tasks < DECORATION_FLUSH_TASKS) {
-            return;
-        }
-        let jitter = self.cfg.jitter;
-        if self.threads <= 1 || self.deferred_tasks < DECORATION_FLUSH_TASKS {
-            // Single-threaded runs — and forced final drains of a small
-            // remainder — decorate inline: no spawns.
-            for session in &mut self.sessions {
-                session.flush_pending(jitter);
-            }
-            self.deferred_tasks = 0;
-            return;
-        }
-        let chunk_len = self.sessions.len().div_ceil(self.threads);
-        std::thread::scope(|scope| {
-            for chunk in self.sessions.chunks_mut(chunk_len) {
-                scope.spawn(move || {
-                    for session in chunk {
-                        session.flush_pending(jitter);
-                    }
-                });
-            }
-        });
-        self.deferred_tasks = 0;
     }
 
     fn finish(self) -> FleetOutcome {
@@ -1069,27 +904,11 @@ impl Engine<'_> {
         let plan_latencies = trim_warmup(&self.plan_latencies_ms, warmup);
         let queue_waits = trim_warmup(&self.queue_waits_ms, warmup);
         let link_waits = trim_warmup(&self.link_waits_ms, warmup);
-        // Each statistic family is a pure function of its sample vector, so
-        // fanning the four aggregations over threads (`threads > 1` runs
-        // only) yields bit-identical numbers to the sequential path.
-        let mut frame_stats = (0.0, 0.0);
-        let mut plan_stats = (0.0, 0.0);
-        let mut queue_stats = (0.0, 0.0);
-        let mut link_mean = 0.0;
         let mean_p99 = |values: &[f64]| (mean(values), percentile(values, 0.99));
-        if self.threads > 1 {
-            std::thread::scope(|scope| {
-                scope.spawn(|| frame_stats = mean_p99(&frame_latencies));
-                scope.spawn(|| plan_stats = mean_p99(&plan_latencies));
-                scope.spawn(|| queue_stats = mean_p99(&queue_waits));
-                scope.spawn(|| link_mean = mean(&link_waits));
-            });
-        } else {
-            frame_stats = mean_p99(&frame_latencies);
-            plan_stats = mean_p99(&plan_latencies);
-            queue_stats = mean_p99(&queue_waits);
-            link_mean = mean(&link_waits);
-        }
+        let frame_stats = mean_p99(&frame_latencies);
+        let plan_stats = mean_p99(&plan_latencies);
+        let queue_stats = mean_p99(&queue_waits);
+        let link_mean = mean(&link_waits);
         let inferences: usize = self.batch_sizes.iter().sum();
         let pool_busy_ms: f64 = self.servers.iter().map(|s| s.busy_ms).sum();
         // Fault plans let the pool burn abandoned requests after the last
@@ -1658,7 +1477,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_injected_runs_are_byte_identical_across_shards_and_reruns() {
+    fn fault_injected_runs_are_byte_identical_across_reruns() {
         let mut cfg = quick_fleet(Variant::CorkiAdaptive, 6, SchedulerKind::Fifo).with_pool(2);
         cfg.routing = RoutingPolicy::LeastQueueDepth;
         cfg.record_event_log = true;
@@ -1676,15 +1495,8 @@ mod tests {
         });
         let reference =
             serde_json::to_string(&FleetSimulator::new(cfg.clone()).run()).expect("serialises");
-        let rerun =
-            serde_json::to_string(&FleetSimulator::new(cfg.clone()).run()).expect("serialises");
+        let rerun = serde_json::to_string(&FleetSimulator::new(cfg).run()).expect("serialises");
         assert_eq!(rerun, reference, "fault runs must be rerun-deterministic");
-        for shards in [2, 4, 8] {
-            let sharded =
-                serde_json::to_string(&FleetSimulator::new(cfg.clone()).with_shards(shards).run())
-                    .expect("serialises");
-            assert_eq!(sharded, reference, "{shards}-shard fault run must match 1 shard");
-        }
     }
 
     #[test]
@@ -1706,25 +1518,5 @@ mod tests {
             (0..100).map(|i| (i as f64, if i < 20 { 10.0 } else { 1.0 })).collect();
         assert_eq!(mser5_warmup(&series), 20.0);
         assert_eq!(mser5_warmup(&series[..12]), 0.0, "short series keep everything");
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_to_single_shard() {
-        let mut cfg = quick_fleet(
-            Variant::CorkiAdaptive,
-            7,
-            SchedulerKind::DynamicBatch { max_batch: 3, timeout_ms: 15.0 },
-        )
-        .with_pool(2);
-        cfg.robots[2].variant = Variant::CorkiFixed(1);
-        cfg.record_event_log = true;
-        let reference =
-            serde_json::to_string(&FleetSimulator::new(cfg.clone()).run()).expect("serialises");
-        for shards in [2, 3, 8, 64] {
-            let sharded = FleetSimulator::new(cfg.clone()).with_shards(shards);
-            assert_eq!(sharded.shards(), shards);
-            let run = serde_json::to_string(&sharded.run()).expect("serialises");
-            assert_eq!(run, reference, "{shards} shards must replay the single-shard run");
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! degradation, per-request timeout/retry budgets and robot churn.
 //!
 //! A plan is pure data — the DES engine lowers it into ordinary events (so
-//! injected runs stay byte-identical across reruns and shard counts), and
+//! injected runs stay byte-identical across reruns), and
 //! scenario validation rejects plans the live path cannot honour.
 
 use crate::devices::InferenceModel;
@@ -84,7 +84,7 @@ pub struct ChurnSpec {
 /// Faults are ordinary DES events (crash/recover pairs are scheduled
 /// upfront in plan order; timeouts and retries are scheduled by the
 /// handlers that need them), so injected runs stay byte-identical across
-/// reruns and shard counts.  A config without a fault plan schedules no
+/// reruns.  A config without a fault plan schedules no
 /// fault events and draws nothing from the fault RNGs — the fault-free
 /// golden traces are bit-for-bit unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

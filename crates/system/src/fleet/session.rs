@@ -174,20 +174,6 @@ impl RobotProfile {
     }
 }
 
-/// One undecorated frame observation, deferred until the next window
-/// barrier.  The engine records the exact latency/energy attribution at
-/// event time; the per-robot jitter draw and `FrameTrace` construction run
-/// later, shard-parallel, without changing any float expression or the
-/// order of the session's RNG stream (frames are appended — and therefore
-/// decorated — strictly in frame order).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FrameTask {
-    pub(crate) index: usize,
-    pub(crate) kind: FrameKind,
-    pub(crate) latency_ms: f64,
-    pub(crate) energy_j: f64,
-}
-
 /// Per-robot runtime state.
 pub(crate) struct Session {
     pub(crate) steps_model: StepsTakenModel,
@@ -234,7 +220,6 @@ pub(crate) struct Session {
     /// Service time and energy of a fallback inference in flight.
     pub(crate) fallback_pending: Option<(f64, f64)>,
     // Outputs.
-    pub(crate) pending: Vec<FrameTask>,
     pub(crate) traces: Vec<FrameTrace>,
     pub(crate) plan_latency_sum_ms: f64,
     pub(crate) finished_ms: f64,
@@ -278,25 +263,27 @@ impl Session {
                 .as_ref()
                 .map(|_| StdRng::seed_from_u64(robot.seed ^ FAULT_RNG_SALT)),
             fallback_pending: None,
-            pending: Vec::new(),
             traces: Vec::with_capacity(cfg.frames_per_robot),
             plan_latency_sum_ms: 0.0,
             finished_ms: 0.0,
         }
     }
 
-    /// Decorates and appends every deferred frame: one jitter draw per
-    /// frame, in frame order — the same RNG stream and the same float
-    /// expressions as immediate decoration, whatever the flush cadence.
-    pub(crate) fn flush_pending(&mut self, jitter: f64) {
-        for task in self.pending.drain(..) {
-            let scale = 1.0 + self.rng.gen_range(-jitter..=jitter);
-            self.traces.push(FrameTrace {
-                index: task.index,
-                kind: task.kind,
-                latency_ms: task.latency_ms * scale,
-                energy_j: task.energy_j * scale,
-            });
-        }
+    /// Decorates one observed frame and appends its trace: one jitter draw
+    /// from the session's private stream scales latency and energy alike.
+    pub(crate) fn record_frame(
+        &mut self,
+        kind: FrameKind,
+        latency_ms: f64,
+        energy_j: f64,
+        jitter: f64,
+    ) {
+        let scale = 1.0 + self.rng.gen_range(-jitter..=jitter);
+        self.traces.push(FrameTrace {
+            index: self.frame_index,
+            kind,
+            latency_ms: latency_ms * scale,
+            energy_j: energy_j * scale,
+        });
     }
 }

@@ -55,6 +55,6 @@ pub use pipeline::{
 pub use routing::{ParseRoutingPolicyError, Router, RoutingPolicy, ServerSnapshot};
 pub use scenario::{
     scenario_fingerprint, CompositionLabel, CompositionSpec, ConcreteScenario, ScenarioAxes,
-    ScenarioBuilder, ScenarioError, ScenarioSpec, ThreadSpec, WarmupSpec,
+    ScenarioBuilder, ScenarioError, ScenarioSpec, WarmupSpec,
 };
 pub use variant::{ParseVariantError, Variant};

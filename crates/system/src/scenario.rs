@@ -367,77 +367,6 @@ impl Deserialize for WarmupSpec {
     }
 }
 
-/// Worker threads driving the sharded engine: a pinned count, or `"auto"`
-/// for "as many as the machine offers, capped by the shard count".
-///
-/// Like [`WarmupSpec`], the JSON form is either a number (`4`) or the
-/// string `"auto"`.  Threads are purely an execution knob — every thread
-/// count produces byte-identical results — so, like `shards`, they never
-/// enter the engine configuration or the provenance fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ThreadSpec {
-    /// A pinned worker-thread count (1 = drain shards inline).
-    Fixed(usize),
-    /// Resolve to `min(available cores, shards)` at expansion time.
-    Auto,
-}
-
-impl ThreadSpec {
-    /// Resolves the spec against a shard count: a fixed value is returned
-    /// as-is, `"auto"` becomes the machine's available parallelism capped
-    /// by `shards` (threads beyond the shard count would idle).
-    pub fn resolve(&self, shards: usize) -> usize {
-        match self {
-            ThreadSpec::Fixed(threads) => *threads,
-            ThreadSpec::Auto => {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                cores.min(shards).max(1)
-            }
-        }
-    }
-
-    /// Whether machine-sized resolution is requested.
-    pub fn is_auto(&self) -> bool {
-        matches!(self, ThreadSpec::Auto)
-    }
-}
-
-impl fmt::Display for ThreadSpec {
-    /// `auto (available cores)` for adaptive sizing, otherwise the pinned
-    /// count.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ThreadSpec::Fixed(threads) => write!(f, "{threads}"),
-            ThreadSpec::Auto => f.write_str("auto (available cores)"),
-        }
-    }
-}
-
-impl Serialize for ThreadSpec {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            ThreadSpec::Fixed(threads) => serde::Value::Number(*threads as f64),
-            ThreadSpec::Auto => serde::Value::String("auto".to_owned()),
-        }
-    }
-}
-
-impl Deserialize for ThreadSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Number(threads)
-                if threads.fract() == 0.0 && *threads >= 0.0 && *threads <= u32::MAX as f64 =>
-            {
-                Ok(ThreadSpec::Fixed(*threads as usize))
-            }
-            serde::Value::String(s) if s == "auto" => Ok(ThreadSpec::Auto),
-            other => Err(serde::Error::custom(format!(
-                "threads must be a non-negative integer or the string \"auto\", found {other:?}"
-            ))),
-        }
-    }
-}
-
 /// A full, serializable description of one fleet experiment.
 ///
 /// Build one with [`ScenarioBuilder`], parse one from JSON with
@@ -472,17 +401,6 @@ pub struct ScenarioSpec {
     /// End-to-end p99 plan-latency budget of the robots-per-server summary
     /// (ms).
     pub latency_budget_ms: f64,
-    /// Worker shards of the sharded engine (1 = single-threaded).  Purely a
-    /// performance knob: any shard count produces byte-identical results,
-    /// so it does not enter the engine configuration (or the provenance
-    /// fingerprint) — only how the run is executed.
-    pub shards: usize,
-    /// Worker threads driving the shards within each conservative window
-    /// (`"auto"` = available cores, capped by `shards`).  Like `shards`,
-    /// purely a performance knob: a T-thread run is byte-identical to
-    /// T = 1, so threads stay out of the engine configuration and the
-    /// provenance fingerprint.
-    pub threads: ThreadSpec,
     /// Sweep axes.
     pub axes: ScenarioAxes,
     /// Deterministic fault plan (server crashes, link degradation, timeouts
@@ -562,18 +480,6 @@ pub enum ScenarioError {
     },
     /// An adaptive-length override is present but empty.
     EmptyAdaptiveLengths,
-    /// The shard count is zero (use 1 for a single-threaded run).
-    ZeroShards,
-    /// The thread count is zero (use 1 to drain shards inline).
-    ZeroThreads,
-    /// More worker threads than shards — the surplus threads would never
-    /// receive a shard to drain.
-    ThreadsExceedShards {
-        /// The configured thread count.
-        threads: usize,
-        /// The configured shard count.
-        shards: usize,
-    },
     /// A fault plan is combined with sweep axes (fault plans pin concrete
     /// robot and server indices, which axes rescale).
     FaultsWithAxes,
@@ -655,17 +561,6 @@ impl fmt::Display for ScenarioError {
             ScenarioError::EmptyAdaptiveLengths => {
                 write!(f, "adaptive_lengths override must not be empty (use null to keep defaults)")
             }
-            ScenarioError::ZeroShards => {
-                write!(f, "shards must be at least 1 (1 = single-threaded)")
-            }
-            ScenarioError::ZeroThreads => {
-                write!(f, "threads must be at least 1 (1 = drain shards inline)")
-            }
-            ScenarioError::ThreadsExceedShards { threads, shards } => write!(
-                f,
-                "{threads} worker threads exceed the {shards} shard(s) — surplus threads would \
-                 never receive a shard to drain"
-            ),
             ScenarioError::FaultsWithAxes => write!(
                 f,
                 "a fault plan pins concrete robot and server indices, which cannot be \
@@ -770,17 +665,6 @@ impl ScenarioSpec {
         }
         if matches!(&self.adaptive_lengths, Some(lengths) if lengths.is_empty()) {
             return Err(ScenarioError::EmptyAdaptiveLengths);
-        }
-        if self.shards == 0 {
-            return Err(ScenarioError::ZeroShards);
-        }
-        if let ThreadSpec::Fixed(threads) = self.threads {
-            if threads == 0 {
-                return Err(ScenarioError::ZeroThreads);
-            }
-            if threads > self.shards {
-                return Err(ScenarioError::ThreadsExceedShards { threads, shards: self.shards });
-            }
         }
         if let Some(faults) = &self.faults {
             self.validate_faults(faults)?;
@@ -899,13 +783,6 @@ pub struct ConcreteScenario {
     pub servers: usize,
     /// p99 plan-latency budget inherited from the spec (ms).
     pub latency_budget_ms: f64,
-    /// Worker shards to run this cell with (inherited from the spec; purely
-    /// a performance knob — results are shard-count invariant).
-    pub shards: usize,
-    /// Worker threads to drive the shards with (resolved from the spec's
-    /// [`ThreadSpec`]; like `shards`, purely a performance knob — results
-    /// are thread-count invariant).
-    pub threads: usize,
     /// The fully resolved engine configuration.
     pub config: FleetConfig,
 }
@@ -1075,8 +952,6 @@ impl ScenarioSpec {
             robots: total,
             servers: config.servers.len(),
             latency_budget_ms: self.latency_budget_ms,
-            shards: self.shards,
-            threads: self.threads.resolve(self.shards),
             config,
         }
     }
@@ -1087,19 +962,13 @@ impl ScenarioSpec {
 /// rows so `bench --compare` can tell "scenario edited" from "engine
 /// regressed".
 ///
-/// The fingerprint hashes the canonical serialization of each cell with its
-/// `shards` and `threads` knobs normalized to 1: neither ever changes
-/// results, so neither must change the provenance either.
+/// The fingerprint hashes the canonical serialization of each cell.
 pub fn scenario_fingerprint(cells: &[ConcreteScenario]) -> String {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = FNV_OFFSET;
     for cell in cells {
-        let mut normalized = cell.clone();
-        normalized.shards = 1;
-        normalized.threads = 1;
-        let canonical =
-            serde_json::to_string(&normalized).expect("concrete scenarios are serialisable");
+        let canonical = serde_json::to_string(cell).expect("concrete scenarios are serialisable");
         for byte in canonical.as_bytes() {
             hash ^= u64::from(*byte);
             hash = hash.wrapping_mul(FNV_PRIME);
@@ -1291,8 +1160,6 @@ impl ScenarioBuilder {
                 servers: Vec::new(),
                 adaptive_lengths: None,
                 latency_budget_ms: 400.0,
-                shards: 1,
-                threads: ThreadSpec::Fixed(1),
                 axes: ScenarioAxes::none(),
                 faults: None,
             },
@@ -1387,26 +1254,6 @@ impl ScenarioBuilder {
     /// Sets the p99 plan-latency budget (ms).
     pub fn latency_budget_ms(mut self, budget_ms: f64) -> Self {
         self.spec.latency_budget_ms = budget_ms;
-        self
-    }
-
-    /// Sets the worker-shard count of the sharded engine (results are
-    /// byte-identical for every value; 1 = single-threaded).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.spec.shards = shards;
-        self
-    }
-
-    /// Pins the worker-thread count driving the shards (results are
-    /// byte-identical for every value; 1 = drain shards inline).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.spec.threads = ThreadSpec::Fixed(threads);
-        self
-    }
-
-    /// Requests machine-sized threading: `min(available cores, shards)`.
-    pub fn auto_threads(mut self) -> Self {
-        self.spec.threads = ThreadSpec::Auto;
         self
     }
 
@@ -1659,9 +1506,13 @@ mod tests {
         let err = ScenarioSpec::from_json(&json).expect_err("typo'd key must not parse");
         assert!(err.contains("unknown field") || err.contains("missing field"), "{err}");
         // An extra unknown key is rejected even when every real key is set.
-        let json = smoke_spec().to_json().replacen('{', "{\n  \"warmupms\": 1,", 1);
-        let err = ScenarioSpec::from_json(&json).expect_err("extra key must not parse");
-        assert!(err.contains("unknown field `warmupms`"), "{err}");
+        // The retired engine knobs count as unknown too: an old scenario
+        // file that still sets them fails instead of being half-honoured.
+        for key in ["warmupms", "shards", "threads"] {
+            let json = smoke_spec().to_json().replacen('{', &format!("{{\n  \"{key}\": 1,"), 1);
+            let err = ScenarioSpec::from_json(&json).expect_err("extra key must not parse");
+            assert!(err.contains(&format!("unknown field `{key}`")), "{err}");
+        }
     }
 
     #[test]
@@ -1749,22 +1600,6 @@ mod tests {
             (ScenarioError::EmptyAdaptiveLengths, {
                 let mut s = valid().build().unwrap();
                 s.adaptive_lengths = Some(Vec::new());
-                s
-            }),
-            (ScenarioError::ZeroShards, {
-                let mut s = valid().build().unwrap();
-                s.shards = 0;
-                s
-            }),
-            (ScenarioError::ZeroThreads, {
-                let mut s = valid().build().unwrap();
-                s.threads = ThreadSpec::Fixed(0);
-                s
-            }),
-            (ScenarioError::ThreadsExceedShards { threads: 4, shards: 2 }, {
-                let mut s = valid().build().unwrap();
-                s.shards = 2;
-                s.threads = ThreadSpec::Fixed(4);
                 s
             }),
             (ScenarioError::FaultsWithAxes, {
@@ -1902,53 +1737,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_spec_spells_itself_as_a_number_or_the_string_auto_in_json() {
-        let spec = ScenarioBuilder::new("threaded")
-            .frames_per_robot(60)
-            .group(Variant::CorkiFixed(5), 2)
-            .default_servers(1, SchedulerKind::Fifo)
-            .shards(4)
-            .threads(4)
-            .build()
-            .expect("threaded spec is valid");
-        let json = spec.to_json();
-        assert!(json.contains("\"threads\": 4"), "{json}");
-        let parsed = ScenarioSpec::from_json(&json).expect("numeric threads parse");
-        assert_eq!(parsed, spec);
-        assert_eq!(parsed.to_json(), json, "re-serialisation must be byte-stable");
-        // The lowered cell carries the resolved count.
-        let cells = spec.expand().expect("expands");
-        assert_eq!(cells[0].threads, 4);
-
-        // `"auto"` resolves to the machine's cores, capped by the shard
-        // count, and always at least 1.
-        let auto = ScenarioBuilder::new("auto-threads")
-            .frames_per_robot(60)
-            .group(Variant::CorkiFixed(5), 2)
-            .default_servers(1, SchedulerKind::Fifo)
-            .shards(2)
-            .auto_threads()
-            .build()
-            .expect("auto-threaded spec is valid");
-        assert!(auto.threads.is_auto());
-        let json = auto.to_json();
-        assert!(json.contains("\"threads\": \"auto\""), "{json}");
-        let parsed = ScenarioSpec::from_json(&json).expect("auto spelling parses");
-        assert_eq!(parsed, auto);
-        assert_eq!(parsed.to_json(), json, "re-serialisation must be byte-stable");
-        let cells = auto.expand().expect("expands");
-        assert!((1..=2).contains(&cells[0].threads), "resolved {}", cells[0].threads);
-
-        // Anything other than a non-negative integer or "auto" is rejected.
-        let broken = json.replace("\"auto\"", "\"all\"");
-        let err = ScenarioSpec::from_json(&broken).expect_err("unknown spelling must not parse");
-        assert!(err.contains("threads"), "{err}");
-        let broken = json.replace("\"auto\"", "2.5");
-        let err = ScenarioSpec::from_json(&broken).expect_err("fractions must not parse");
-        assert!(err.contains("threads"), "{err}");
-    }
-
-    #[test]
     fn fault_plans_round_trip_and_lower_into_the_engine_config() {
         let plan = FaultPlan {
             crashes: vec![CrashSpec { server: 0, at_ms: 600.0, down_ms: 900.0 }],
@@ -1988,29 +1776,12 @@ mod tests {
     }
 
     #[test]
-    fn scenario_fingerprints_track_content_not_shards() {
+    fn scenario_fingerprints_track_content() {
         let cells = smoke_spec().expand().expect("smoke spec expands");
         let base = scenario_fingerprint(&cells);
         assert_eq!(base.len(), 16);
         assert!(base.chars().all(|c| c.is_ascii_hexdigit() && !c.is_ascii_uppercase()));
         assert_eq!(scenario_fingerprint(&smoke_spec().expand().unwrap()), base, "deterministic");
-
-        // The shard knob never changes results, so it must not change the
-        // provenance fingerprint either.
-        let mut sharded = smoke_spec();
-        sharded.shards = 4;
-        let sharded_cells = sharded.expand().expect("sharded spec expands");
-        assert!(sharded_cells.iter().all(|cell| cell.shards == 4));
-        assert_eq!(scenario_fingerprint(&sharded_cells), base);
-
-        // Neither does the thread knob: a T-thread run is byte-identical
-        // to T = 1, so provenance must stay put too.
-        let mut threaded = smoke_spec();
-        threaded.shards = 4;
-        threaded.threads = ThreadSpec::Fixed(4);
-        let threaded_cells = threaded.expand().expect("threaded spec expands");
-        assert!(threaded_cells.iter().all(|cell| cell.threads == 4));
-        assert_eq!(scenario_fingerprint(&threaded_cells), base);
 
         // Any real content edit moves the fingerprint.
         let mut edited = smoke_spec();

@@ -1,86 +1,24 @@
 //! Allocator-counted proof that the event loop's hot paths reuse their
 //! arenas (in the style of `zero_alloc.rs` in the policy crate): a counting
-//! global allocator wraps the system allocator, the event queues are warmed
+//! global allocator wraps the system allocator, the event queue is warmed
 //! until every backing buffer has reached its high-water mark, and then a
 //! steady-state burst of schedule/pop traffic must leave the allocation
 //! counter untouched.  A fleet-level bound pins the per-frame allocation
 //! budget of the full engine so per-event `Box`/`Vec` churn cannot sneak
 //! back in.
 
-use corki_system::des::{EventQueue, ShardedEventQueue};
+use corki_system::des::EventQueue;
 use corki_system::fleet::{FleetConfig, FleetSimulator};
 use corki_system::Variant;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Counts every allocation and reallocation routed through the global
-/// allocator.
-struct CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+use counting_alloc::allocation_count;
 
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// A deterministic schedule pattern that keeps a queue around `live`
-/// resident events while cycling `churn` schedule/pop pairs through it.
-fn churn_queue(queue: &mut ShardedEventQueue<u64>, live: usize, churn: usize) {
-    let shards = queue.shard_count();
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    for index in 0..churn {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let time = queue.now_ms() + 1.0 + (state >> 40) as f64 / 64.0;
-        queue.schedule(state as usize % shards, time, state);
-        if index >= live {
-            queue.pop();
-        }
-    }
-}
-
-/// Steady-state schedule/pop traffic on the sharded queue must be
-/// allocation-free for every shard count: the 4-ary heaps, the cached head
-/// array and the tournament tree are all flat arenas that reach their
-/// high-water mark during warm-up and are reused forever after.
-#[test]
-fn sharded_queue_steady_state_performs_zero_allocations() {
-    for shards in [1usize, 2, 4, 8] {
-        let mut queue = ShardedEventQueue::new(shards);
-        // Warm-up: grow every per-shard heap past the resident set.
-        churn_queue(&mut queue, 512, 4096);
-        let before = allocation_count();
-        churn_queue(&mut queue, 256, 4096);
-        let after = allocation_count();
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state schedule/pop traffic must not touch the allocator ({shards} shards)"
-        );
-        while queue.pop().is_some() {}
-    }
-}
-
-/// The unsharded queue obeys the same bar (it backs the per-shard local
-/// queues of the threaded window executor).
+/// Steady-state schedule/pop traffic on the event queue must be
+/// allocation-free: the 4-ary heap is a flat arena that reaches its
+/// high-water mark during warm-up and is reused forever after.
 #[test]
 fn event_queue_steady_state_performs_zero_allocations() {
     let mut queue = EventQueue::new();
@@ -113,7 +51,7 @@ fn fleet_event_loop_allocations_grow_sublinearly_with_the_horizon() {
         let mut config = FleetConfig::paper_defaults(Variant::CorkiFixed(5), 24, 2024);
         config.frames_per_robot = frames;
         let before = allocation_count();
-        let outcome = FleetSimulator::new(config).with_shards(4).run();
+        let outcome = FleetSimulator::new(config).run();
         let after = allocation_count();
         assert!(outcome.summary.throughput_steps_per_s > 0.0);
         after - before

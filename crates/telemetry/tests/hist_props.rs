@@ -1,6 +1,6 @@
 //! Property tests for the telemetry histograms: merge is a commutative
-//! monoid (so per-robot/per-worker/per-shard recordings fold into one
-//! fleet view in any order), and the log2-bucketed quantile never strays
+//! monoid (so per-robot/per-worker recordings fold into one fleet view in
+//! any order), and the log2-bucketed quantile never strays
 //! more than one bucket from the exact nearest-rank estimate.
 
 use corki_telemetry::{bucket_of, percentile, Histogram, BUCKETS};

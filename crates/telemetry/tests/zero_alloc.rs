@@ -5,39 +5,14 @@
 //! untouched. This is the property that makes "always-on" honest: the
 //! hot serving path never pays an allocator visit for telemetry.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use corki_telemetry::{EventKind, Recorder, ShmTelemetry, Stage, PAGE_WORDS};
 
-/// Counts every allocation and reallocation routed through the global
-/// allocator.
-struct CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+use counting_alloc::allocation_count;
 
 #[test]
 fn recorder_record_performs_zero_allocations() {
