@@ -11,6 +11,9 @@
 //!   overwrites;
 //! - [`SeqlockSlot`] — single-writer broadcast snapshots readers copy
 //!   tear-free without blocking the writer (plan responses);
+//! - [`Doorbell`] — a futex wake-up counter: producers ring the
+//!   consumer's bell after publishing, consumers sleep on it instead of
+//!   polling;
 //! - [`monotonic_ns`] — the shared `CLOCK_MONOTONIC` timebase that makes
 //!   timestamps comparable across the processes of a run.
 //!
@@ -18,19 +21,21 @@
 //! system crate `forbid`s it — and it keeps the surface small: a handful
 //! of `extern "C"` declarations ([`sys`]) against the C library `std`
 //! already links (the environment has no registry access, so no `libc`
-//! crate), and the pointer arithmetic behind the two primitives.  Callers
-//! get a safe API: all offsets are bounds- and alignment-checked against
-//! the mapping, and rings/slots borrow the segment so they cannot outlive
-//! it.
+//! crate), and the pointer arithmetic and futex calls behind the
+//! primitives.  Callers get a safe API: all offsets are bounds- and
+//! alignment-checked against the mapping, and rings/slots/bells borrow the
+//! segment so they cannot outlive it.
 
 #![warn(missing_docs)]
 
+mod doorbell;
 mod ring;
 mod seqlock;
 mod shm;
 pub mod sys;
 mod time;
 
+pub use doorbell::Doorbell;
 pub use ring::SpscRing;
 pub use seqlock::SeqlockSlot;
 pub use shm::ShmSegment;

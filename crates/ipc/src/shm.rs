@@ -1,5 +1,6 @@
 //! Mapped shared-memory segments under `/dev/shm`, plus the bounds-checked
-//! accessors that carve rings, seqlock slots and bare atomics out of one.
+//! accessors that carve rings, seqlock slots, doorbells and bare atomics
+//! out of one.
 //!
 //! All unsafety lives here and in the primitives this module hands out:
 //! every accessor checks bounds and alignment against the mapping before
@@ -9,8 +10,9 @@
 
 use std::ffi::CString;
 use std::io;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU32, AtomicU64};
 
+use crate::doorbell::Doorbell;
 use crate::ring::SpscRing;
 use crate::seqlock::SeqlockSlot;
 use crate::sys;
@@ -166,6 +168,17 @@ impl ShmSegment {
     pub fn atomic_u64(&self, offset: usize) -> &AtomicU64 {
         let ptr = self.range(offset, 8, 8);
         unsafe { &*ptr.cast::<AtomicU64>() }
+    }
+
+    /// A [`Doorbell`] whose futex word sits at `offset` (4-byte aligned,
+    /// within bounds).  The segment is zero-filled, so a fresh bell needs
+    /// no initialisation.
+    pub fn doorbell(&self, offset: usize) -> Doorbell<'_> {
+        let ptr = self.range(offset, Doorbell::SIZE, 4);
+        // SAFETY: `range` checked that the 4 bytes lie inside the mapping
+        // and are 4-byte aligned; the returned bell borrows `self`, so the
+        // mapping outlives the reference.
+        Doorbell::new(unsafe { &*ptr.cast::<AtomicU32>() })
     }
 
     /// A bounds-checked slice of `len` bare shared atomics starting at

@@ -1,5 +1,5 @@
 //! The minimal `extern "C"` surface the crate needs: file descriptors,
-//! memory mapping and the monotonic clock.
+//! memory mapping, the monotonic clock and the `futex(2)` wait/wake pair.
 //!
 //! The workspace has no registry access, so instead of a `libc` dependency
 //! these symbols are declared directly against the C library that `std`
@@ -7,7 +7,7 @@
 //! only platforms the workspace targets); `off_t`, `time_t` and pointers
 //! are all 64-bit there.
 
-use std::os::raw::{c_char, c_int, c_void};
+use std::os::raw::{c_char, c_int, c_long, c_void};
 
 /// `open(2)` flag: read/write access.
 pub const O_RDWR: c_int = 0o2;
@@ -25,6 +25,26 @@ pub const MAP_SHARED: c_int = 1;
 pub const MAP_ANONYMOUS: c_int = 0x20;
 /// `clock_gettime(2)` clock id: monotonic since an unspecified epoch.
 pub const CLOCK_MONOTONIC: c_int = 1;
+
+/// `syscall(2)` number of `futex(2)`.
+#[cfg(target_arch = "x86_64")]
+pub const SYS_FUTEX: c_long = 202;
+/// `syscall(2)` number of `futex(2)`.
+#[cfg(target_arch = "aarch64")]
+pub const SYS_FUTEX: c_long = 98;
+/// `futex(2)` op: sleep while the word still holds the expected value.
+/// Deliberately not `FUTEX_PRIVATE_FLAG`: waiter and waker are different
+/// processes, so the kernel must key the wait on the shared page, not on
+/// one address space.
+pub const FUTEX_WAIT: c_int = 0;
+/// `futex(2)` op: wake up to `val` waiters on the word.
+pub const FUTEX_WAKE: c_int = 1;
+/// `errno`: the futex word no longer held the expected value.
+pub const EAGAIN: c_int = 11;
+/// `errno`: a signal interrupted the wait.
+pub const EINTR: c_int = 4;
+/// `errno`: the futex wait's timeout elapsed.
+pub const ETIMEDOUT: c_int = 110;
 
 /// The value `mmap(2)` returns on failure.
 pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
@@ -63,4 +83,7 @@ extern "C" {
     pub fn unlink(path: *const c_char) -> c_int;
     /// `clock_gettime(2)`.
     pub fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    /// `syscall(2)`: the raw system-call entry, used for `futex(2)`, which
+    /// the C library does not wrap.
+    pub fn syscall(number: c_long, ...) -> c_long;
 }

@@ -13,7 +13,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use corki::fleet::FleetSweepRow;
-use corki_ipc::{monotonic_ns, ShmSegment, SpscRing};
+use corki_ipc::{monotonic_ns, Doorbell, ShmSegment, SpscRing};
 use corki_system::fleet::{batch_service_ms, trim_warmup, RobotProfile};
 use corki_system::{
     mean, percentile, scenario_fingerprint, BatchScheduler, ConcreteScenario, ControlBackend,
@@ -26,7 +26,7 @@ use crate::proto::{
     SHUTDOWN_BATCH, START_NS_OFF, STATE_OFF,
 };
 use crate::report::{LiveReport, StageStats, TransitStats};
-use crate::sync::{rel_ms, POLL_NAP};
+use crate::sync::{ns_of_ms, rel_ms, ABORT_CHECK, FULL_RING_BACKOFF};
 use crate::LiveError;
 
 /// Most robot processes a live run will spawn: beyond this, a single-host
@@ -40,8 +40,10 @@ pub const MAX_LIVE_SERVERS: usize = 16;
 const SEGMENT_PREFIX: &str = "corki-live-";
 
 /// Head-start the coordinator gives the epoch so every attached child has
-/// left its ready-wait before time zero.
-const EPOCH_HEADROOM: Duration = Duration::from_millis(100);
+/// left its ready-wait before time zero.  The children sleep on their
+/// doorbells and are rung the moment the epoch is published, so this only
+/// has to cover one wake-up per child on a time-shared host.
+const EPOCH_HEADROOM: Duration = Duration::from_millis(10);
 
 /// How often the serving loop drains the telemetry pages mid-run.  Every
 /// page word is a monotonic counter written by exactly one process, so a
@@ -275,6 +277,14 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
     let server_telemetry: Vec<ShmTelemetry<'_>> = (0..servers)
         .map(|s| ShmTelemetry::new(seg.atomic_u64_array(layout.server_telemetry(s), PAGE_WORDS)))
         .collect();
+    // Doorbells: the coordinator sleeps on its own and rings a child's
+    // after handing it anything (a response, a batch, a run-state change).
+    let bell = seg.doorbell(layout.coordinator_bell());
+    let robot_bells: Vec<Doorbell<'_>> =
+        (0..robots).map(|r| seg.doorbell(layout.robot_bell(r))).collect();
+    let server_bells: Vec<Doorbell<'_>> =
+        (0..servers).map(|s| seg.doorbell(layout.server_bell(s))).collect();
+    let ring_children = || robot_bells.iter().chain(&server_bells).for_each(Doorbell::ring);
     seg.atomic_u64(MAGIC_OFF).store(LIVE_MAGIC, std::sync::atomic::Ordering::Release);
 
     // Hand the children the resolved FleetConfig through a temp file.
@@ -288,7 +298,10 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
     let mut guard = ChildGuard::new();
     let abort = |guard: &mut ChildGuard, err: LiveError| -> LiveError {
         run_state.store(state::ABORT, std::sync::atomic::Ordering::Release);
-        let _ = guard; // children are killed by the guard's drop
+        // Wake every blocked child so it sees the flag and exits now; any
+        // that do not are killed by the guard's drop.
+        ring_children();
+        let _ = guard;
         err
     };
 
@@ -332,7 +345,11 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
     // Wait for the whole fleet to attach, then publish the epoch.
     let ready = seg.atomic_u64(crate::proto::READY_OFF);
     let ready_deadline = Instant::now() + crate::sync::START_TIMEOUT;
-    while (ready.load(std::sync::atomic::Ordering::Acquire) as usize) < robots + servers {
+    loop {
+        let seen = bell.seen();
+        if ready.load(std::sync::atomic::Ordering::Acquire) as usize >= robots + servers {
+            break;
+        }
         if let Some(failure) = guard.poll_failures().into_iter().next() {
             return Err(abort(&mut guard, LiveError::ChildFailed(failure)));
         }
@@ -342,11 +359,12 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
                 LiveError::Protocol("fleet did not attach before the deadline".into()),
             ));
         }
-        std::thread::sleep(Duration::from_millis(1));
+        bell.wait(seen, ABORT_CHECK);
     }
     let start_ns = monotonic_ns() + EPOCH_HEADROOM.as_nanos() as u64;
     seg.atomic_u64(START_NS_OFF).store(start_ns, std::sync::atomic::Ordering::Release);
     run_state.store(state::RUNNING, std::sync::atomic::Ordering::Release);
+    ring_children();
 
     // ---- The serving loop: the same scheduler/router cores as the DES,
     // driven by wall-clock milliseconds since the epoch. -------------------
@@ -422,6 +440,9 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
     };
 
     loop {
+        // Read the bell before looking for work: a ring that lands after
+        // the rings and queues are checked then cuts the wait below short.
+        let seen = bell.seen();
         let mut progressed = false;
 
         // Robot messages.
@@ -552,13 +573,14 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
                         &RespMsg {
                             attempt: request.attempt,
                             plan_steps: request.planned_steps as u64,
-                            queue_wait_ns: crate::sync::ns_of_ms(queue_wait_ms.max(0.0)),
+                            queue_wait_ns: ns_of_ms(queue_wait_ms.max(0.0)),
                             service_ns: flight.service_ns,
                             server: flight.server as u64,
                             publish_ns,
                         }
                         .encode(),
                     );
+                    robot_bells[request.robot].ring();
                     awaiting[request.robot] = Some(trace);
                 }
             }
@@ -590,7 +612,7 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
             let work = WorkMsg {
                 batch_id: next_batch_id,
                 batch_len: batch.len() as u64,
-                service_ns: crate::sync::ns_of_ms(service_ms),
+                service_ns: ns_of_ms(service_ms),
                 dispatch_ns,
             };
             if !work_rings[server].try_push(&work.encode()) {
@@ -599,6 +621,7 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
                     LiveError::Protocol(format!("work ring of server {server} is full")),
                 ));
             }
+            server_bells[server].ring();
             busy[server] = Some(next_batch_id);
             in_flight.insert(
                 next_batch_id,
@@ -640,7 +663,17 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
             ));
         }
         if !progressed {
-            std::thread::sleep(POLL_NAP);
+            // Sleep until a child rings, the next health check or telemetry
+            // drain is due, or an idle server's held-back batch is released.
+            let mut timeout =
+                ABORT_CHECK.min(TELEMETRY_DRAIN_INTERVAL.saturating_sub(last_drain.elapsed()));
+            let now_ms = rel_ms(monotonic_ns(), start_ns);
+            for server in (0..servers).filter(|&s| busy[s].is_none()) {
+                if let Some(release_ms) = schedulers[server].next_release_ms() {
+                    timeout = timeout.min(Duration::from_nanos(ns_of_ms(release_ms - now_ms)));
+                }
+            }
+            bell.wait(seen, timeout);
         }
     }
 
@@ -657,8 +690,9 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
                     LiveError::Protocol(format!("cannot deliver shutdown to server {server}")),
                 ));
             }
-            std::thread::sleep(POLL_NAP);
+            std::thread::sleep(FULL_RING_BACKOFF);
         }
+        server_bells[server].ring();
     }
     let failures = guard.join_all(Instant::now() + Duration::from_secs(30));
     if let Some(failure) = failures.into_iter().next() {

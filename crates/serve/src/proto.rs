@@ -281,21 +281,26 @@ impl RespMsg {
 /// Byte offsets of everything in a live-run segment.
 ///
 /// The header is a handful of bare atomics, each on its own cache line so
-/// the hot link-arbiter CAS loop never false-shares with state polling:
+/// the hot link-arbiter CAS loop never false-shares with state reads:
 ///
 /// ```text
 /// 0    magic                       320  per-robot regions  (request ring + response seqlock each)
 /// 64   state (init/running/abort)  ...  per-server regions (work ring + done ring each)
 /// 128  start_ns (run epoch)        ...  per-robot telemetry pages
 /// 192  link_free_ns (uplink        ...  per-server telemetry pages
-///      arbiter clock)
-/// 256  ready_count
+///      arbiter clock)              ...  doorbells (coordinator, robots,
+/// 256  ready_count                      servers; one cache line each)
 /// ```
 ///
 /// The telemetry pages sit after every ring/slot region so their addition
 /// moved no existing offset; each is one [`corki_telemetry::PAGE_BYTES`]
 /// block of monotonic `AtomicU64` counters, written by exactly one
 /// process and drained by the coordinator while the run is live.
+///
+/// After the telemetry pages come the doorbells, one cache line per
+/// process (the coordinator, then each robot, then each server): every
+/// producer rings its consumer's bell after a push or publish, and every
+/// process sleeps on its own bell instead of polling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentLayout {
     robots: usize,
@@ -319,6 +324,10 @@ pub const LINK_FREE_OFF: usize = 192;
 pub const READY_OFF: usize = 256;
 
 const HEADER_SIZE: usize = 320;
+
+/// Bytes per doorbell: a whole cache line, so ringing one process never
+/// false-shares with another's bell.
+const DOORBELL_STRIDE: usize = 64;
 
 impl SegmentLayout {
     /// Computes the layout of a run with `robots` robot clients and
@@ -351,7 +360,7 @@ impl SegmentLayout {
 
     /// Total bytes the segment needs.
     pub fn total_size(&self) -> usize {
-        self.telemetry_base() + (self.robots + self.servers) * corki_telemetry::PAGE_BYTES
+        self.doorbell_base() + (1 + self.robots + self.servers) * DOORBELL_STRIDE
     }
 
     /// Offset of robot `r`'s request ring (robot pushes, coordinator pops).
@@ -394,6 +403,31 @@ impl SegmentLayout {
     pub fn server_telemetry(&self, server: usize) -> usize {
         assert!(server < self.servers, "server {server} out of range");
         self.telemetry_base() + (self.robots + server) * corki_telemetry::PAGE_BYTES
+    }
+
+    /// Where the doorbells start: after every telemetry page.
+    fn doorbell_base(&self) -> usize {
+        self.telemetry_base() + (self.robots + self.servers) * corki_telemetry::PAGE_BYTES
+    }
+
+    /// Offset of the coordinator's doorbell (children ring it after every
+    /// request, completion and ready announcement).
+    pub fn coordinator_bell(&self) -> usize {
+        self.doorbell_base()
+    }
+
+    /// Offset of robot `r`'s doorbell (the coordinator rings it after every
+    /// response it publishes and on every run-state change).
+    pub fn robot_bell(&self, robot: usize) -> usize {
+        assert!(robot < self.robots, "robot {robot} out of range");
+        self.doorbell_base() + (1 + robot) * DOORBELL_STRIDE
+    }
+
+    /// Offset of server `s`'s doorbell (the coordinator rings it after every
+    /// batch it dispatches and on every run-state change).
+    pub fn server_bell(&self, server: usize) -> usize {
+        assert!(server < self.servers, "server {server} out of range");
+        self.doorbell_base() + (1 + self.robots + server) * DOORBELL_STRIDE
     }
 
     #[allow(dead_code)]
@@ -470,6 +504,13 @@ mod tests {
         }
         for s in 0..2 {
             regions.push((layout.server_telemetry(s), corki_telemetry::PAGE_BYTES));
+        }
+        regions.push((layout.coordinator_bell(), DOORBELL_STRIDE));
+        for r in 0..8 {
+            regions.push((layout.robot_bell(r), DOORBELL_STRIDE));
+        }
+        for s in 0..2 {
+            regions.push((layout.server_bell(s), DOORBELL_STRIDE));
         }
         regions.sort();
         for pair in regions.windows(2) {

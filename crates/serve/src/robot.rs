@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use corki_ipc::{monotonic_ns, ShmSegment};
+use corki_ipc::{monotonic_ns, Doorbell, ShmSegment};
 use corki_system::fleet::{plan_upload_ms, RobotProfile};
 use corki_system::FleetConfig;
 use corki_telemetry::{EventKind, ShmTelemetry, Stage, PAGE_WORDS};
@@ -20,7 +20,10 @@ use crate::proto::{
     RespMsg, RobotMsg, SegmentLayout, LINK_FREE_OFF, LIVE_MAGIC, MAGIC_OFF, MSG_SIZE, READY_OFF,
     START_NS_OFF, STATE_OFF,
 };
-use crate::sync::{announce_ready, ns_of_ms, sleep_ms, sleep_until_ns, wait_for_running, POLL_NAP};
+use crate::sync::{
+    announce_ready, ns_of_ms, sleep_ms, sleep_until_ns, wait_for_running, ABORT_CHECK,
+    FULL_RING_BACKOFF,
+};
 use crate::{link::LiveLink, LiveError};
 
 /// How long the robot waits for one inference response before declaring
@@ -55,10 +58,12 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
         ShmTelemetry::new(seg.atomic_u64_array(layout.robot_telemetry(robot), PAGE_WORDS));
     let link = LiveLink::new(seg.atomic_u64(LINK_FREE_OFF));
     let run_state = seg.atomic_u64(STATE_OFF);
+    let bell = seg.doorbell(layout.robot_bell(robot));
+    let coordinator = seg.doorbell(layout.coordinator_bell());
     let profile = RobotProfile::of(&cfg.robots[robot], &cfg);
 
-    announce_ready(seg.atomic_u64(READY_OFF));
-    let start_ns = wait_for_running(run_state, seg.atomic_u64(START_NS_OFF))?;
+    announce_ready(seg.atomic_u64(READY_OFF), coordinator);
+    let start_ns = wait_for_running(run_state, seg.atomic_u64(START_NS_OFF), bell)?;
     // Deterministic start stagger, exactly as the DES schedules the first
     // capture of robot r at `r · start_stagger_ms`.
     sleep_until_ns(start_ns + ns_of_ms(robot as f64 * cfg.start_stagger_ms));
@@ -97,6 +102,7 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
             );
             push_with_retry(
                 &ring,
+                coordinator,
                 &RobotMsg::LocalPlan { latency_ns: done_ns - capture_ns, done_ns }
                     .encode(robot as u64),
                 run_state,
@@ -122,6 +128,7 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
             attempt += 1;
             push_with_retry(
                 &ring,
+                coordinator,
                 &RobotMsg::Request {
                     attempt,
                     planned_steps: plan_steps as u64,
@@ -132,12 +139,12 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
                 .encode(robot as u64),
                 run_state,
             )?;
-            let response = wait_for_response(&resp, attempt, &mut resp_buf, run_state)?;
+            let response = wait_for_response(&resp, bell, attempt, &mut resp_buf, run_state)?;
             prev_resp_recv_ns = monotonic_ns();
             last_resp_recv_ns = prev_resp_recv_ns;
             // The pool-side waits were measured by the coordinator and the
             // worker; the downlink is the one hop only the robot can close
-            // (publish → observed, bounded by the response-poll nap).
+            // (publish → observed: the wake-up latency of the robot's bell).
             telemetry.record(Stage::PoolQueue, response.queue_wait_ns);
             telemetry
                 .record(Stage::Downlink, prev_resp_recv_ns.saturating_sub(response.publish_ns));
@@ -174,6 +181,7 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
 
     push_with_retry(
         &ring,
+        coordinator,
         &RobotMsg::Finished {
             frames: frame_index as u64,
             plans,
@@ -187,11 +195,12 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
     )
 }
 
-/// Pushes one message, backing off briefly while the ring is full (the
-/// coordinator drains every poll, so sustained backpressure means the run
-/// is aborting or wedged).
+/// Pushes one message and rings the coordinator, backing off briefly
+/// while the ring is full (the coordinator drains a ring on every wake-up,
+/// so sustained backpressure means the run is aborting or wedged).
 fn push_with_retry(
     ring: &corki_ipc::SpscRing<'_>,
+    coordinator: Doorbell<'_>,
     msg: &[u8; MSG_SIZE],
     run_state: &std::sync::atomic::AtomicU64,
 ) -> Result<(), LiveError> {
@@ -203,22 +212,26 @@ fn push_with_retry(
         if Instant::now() > deadline {
             return Err(LiveError::Protocol("request ring stayed full".into()));
         }
-        std::thread::sleep(POLL_NAP);
+        std::thread::sleep(FULL_RING_BACKOFF);
     }
+    coordinator.ring();
     Ok(())
 }
 
-/// Polls the response seqlock until a snapshot answering `attempt`
-/// appears.  Stale snapshots (earlier attempts) are skipped; torn reads
-/// are retried by the seqlock itself.
+/// Sleeps on the robot's doorbell until the response seqlock holds a
+/// snapshot answering `attempt`.  Stale snapshots (earlier attempts) are
+/// skipped; a read torn by a concurrent publish is retried after that
+/// publish rings the bell.
 fn wait_for_response(
     resp: &corki_ipc::SeqlockSlot<'_>,
+    bell: Doorbell<'_>,
     attempt: u64,
     buf: &mut [u8; MSG_SIZE],
     run_state: &std::sync::atomic::AtomicU64,
 ) -> Result<RespMsg, LiveError> {
     let deadline = Instant::now() + RESPONSE_TIMEOUT;
     loop {
+        let seen = bell.seen();
         if resp.try_read(buf).is_some() {
             let msg = RespMsg::decode(buf);
             if msg.attempt == attempt {
@@ -231,6 +244,6 @@ fn wait_for_response(
         if Instant::now() > deadline {
             return Err(LiveError::Protocol(format!("no response to attempt {attempt}")));
         }
-        std::thread::sleep(POLL_NAP);
+        bell.wait(seen, ABORT_CHECK);
     }
 }

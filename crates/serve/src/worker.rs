@@ -17,7 +17,7 @@ use crate::proto::{
     DoneMsg, SegmentLayout, WorkMsg, LIVE_MAGIC, MAGIC_OFF, MSG_SIZE, READY_OFF, SHUTDOWN_BATCH,
     START_NS_OFF, STATE_OFF,
 };
-use crate::sync::{announce_ready, wait_for_running, POLL_NAP};
+use crate::sync::{announce_ready, wait_for_running, ABORT_CHECK, FULL_RING_BACKOFF};
 use crate::LiveError;
 
 /// Entry point of the hidden `__live-worker` role: serves server `server`
@@ -46,17 +46,20 @@ pub fn run_worker(
     let telemetry =
         ShmTelemetry::new(seg.atomic_u64_array(layout.server_telemetry(server), PAGE_WORDS));
     let run_state = seg.atomic_u64(STATE_OFF);
+    let bell = seg.doorbell(layout.server_bell(server));
+    let coordinator = seg.doorbell(layout.coordinator_bell());
 
-    announce_ready(seg.atomic_u64(READY_OFF));
-    wait_for_running(run_state, seg.atomic_u64(START_NS_OFF))?;
+    announce_ready(seg.atomic_u64(READY_OFF), coordinator);
+    wait_for_running(run_state, seg.atomic_u64(START_NS_OFF), bell)?;
 
     let mut buf = [0_u8; MSG_SIZE];
     loop {
+        let seen = bell.seen();
         if !work.try_pop(&mut buf) {
             if crate::sync::aborted(run_state) {
                 return Err(LiveError::Aborted);
             }
-            std::thread::sleep(POLL_NAP);
+            bell.wait(seen, ABORT_CHECK);
             continue;
         }
         let msg = WorkMsg::decode(&buf);
@@ -74,7 +77,8 @@ pub fn run_worker(
             if crate::sync::aborted(run_state) {
                 return Err(LiveError::Aborted);
             }
-            std::thread::sleep(POLL_NAP);
+            std::thread::sleep(FULL_RING_BACKOFF);
         }
+        coordinator.ring();
     }
 }
