@@ -5,7 +5,8 @@
 //! latency-bound accumulator chain per row), the `forward_cached`-style
 //! LSTM/MLP forwards that `to_vec()` and clone their intermediates on every
 //! step, the per-dimension sample-buffer trajectory fit, and the
-//! per-solve-refactorising task-space dynamics. The micro-bench suite times
+//! per-solve refactorisation of the task-space dynamics (over the live
+//! dynamics kernels). The micro-bench suite times
 //! them against the live implementations so every `BENCH_*.json` records the
 //! speedup over the code that shipped before the fast path existed.
 
@@ -302,10 +303,16 @@ pub fn reference_fit_waypoints(waypoints: &[EePose], step: f64) -> Trajectory {
     Trajectory::from_parts(dims, gripper_schedule, step).expect("valid by construction")
 }
 
-/// The pre-optimisation task-space dynamics: every one of the seven mass-
-/// matrix solves refactorises the matrix from scratch (`solve_cholesky` per
-/// column), exactly as `TaskSpaceDynamics::compute` did before the shared
-/// factorisation.
+/// The per-column-refactorising task-space dynamics: every one of the seven
+/// mass-matrix solves refactorises the matrix from scratch
+/// (`solve_cholesky` per column), as `TaskSpaceDynamics::compute` did before
+/// the shared factorisation.
+///
+/// Only that refactorisation is frozen here. The kinematics, `mass_matrix`,
+/// `bias_forces` and `jacobian_dot_qdot` it calls are the live one-pass,
+/// stack-buffer kernels, so this row measures what sharing the Cholesky
+/// factor saves on top of today's kernels, not the speed of the code that
+/// shipped before either optimisation.
 pub fn reference_task_space_torque(
     robot: &RobotModel,
     state: &JointState,

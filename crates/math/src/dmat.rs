@@ -6,6 +6,7 @@
 //! `Vec<f64>` representation with straightforward O(n³) factorisations is both
 //! adequate and easy to audit.
 
+use crate::dense;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
@@ -266,6 +267,21 @@ impl DMat {
         DMat { rows: nrows, cols: ncols, data }
     }
 
+    /// Creates a `rows×cols` matrix from the first `rows·cols` entries of a
+    /// row-major slice (the layout of the [`crate::dense`] kernels).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` holds fewer than `rows·cols` entries.
+    pub fn from_row_slice(rows: usize, cols: usize, data: &[f64]) -> Self {
+        DMat { rows, cols, data: data[..rows * cols].to_vec() }
+    }
+
+    /// The entries in row-major order.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -294,13 +310,7 @@ impl DMat {
     pub fn mul_vec(&self, v: &DVec) -> DVec {
         assert_eq!(v.len(), self.cols, "mul_vec dimension mismatch");
         let mut out = DVec::zeros(self.rows);
-        for i in 0..self.rows {
-            let mut acc = 0.0;
-            for j in 0..self.cols {
-                acc += self[(i, j)] * v[j];
-            }
-            out[i] = acc;
-        }
+        dense::mul_vec(&self.data, self.rows, self.cols, &v.data, &mut out.data);
         out
     }
 
@@ -312,17 +322,7 @@ impl DMat {
     pub fn mul_mat(&self, rhs: &DMat) -> DMat {
         assert_eq!(self.cols, rhs.rows, "mul_mat dimension mismatch");
         let mut out = DMat::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
+        dense::mul_mat(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data);
         out
     }
 
@@ -406,35 +406,8 @@ impl DMat {
         factors.lu.clear();
         factors.lu.extend_from_slice(&self.data);
         factors.perm.clear();
-        factors.perm.extend(0..n);
-        let a = &mut factors.lu;
-        let perm = &mut factors.perm;
-
-        for k in 0..n {
-            // Partial pivoting.
-            let mut pivot_row = k;
-            let mut pivot_val = a[perm[k] * n + k].abs();
-            for (idx, &p) in perm.iter().enumerate().skip(k + 1) {
-                let val = a[p * n + k].abs();
-                if val > pivot_val {
-                    pivot_val = val;
-                    pivot_row = idx;
-                }
-            }
-            if pivot_val < 1e-13 {
-                return Err(LuError::Singular);
-            }
-            perm.swap(k, pivot_row);
-            let pk = perm[k];
-            for &pi in perm.iter().skip(k + 1) {
-                let factor = a[pi * n + k] / a[pk * n + k];
-                a[pi * n + k] = factor;
-                for j in (k + 1)..n {
-                    a[pi * n + j] -= factor * a[pk * n + j];
-                }
-            }
-        }
-        Ok(())
+        factors.perm.resize(n, 0);
+        dense::lu_factor(&mut factors.lu, &mut factors.perm, n)
     }
 
     /// Inverse via LU decomposition (one factorisation shared by all
@@ -450,16 +423,7 @@ impl DMat {
         let n = self.rows;
         let factors = self.lu_factor()?;
         let mut out = DMat::zeros(n, n);
-        let mut e = DVec::zeros(n);
-        let mut col = DVec::default();
-        for j in 0..n {
-            e.data.fill(0.0);
-            e[j] = 1.0;
-            factors.solve_into(&e, &mut col)?;
-            for i in 0..n {
-                out[(i, j)] = col[i];
-            }
-        }
+        dense::lu_inverse(&factors.lu, &factors.perm, n, &mut out.data);
         Ok(out)
     }
 
@@ -503,23 +467,7 @@ impl DMat {
         let n = self.rows;
         x.data.clear();
         x.data.resize(n, 0.0);
-        // Forward substitution L y = b (y stored in x).
-        for i in 0..n {
-            let mut acc = b[i];
-            for j in 0..i {
-                acc -= self[(i, j)] * x[j];
-            }
-            x[i] = acc / self[(i, i)];
-        }
-        // Back substitution Lᵀ x = y, in place: x[i] only reads y[i] and the
-        // already-final x[j] with j > i.
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self[(j, i)] * x[j];
-            }
-            x[i] = acc / self[(i, i)];
-        }
+        dense::cholesky_solve(&self.data, n, &b.data, &mut x.data);
         Ok(())
     }
 
@@ -552,23 +500,7 @@ impl DMat {
         l.cols = n;
         l.data.clear();
         l.data.resize(n * n, 0.0);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(CholeskyError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Ok(())
+        dense::cholesky_factor(&self.data, n, &mut l.data)
     }
 }
 
@@ -601,25 +533,7 @@ impl LuFactors {
         }
         x.data.clear();
         x.data.resize(n, 0.0);
-        // Forward substitution (L has unit diagonal), applying the
-        // permutation; the intermediate y lives in x.
-        for i in 0..n {
-            let pi = self.perm[i];
-            let mut acc = b[pi];
-            for j in 0..i {
-                acc -= self.lu[pi * n + j] * x[j];
-            }
-            x[i] = acc;
-        }
-        // Back substitution with U, in place over the same buffer.
-        for i in (0..n).rev() {
-            let pi = self.perm[i];
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[pi * n + j] * x[j];
-            }
-            x[i] = acc / self.lu[pi * n + i];
-        }
+        dense::lu_solve(&self.lu, &self.perm, n, &b.data, &mut x.data);
         Ok(())
     }
 }

@@ -9,6 +9,8 @@
 //!   Featherstone's *Rigid Body Dynamics Algorithms*,
 //! * small dynamically-sized matrices with LU and Cholesky solvers (used for
 //!   the 7×7 joint-space mass matrix and the 6×6 task-space mass matrix),
+//!   built on row-major slice kernels ([`dense`]) that also run on stack
+//!   buffers,
 //! * cubic polynomials, the trajectory primitive of the Corki algorithm.
 //!
 //! # Example
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 
 mod cubic;
+pub mod dense;
 mod dmat;
 mod mat3;
 mod quat;

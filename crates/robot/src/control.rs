@@ -11,7 +11,7 @@
 use crate::dynamics::TaskSpaceDynamics;
 use crate::model::RobotModel;
 use crate::state::{EndEffectorState, JointState};
-use corki_math::{DVec, UnitQuaternion, Vec3, SE3};
+use corki_math::{dense, UnitQuaternion, Vec3, SE3};
 use serde::{Deserialize, Serialize};
 
 /// Proportional/derivative gains of the TS-CTC controller, split between the
@@ -193,10 +193,10 @@ impl TaskSpaceController {
         let acc_ref = [acc_lin.x, acc_lin.y, acc_lin.z, acc_ang.x, acc_ang.y, acc_ang.z];
 
         // F = Mx·acc_ref + hx
-        let f = model.task_mass_matrix.mul_vec(&DVec::from_slice(&acc_ref));
         let mut wrench = [0.0; 6];
-        for (i, w) in wrench.iter_mut().enumerate() {
-            *w = f[i] + model.task_bias[i];
+        dense::mul_vec(model.task_mass_matrix.as_slice(), 6, 6, &acc_ref, &mut wrench);
+        for (w, hx) in wrench.iter_mut().zip(&model.task_bias) {
+            *w += hx;
         }
 
         // τ = Jᵀ F, plus null-space damping.
@@ -206,8 +206,8 @@ impl TaskSpaceController {
         }
 
         if self.clamp_to_effort_limits {
-            for (t, limit) in tau.iter_mut().zip(robot.effort_limits()) {
-                *t = t.clamp(-limit, limit);
+            for (t, joint) in tau.iter_mut().zip(robot.actuated_joints()) {
+                *t = t.clamp(-joint.effort_limit, joint.effort_limit);
             }
         }
         tau

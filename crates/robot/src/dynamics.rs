@@ -11,14 +11,217 @@
 //! | Task-space mass matrix   | [`TaskSpaceDynamics::compute`] (`Mx`)      |
 //! | Task-space bias force    | [`TaskSpaceDynamics::compute`] (`hx`)      |
 //! | Joint torque             | [`crate::TaskSpaceController`]             |
+//!
+//! As in the accelerator, link poses are computed once and reused: each call
+//! runs one frame pass whose per-body transforms feed forward kinematics, the
+//! Jacobian, CRBA and RNEA, and every intermediate lives in stack buffers of
+//! [`MAX_BODIES`] entries, so the physics loop never touches the heap.
 
 use crate::kinematics::Jacobian;
-use crate::model::{JointKind, RobotModel};
+use crate::model::{JointKind, RobotModel, MAX_BODIES};
 use crate::state::EndEffectorState;
-use corki_math::{DMat, DVec, SpatialForce, SpatialInertia, SpatialMotion, SpatialTransform, Vec3};
+use corki_math::{
+    dense, DMat, SpatialForce, SpatialInertia, SpatialMotion, SpatialTransform, Vec3, SE3,
+};
 use serde::{Deserialize, Serialize};
 
+/// A row-major `dof × dof` joint-space matrix (stride `dof`), on the stack.
+type JointMatrix = [f64; MAX_BODIES * MAX_BODIES];
+/// A row-major `6 × dof` Jacobian (stride `dof`), on the stack.
+pub(crate) type JacobianBuffer = [f64; 6 * MAX_BODIES];
+
+/// What one body contributes to the frame pass: everything CRBA, RNEA and
+/// forward kinematics need from its joint variable.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BodyFrame {
+    /// `joint.transform(q_i)`: the body frame's pose in its parent's frame.
+    pose: SE3,
+    /// The same placement as the Plücker transform `^i X_{i-1}`.
+    xform: SpatialTransform,
+    /// The joint kind, which fixes the motion subspace `S`.
+    kind: JointKind,
+    /// The joint's column in joint-space quantities, if it is actuated.
+    column: Option<usize>,
+}
+
+impl BodyFrame {
+    /// The joint's motion subspace `S`, dense.
+    fn subspace(&self) -> SpatialMotion {
+        match self.kind {
+            JointKind::RevoluteZ => SpatialMotion::revolute_z(),
+            JointKind::PrismaticZ => SpatialMotion::prismatic_z(),
+            JointKind::Fixed => SpatialMotion::ZERO,
+        }
+    }
+
+    /// `Sᵀ f`, the projection of a force onto the joint axis. For a revolute
+    /// joint `S = e_z` picks the moment's z component.
+    fn project(&self, f: &SpatialForce) -> f64 {
+        match self.kind {
+            JointKind::RevoluteZ => f.moment.z,
+            JointKind::PrismaticZ | JointKind::Fixed => self.subspace().dot_force(f),
+        }
+    }
+}
+
+/// The frame pass: one [`BodyFrame`] per body, computed once per call and
+/// shared by forward kinematics, the Jacobian, CRBA and RNEA (the data reuse
+/// of the paper's Fig. 7).
+pub(crate) struct Frames {
+    bodies: [BodyFrame; MAX_BODIES],
+    len: usize,
+}
+
+impl Frames {
+    /// The bodies in chain order.
+    fn bodies(&self) -> &[BodyFrame] {
+        &self.bodies[..self.len]
+    }
+
+    /// Forward kinematics: the base-frame pose of every body, in chain order.
+    pub(crate) fn link_poses(&self) -> impl Iterator<Item = SE3> + '_ {
+        self.bodies().iter().scan(SE3::identity(), |current, body| {
+            *current = *current * body.pose;
+            Some(*current)
+        })
+    }
+}
+
 impl RobotModel {
+    /// The frame pass at joint positions `q` (`q.len()` must be the DoF).
+    pub(crate) fn frames(&self, q: &[f64]) -> Frames {
+        let placeholder = BodyFrame {
+            pose: SE3::identity(),
+            xform: SpatialTransform::identity(),
+            kind: JointKind::Fixed,
+            column: None,
+        };
+        let mut frames = Frames { bodies: [placeholder; MAX_BODIES], len: self.num_bodies() };
+        let mut next_column = 0;
+        for (body, joint) in frames.bodies.iter_mut().zip(self.joints()) {
+            let column = joint.kind.is_actuated().then(|| {
+                next_column += 1;
+                next_column - 1
+            });
+            let pose = joint.transform(column.map_or(0.0, |c| q[c]));
+            *body = BodyFrame {
+                pose,
+                xform: SpatialTransform::from_pose(&pose),
+                kind: joint.kind,
+                column,
+            };
+        }
+        frames
+    }
+
+    /// RNEA over a frame pass: writes into `tau[..dof]` the joint torques
+    /// that realise accelerations `qdd` at velocities `qd` under gravity.
+    fn rnea(&self, frames: &Frames, qd: &[f64], qdd: &[f64], tau: &mut [f64]) {
+        let mut forces = [SpatialForce::ZERO; MAX_BODIES];
+        // Gravity trick: give the base an upward acceleration of -g so that
+        // gravitational forces appear automatically in the recursion.
+        let mut v_parent = SpatialMotion::ZERO;
+        let mut a_parent = SpatialMotion::new(Vec3::ZERO, -self.gravity());
+        for ((body, link), force) in frames.bodies().iter().zip(self.links()).zip(&mut forces) {
+            let (qdi, qddi) = body.column.map_or((0.0, 0.0), |c| (qd[c], qdd[c]));
+            let mut v = body.xform.apply_motion(&v_parent);
+            let mut a = body.xform.apply_motion(&a_parent);
+            if body.kind == JointKind::RevoluteZ {
+                // v += S q̇ and a += S q̈ + v × (S q̇) with S = e_z, the
+                // structural zeros of S dropped.
+                v.ang.z += qdi;
+                a.ang.z += qddi;
+                a.ang.x += v.ang.y * qdi;
+                a.ang.y -= v.ang.x * qdi;
+                a.lin.x += v.lin.y * qdi;
+                a.lin.y -= v.lin.x * qdi;
+            } else {
+                let s = body.subspace();
+                let v_joint = s * qdi;
+                v += v_joint;
+                a = a + s * qddi + v.cross_motion(&v_joint);
+            }
+            let inertia = &link.inertia;
+            let momentum = inertia.apply(&v);
+            *force = inertia.apply(&a) + v.cross_force(&momentum);
+            v_parent = v;
+            a_parent = a;
+        }
+
+        // Backward pass: project forces onto joint axes and propagate to
+        // parents.
+        for i in (0..frames.len).rev() {
+            let body = &frames.bodies[i];
+            if let Some(c) = body.column {
+                tau[c] = body.project(&forces[i]);
+            }
+            if i > 0 {
+                let to_parent = body.xform.inv_apply_force(&forces[i]);
+                forces[i - 1] += to_parent;
+            }
+        }
+    }
+
+    /// CRBA over a frame pass: writes the joint-space mass matrix into `m`
+    /// (row-major, stride `dof`).
+    fn crba(&self, frames: &Frames, m: &mut [f64]) {
+        let dof = self.dof();
+        let bodies = frames.bodies();
+
+        // Composite inertias, accumulated tip-to-base.
+        let mut composite = [SpatialInertia::zero(); MAX_BODIES];
+        for (c, link) in composite.iter_mut().zip(self.links()) {
+            *c = link.inertia;
+        }
+        for i in (1..bodies.len()).rev() {
+            let in_parent = composite[i].expressed_in_parent(&bodies[i].pose);
+            composite[i - 1] = composite[i - 1].combine(&in_parent);
+        }
+
+        for (i, body) in bodies.iter().enumerate() {
+            let Some(col_i) = body.column else { continue };
+            // Force produced by unit acceleration of joint i on the composite
+            // body rooted at i, expressed in frame i.
+            let mut f = composite[i].apply(&body.subspace());
+            m[col_i * dof + col_i] = body.project(&f);
+            // Walk towards the base, projecting onto each ancestor joint.
+            for j in (0..i).rev() {
+                f = bodies[j + 1].xform.inv_apply_force(&f);
+                if let Some(col_j) = bodies[j].column {
+                    let value = bodies[j].project(&f);
+                    m[col_i * dof + col_j] = value;
+                    m[col_j * dof + col_i] = value;
+                }
+            }
+        }
+    }
+
+    /// Forward dynamics into `qdd[..dof]`: one frame pass feeds CRBA and
+    /// RNEA, and the mass matrix is factored and solved on the stack.
+    pub(crate) fn forward_dynamics_into(
+        &self,
+        q: &[f64],
+        qd: &[f64],
+        tau: &[f64],
+        qdd: &mut [f64],
+    ) {
+        let dof = self.dof();
+        assert_eq!(q.len(), dof, "forward_dynamics: wrong q length");
+        assert_eq!(qd.len(), dof, "forward_dynamics: wrong qd length");
+        assert_eq!(tau.len(), dof, "forward_dynamics: wrong tau length");
+        let frames = self.frames(q);
+        let mut m: JointMatrix = [0.0; MAX_BODIES * MAX_BODIES];
+        self.crba(&frames, &mut m);
+        let mut rhs = [0.0; MAX_BODIES];
+        self.rnea(&frames, qd, &[0.0; MAX_BODIES], &mut rhs);
+        for (r, t) in rhs.iter_mut().zip(tau) {
+            *r = t - *r;
+        }
+        let mut l: JointMatrix = [0.0; MAX_BODIES * MAX_BODIES];
+        dense::cholesky_factor(&m, dof, &mut l).expect("mass matrix must be positive definite");
+        dense::cholesky_solve(&l, dof, &rhs, qdd);
+    }
+
     /// Inverse dynamics via the recursive Newton-Euler algorithm (RNEA):
     /// the joint torques required to realise accelerations `qdd` at state
     /// `(q, qd)` under gravity.
@@ -31,80 +234,21 @@ impl RobotModel {
         assert_eq!(q.len(), dof, "inverse_dynamics: wrong q length");
         assert_eq!(qd.len(), dof, "inverse_dynamics: wrong qd length");
         assert_eq!(qdd.len(), dof, "inverse_dynamics: wrong qdd length");
-
-        let n = self.num_bodies();
-        let mut xforms = Vec::with_capacity(n);
-        let mut subspaces = Vec::with_capacity(n);
-        let mut velocities = vec![SpatialMotion::ZERO; n];
-        let mut accelerations = vec![SpatialMotion::ZERO; n];
-        let mut forces = vec![SpatialForce::ZERO; n];
-
-        // Gravity trick: give the base an upward acceleration of -g so that
-        // gravitational forces appear automatically in the recursion.
-        let base_acceleration = SpatialMotion::new(Vec3::ZERO, -self.gravity());
-
-        let mut dof_idx = 0usize;
-        for (i, joint) in self.joints().iter().enumerate() {
-            let (qi, qdi, qddi) = if joint.kind.is_actuated() {
-                let v = (q[dof_idx], qd[dof_idx], qdd[dof_idx]);
-                dof_idx += 1;
-                v
-            } else {
-                (0.0, 0.0, 0.0)
-            };
-            let pose = joint.transform(qi);
-            let x = SpatialTransform::from_pose(&pose);
-            let s = match joint.kind {
-                JointKind::RevoluteZ => SpatialMotion::revolute_z(),
-                JointKind::PrismaticZ => SpatialMotion::prismatic_z(),
-                JointKind::Fixed => SpatialMotion::ZERO,
-            };
-            let v_joint = s * qdi;
-            let (v_parent, a_parent) = if i == 0 {
-                (SpatialMotion::ZERO, base_acceleration)
-            } else {
-                (velocities[i - 1], accelerations[i - 1])
-            };
-            let v = x.apply_motion(&v_parent) + v_joint;
-            let a = x.apply_motion(&a_parent) + s * qddi + v.cross_motion(&v_joint);
-            let inertia = &self.links()[i].inertia;
-            let momentum = inertia.apply(&v);
-            forces[i] = inertia.apply(&a) + v.cross_force(&momentum);
-            velocities[i] = v;
-            accelerations[i] = a;
-            xforms.push(x);
-            subspaces.push(s);
-        }
-
-        // Backward pass: project forces onto joint axes and propagate to
-        // parents.
         let mut tau = vec![0.0; dof];
-        let mut dof_idx = dof;
-        for i in (0..n).rev() {
-            let joint = &self.joints()[i];
-            if joint.kind.is_actuated() {
-                dof_idx -= 1;
-                tau[dof_idx] = subspaces[i].dot_force(&forces[i]);
-            }
-            if i > 0 {
-                let to_parent = xforms[i].inv_apply_force(&forces[i]);
-                forces[i - 1] += to_parent;
-            }
-        }
+        self.rnea(&self.frames(q), qd, qdd, &mut tau);
         tau
     }
 
     /// Bias forces `h(θ, θ̇)` (Coriolis, centrifugal and gravity): the torque
     /// required to produce zero joint acceleration.
     pub fn bias_forces(&self, q: &[f64], qd: &[f64]) -> Vec<f64> {
-        let zeros = vec![0.0; self.dof()];
-        self.inverse_dynamics(q, qd, &zeros)
+        self.inverse_dynamics(q, qd, &[0.0; MAX_BODIES][..self.dof()])
     }
 
     /// Gravity torques `g(θ)`.
     pub fn gravity_torques(&self, q: &[f64]) -> Vec<f64> {
-        let zeros = vec![0.0; self.dof()];
-        self.inverse_dynamics(q, &zeros, &zeros)
+        let zeros = &[0.0; MAX_BODIES][..self.dof()];
+        self.inverse_dynamics(q, zeros, zeros)
     }
 
     /// Joint-space mass matrix `M(θ)` via the composite rigid-body algorithm
@@ -116,61 +260,9 @@ impl RobotModel {
     pub fn mass_matrix(&self, q: &[f64]) -> DMat {
         let dof = self.dof();
         assert_eq!(q.len(), dof, "mass_matrix: wrong q length");
-        let n = self.num_bodies();
-
-        // Per-body joint transforms, poses in parent, motion subspaces and the
-        // actuated column index of each body (if any).
-        let mut poses_in_parent = Vec::with_capacity(n);
-        let mut xforms = Vec::with_capacity(n);
-        let mut subspaces = Vec::with_capacity(n);
-        let mut column_of_body = vec![None; n];
-        let mut dof_idx = 0usize;
-        for (i, joint) in self.joints().iter().enumerate() {
-            let qi = if joint.kind.is_actuated() {
-                let v = q[dof_idx];
-                column_of_body[i] = Some(dof_idx);
-                dof_idx += 1;
-                v
-            } else {
-                0.0
-            };
-            let pose = joint.transform(qi);
-            xforms.push(SpatialTransform::from_pose(&pose));
-            poses_in_parent.push(pose);
-            subspaces.push(match joint.kind {
-                JointKind::RevoluteZ => SpatialMotion::revolute_z(),
-                JointKind::PrismaticZ => SpatialMotion::prismatic_z(),
-                JointKind::Fixed => SpatialMotion::ZERO,
-            });
-        }
-
-        // Composite inertias, accumulated tip-to-base.
-        let mut composite: Vec<SpatialInertia> = self.links().iter().map(|l| l.inertia).collect();
-        for i in (1..n).rev() {
-            let in_parent = composite[i].expressed_in_parent(&poses_in_parent[i]);
-            composite[i - 1] = composite[i - 1].combine(&in_parent);
-        }
-
-        let mut m = DMat::zeros(dof, dof);
-        for i in 0..n {
-            let Some(col_i) = column_of_body[i] else { continue };
-            // Force produced by unit acceleration of joint i on the composite
-            // body rooted at i, expressed in frame i.
-            let mut f = composite[i].apply(&subspaces[i]);
-            m[(col_i, col_i)] = subspaces[i].dot_force(&f);
-            // Walk towards the base, projecting onto each ancestor joint.
-            let mut j = i;
-            while j > 0 {
-                f = xforms[j].inv_apply_force(&f);
-                j -= 1;
-                if let Some(col_j) = column_of_body[j] {
-                    let value = subspaces[j].dot_force(&f);
-                    m[(col_i, col_j)] = value;
-                    m[(col_j, col_i)] = value;
-                }
-            }
-        }
-        m
+        let mut m: JointMatrix = [0.0; MAX_BODIES * MAX_BODIES];
+        self.crba(&self.frames(q), &mut m);
+        DMat::from_row_slice(dof, dof, &m)
     }
 
     /// Forward dynamics: the joint accelerations produced by torques `tau` at
@@ -180,12 +272,9 @@ impl RobotModel {
     ///
     /// Panics if any input length differs from the robot's DoF.
     pub fn forward_dynamics(&self, q: &[f64], qd: &[f64], tau: &[f64]) -> Vec<f64> {
-        assert_eq!(tau.len(), self.dof(), "forward_dynamics: wrong tau length");
-        let m = self.mass_matrix(q);
-        let h = self.bias_forces(q, qd);
-        let mut rhs = DVec::from_slice(tau);
-        rhs -= &DVec::from_vec(h);
-        m.solve_cholesky(&rhs).expect("mass matrix must be positive definite").into_vec()
+        let mut qdd = vec![0.0; self.dof()];
+        self.forward_dynamics_into(q, qd, tau, &mut qdd);
+        qdd
     }
 }
 
@@ -233,72 +322,77 @@ impl TaskSpaceDynamics {
 
     /// Computes every task-space quantity required by one control cycle.
     ///
+    /// One frame pass at `q` feeds forward kinematics, the Jacobian, CRBA and
+    /// RNEA (the finite-difference `J̇ θ̇` runs its own two at `q ± ε q̇`);
+    /// every intermediate lives on the stack, and the heap is touched only
+    /// for the returned model's own matrices.
+    ///
     /// # Panics
     ///
     /// Panics if `q` or `qd` have the wrong length.
     pub fn compute(&self, robot: &RobotModel, q: &[f64], qd: &[f64]) -> TaskSpaceModel {
-        let fk = robot.forward_kinematics(q);
-        let jacobian = robot.jacobian_from_fk(&fk);
-        let joint_mass_matrix = robot.mass_matrix(q);
-        let joint_bias = robot.bias_forces(q, qd);
+        let n = robot.dof();
+        assert_eq!(q.len(), n, "compute: wrong q length");
+        assert_eq!(qd.len(), n, "compute: wrong qd length");
+        let frames = robot.frames(q);
+        let mut jacobian: JacobianBuffer = [0.0; 6 * MAX_BODIES];
+        let end_effector = robot.jacobian_from_frames(&frames, &mut jacobian);
+        let mut mass: JointMatrix = [0.0; MAX_BODIES * MAX_BODIES];
+        robot.crba(&frames, &mut mass);
+        let mut bias = [0.0; MAX_BODIES];
+        robot.rnea(&frames, qd, &[0.0; MAX_BODIES], &mut bias);
         let jdot_qdot = robot.jacobian_dot_qdot(q, qd);
 
         // The seven solves below (M⁻¹ Jᵀ column by column, then M⁻¹ h) share
-        // one Cholesky factorisation of the mass matrix instead of
-        // re-factorising per solve — identical results, ~7× less O(n³) work
-        // per control cycle.
-        let mass_factor =
-            joint_mass_matrix.cholesky_factor().expect("mass matrix must be positive definite");
-        let jt = jacobian.transpose(); // n×6
-        let n = robot.dof();
-        let mut minv_jt = DMat::zeros(n, 6);
-        let mut rhs = DVec::zeros(n);
-        let mut x = DVec::zeros(n);
+        // one Cholesky factorisation of the mass matrix.
+        let mut factor: JointMatrix = [0.0; MAX_BODIES * MAX_BODIES];
+        dense::cholesky_factor(&mass, n, &mut factor)
+            .expect("mass matrix must be positive definite");
+        let mut minv_jt = [0.0; MAX_BODIES * 6]; // n×6, stride 6
+        let mut rhs = [0.0; MAX_BODIES];
+        let mut x = [0.0; MAX_BODIES];
         for col in 0..6 {
+            rhs[..n].copy_from_slice(&jacobian[col * n..(col + 1) * n]);
+            dense::cholesky_solve(&factor, n, &rhs, &mut x);
             for row in 0..n {
-                rhs[row] = jt[(row, col)];
-            }
-            mass_factor
-                .cholesky_solve_with_factor(&rhs, &mut x)
-                .expect("factor and right-hand side dimensions agree");
-            for row in 0..n {
-                minv_jt[(row, col)] = x[row];
+                minv_jt[row * 6 + col] = x[row];
             }
         }
         // Λ⁻¹ = J M⁻¹ Jᵀ  (6×6), then damped inversion.
-        let mut lambda_inv = jacobian.matrix().mul_mat(&minv_jt);
+        let mut lu = [0.0; 36];
+        dense::mul_mat(&jacobian, 6, n, &minv_jt, 6, &mut lu);
         for i in 0..6 {
-            lambda_inv[(i, i)] += self.damping;
+            lu[i * 6 + i] += self.damping;
         }
-        let task_mass_matrix =
-            lambda_inv.inverse().expect("damped task-space inertia is invertible");
+        let mut perm = [0usize; 6];
+        dense::lu_factor(&mut lu, &mut perm, 6).expect("damped task-space inertia is invertible");
+        let mut task_mass = [0.0; 36];
+        dense::lu_inverse(&lu, &perm, 6, &mut task_mass);
 
         // hx = Λ (J M⁻¹ h − J̇ q̇)
-        let mut minv_h = DVec::zeros(n);
-        mass_factor
-            .cholesky_solve_with_factor(&DVec::from_slice(&joint_bias), &mut minv_h)
-            .expect("factor and right-hand side dimensions agree");
-        let j_minv_h = jacobian.matrix().mul_vec(&minv_h);
-        let mut residual = j_minv_h;
-        residual -= &DVec::from_slice(&jdot_qdot);
-        let hx_vec = task_mass_matrix.mul_vec(&residual);
-        let mut task_bias = [0.0; 6];
-        for (i, t) in task_bias.iter_mut().enumerate() {
-            *t = hx_vec[i];
+        let mut minv_h = [0.0; MAX_BODIES];
+        dense::cholesky_solve(&factor, n, &bias, &mut minv_h);
+        let mut residual = [0.0; 6];
+        dense::mul_vec(&jacobian, 6, n, &minv_h, &mut residual);
+        for (r, jd) in residual.iter_mut().zip(&jdot_qdot) {
+            *r -= jd;
         }
+        let mut task_bias = [0.0; 6];
+        dense::mul_vec(&task_mass, 6, 6, &residual, &mut task_bias);
 
-        let (linear_velocity, angular_velocity) = jacobian.mul_qdot(qd);
+        let mut twist = [0.0; 6];
+        dense::mul_vec(&jacobian, 6, n, qd, &mut twist);
         TaskSpaceModel {
-            jacobian,
-            joint_mass_matrix,
-            joint_bias,
-            task_mass_matrix,
+            jacobian: Jacobian::from_matrix(DMat::from_row_slice(6, n, &jacobian)),
+            joint_mass_matrix: DMat::from_row_slice(n, n, &mass),
+            joint_bias: bias[..n].to_vec(),
+            task_mass_matrix: DMat::from_row_slice(6, 6, &task_mass),
             task_bias,
             jdot_qdot,
             end_effector: EndEffectorState {
-                pose: fk.end_effector,
-                linear_velocity,
-                angular_velocity,
+                pose: end_effector,
+                linear_velocity: Vec3::new(twist[0], twist[1], twist[2]),
+                angular_velocity: Vec3::new(twist[3], twist[4], twist[5]),
             },
         }
     }
@@ -308,6 +402,7 @@ impl TaskSpaceDynamics {
 mod tests {
     use super::*;
     use crate::panda::{panda_model, PANDA_HOME};
+    use corki_math::DVec;
     use proptest::prelude::*;
 
     fn random_like_config(seed: usize) -> Vec<f64> {

@@ -5,8 +5,9 @@
 //! the Jacobian block reuses the link poses computed by the pose block — the
 //! data-reuse opportunity that the Corki accelerator exploits.
 
-use crate::model::{JointKind, RobotModel};
-use corki_math::{DMat, DVec, Vec3, SE3};
+use crate::dynamics::{Frames, JacobianBuffer};
+use crate::model::{JointKind, RobotModel, MAX_BODIES};
+use corki_math::{dense, DMat, DVec, Vec3, SE3};
 use serde::{Deserialize, Serialize};
 
 /// The result of a forward-kinematics pass: the pose of every body frame and
@@ -88,18 +89,7 @@ impl RobotModel {
     /// Panics if `q.len()` does not equal [`RobotModel::dof`].
     pub fn forward_kinematics(&self, q: &[f64]) -> ForwardKinematics {
         assert_eq!(q.len(), self.dof(), "forward_kinematics: wrong DoF");
-        let mut link_poses = Vec::with_capacity(self.num_bodies());
-        let mut current = SE3::identity();
-        let mut qi = q.iter();
-        for joint in self.joints() {
-            let value = if joint.kind.is_actuated() {
-                *qi.next().expect("length checked above")
-            } else {
-                0.0
-            };
-            current = current * joint.transform(value);
-            link_poses.push(current);
-        }
+        let link_poses: Vec<SE3> = self.frames(q).link_poses().collect();
         ForwardKinematics {
             end_effector: *link_poses.last().expect("model has at least one body"),
             link_poses,
@@ -120,35 +110,53 @@ impl RobotModel {
     /// Computes the geometric Jacobian reusing an existing forward-kinematics
     /// result — the data-reuse path highlighted in the paper (Fig. 7).
     pub fn jacobian_from_fk(&self, fk: &ForwardKinematics) -> Jacobian {
-        let p_ee = fk.end_effector.translation;
-        let mut matrix = DMat::zeros(6, self.dof());
-        let mut col = 0usize;
-        for (body, joint) in self.joints().iter().enumerate() {
-            if !joint.kind.is_actuated() {
-                continue;
-            }
-            let pose = &fk.link_poses[body];
+        let mut matrix: JacobianBuffer = [0.0; 6 * MAX_BODIES];
+        self.jacobian_into(&fk.link_poses, fk.end_effector.translation, &mut matrix);
+        Jacobian::from_matrix(DMat::from_row_slice(6, self.dof(), &matrix))
+    }
+
+    /// Writes the geometric Jacobian at the end-effector position `p_ee` into
+    /// `matrix` (row-major `6 × dof`, stride `dof`), from the base-frame
+    /// poses of the bodies.
+    fn jacobian_into(&self, link_poses: &[SE3], p_ee: Vec3, matrix: &mut [f64]) {
+        let dof = self.dof();
+        let columns = self.joints().iter().zip(link_poses).filter(|(j, _)| j.kind.is_actuated());
+        for (col, (joint, pose)) in columns.enumerate() {
             let axis = pose.rotation.col(2); // local Z in base frame
-            match joint.kind {
-                JointKind::RevoluteZ => {
-                    let lever = p_ee - pose.translation;
-                    let linear = axis.cross(lever);
-                    for i in 0..3 {
-                        matrix[(i, col)] = linear[i];
-                        matrix[(i + 3, col)] = axis[i];
-                    }
-                }
-                JointKind::PrismaticZ => {
-                    for i in 0..3 {
-                        matrix[(i, col)] = axis[i];
-                        matrix[(i + 3, col)] = 0.0;
-                    }
-                }
+            let (linear, angular) = match joint.kind {
+                JointKind::RevoluteZ => (axis.cross(p_ee - pose.translation), axis),
+                JointKind::PrismaticZ => (axis, Vec3::ZERO),
                 JointKind::Fixed => unreachable!("filtered above"),
+            };
+            for i in 0..3 {
+                matrix[i * dof + col] = linear[i];
+                matrix[(i + 3) * dof + col] = angular[i];
             }
-            col += 1;
         }
-        Jacobian::from_matrix(matrix)
+    }
+
+    /// Forward kinematics and the Jacobian from one frame pass, on the
+    /// stack: writes `J` into `jacobian` (row-major `6 × dof`) and returns
+    /// the end-effector pose.
+    pub(crate) fn jacobian_from_frames(&self, frames: &Frames, jacobian: &mut [f64]) -> SE3 {
+        let mut link_poses = [SE3::identity(); MAX_BODIES];
+        let mut end_effector = SE3::identity();
+        for (slot, pose) in link_poses.iter_mut().zip(frames.link_poses()) {
+            *slot = pose;
+            end_effector = pose;
+        }
+        let bodies = &link_poses[..self.num_bodies()];
+        self.jacobian_into(bodies, end_effector.translation, jacobian);
+        end_effector
+    }
+
+    /// The end-effector twist `J(q) q̇` (linear rows first), on the stack.
+    fn end_effector_twist(&self, q: &[f64], qd: &[f64]) -> [f64; 6] {
+        let mut jacobian: JacobianBuffer = [0.0; 6 * MAX_BODIES];
+        self.jacobian_from_frames(&self.frames(q), &mut jacobian);
+        let mut twist = [0.0; 6];
+        dense::mul_vec(&jacobian, 6, self.dof(), qd, &mut twist);
+        twist
     }
 
     /// End-effector linear and angular velocity for the given joint state.
@@ -171,13 +179,14 @@ impl RobotModel {
         assert_eq!(q.len(), self.dof(), "jacobian_dot_qdot: wrong DoF");
         assert_eq!(qd.len(), self.dof(), "jacobian_dot_qdot: wrong DoF");
         let eps = 1e-6;
-        let q_plus: Vec<f64> = q.iter().zip(qd).map(|(qi, di)| qi + eps * di).collect();
-        let q_minus: Vec<f64> = q.iter().zip(qd).map(|(qi, di)| qi - eps * di).collect();
-        let j_plus = self.jacobian(&q_plus);
-        let j_minus = self.jacobian(&q_minus);
-        let qd_vec = DVec::from_slice(qd);
-        let v_plus = j_plus.matrix().mul_vec(&qd_vec);
-        let v_minus = j_minus.matrix().mul_vec(&qd_vec);
+        let mut q_plus = [0.0; MAX_BODIES];
+        let mut q_minus = [0.0; MAX_BODIES];
+        for (i, (qi, di)) in q.iter().zip(qd).enumerate() {
+            q_plus[i] = qi + eps * di;
+            q_minus[i] = qi - eps * di;
+        }
+        let v_plus = self.end_effector_twist(&q_plus[..q.len()], qd);
+        let v_minus = self.end_effector_twist(&q_minus[..q.len()], qd);
         let mut out = [0.0; 6];
         for (i, o) in out.iter_mut().enumerate() {
             *o = (v_plus[i] - v_minus[i]) / (2.0 * eps);

@@ -47,5 +47,5 @@ pub use control::{
 };
 pub use dynamics::{TaskSpaceDynamics, TaskSpaceModel};
 pub use kinematics::{ForwardKinematics, Jacobian};
-pub use model::{JointKind, JointModel, Link, RobotError, RobotModel};
+pub use model::{JointKind, JointModel, Link, RobotError, RobotModel, MAX_BODIES};
 pub use state::{EndEffectorState, JointState};

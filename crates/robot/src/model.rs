@@ -4,6 +4,12 @@ use corki_math::{SpatialInertia, SE3};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The most bodies (actuated and fixed) a [`RobotModel`] may have: the
+/// dynamics kernels keep every per-body and per-joint quantity in stack
+/// buffers of this length, so a control cycle never touches the heap. The
+/// Panda has nine.
+pub const MAX_BODIES: usize = 12;
+
 /// The kind of a joint in the kinematic chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JointKind {
@@ -163,8 +169,9 @@ impl std::error::Error for RobotError {}
 /// they drive, rooted at a fixed base.
 ///
 /// The Franka Emika Panda model used throughout the paper reproduction is
-/// constructed by [`crate::panda::panda_model`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// constructed by [`crate::panda::panda_model`]. Deserialisation goes through
+/// the same checks as [`RobotModel::new`].
+#[derive(Debug, Clone, Serialize)]
 pub struct RobotModel {
     name: String,
     joints: Vec<JointModel>,
@@ -178,13 +185,20 @@ impl RobotModel {
     /// # Errors
     ///
     /// Returns [`RobotError::InvalidModel`] if the numbers of joints and links
-    /// differ or no joint is actuated.
+    /// differ, the chain has more than [`MAX_BODIES`] bodies or no joint is
+    /// actuated.
     pub fn new(name: &str, joints: Vec<JointModel>, links: Vec<Link>) -> Result<Self, RobotError> {
         if joints.len() != links.len() {
             return Err(RobotError::InvalidModel(format!(
                 "{} joints but {} links",
                 joints.len(),
                 links.len()
+            )));
+        }
+        if joints.len() > MAX_BODIES {
+            return Err(RobotError::InvalidModel(format!(
+                "{} bodies, at most {MAX_BODIES} supported",
+                joints.len()
             )));
         }
         if !joints.iter().any(|j| j.kind.is_actuated()) {
@@ -233,6 +247,11 @@ impl RobotModel {
         self.gravity = gravity;
     }
 
+    /// The actuated joints, in order (one per degree of freedom).
+    pub(crate) fn actuated_joints(&self) -> impl Iterator<Item = &JointModel> {
+        self.joints.iter().filter(|j| j.kind.is_actuated())
+    }
+
     /// Indices (into [`RobotModel::joints`]) of the actuated joints, in order.
     pub fn actuated_indices(&self) -> Vec<usize> {
         self.joints
@@ -264,24 +283,36 @@ impl RobotModel {
     /// Panics if `q.len()` does not match the robot's DoF.
     pub fn clamp_positions(&self, q: &[f64]) -> Vec<f64> {
         assert_eq!(q.len(), self.dof(), "clamp_positions: wrong DoF");
-        let mut out = Vec::with_capacity(q.len());
-        let mut qi = q.iter();
-        for joint in &self.joints {
-            if joint.kind.is_actuated() {
-                out.push(joint.clamp_position(*qi.next().expect("length checked")));
-            }
-        }
-        out
+        self.actuated_joints().zip(q).map(|(joint, qi)| joint.clamp_position(*qi)).collect()
     }
 
     /// Returns per-joint effort (torque) limits for the actuated joints.
     pub fn effort_limits(&self) -> Vec<f64> {
-        self.joints.iter().filter(|j| j.kind.is_actuated()).map(|j| j.effort_limit).collect()
+        self.actuated_joints().map(|j| j.effort_limit).collect()
     }
 
     /// Returns per-joint velocity limits for the actuated joints.
     pub fn velocity_limits(&self) -> Vec<f64> {
-        self.joints.iter().filter(|j| j.kind.is_actuated()).map(|j| j.velocity_limit).collect()
+        self.actuated_joints().map(|j| j.velocity_limit).collect()
+    }
+}
+
+impl Deserialize for RobotModel {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        /// The serialised fields, validated by [`RobotModel::new`] before
+        /// they become a model.
+        #[derive(Deserialize)]
+        struct Fields {
+            name: String,
+            joints: Vec<JointModel>,
+            links: Vec<Link>,
+            gravity: corki_math::Vec3,
+        }
+        let fields = Fields::from_value(value)?;
+        let mut robot = RobotModel::new(&fields.name, fields.joints, fields.links)
+            .map_err(serde::Error::custom)?;
+        robot.gravity = fields.gravity;
+        Ok(robot)
     }
 }
 
@@ -325,6 +356,30 @@ mod tests {
         let joints = vec![JointModel::revolute("j1", 0.0, 0.0, 0.0, -1.0, 1.0, 1.0, 1.0)];
         let links = vec![];
         assert!(matches!(RobotModel::new("bad", joints, links), Err(RobotError::InvalidModel(_))));
+    }
+
+    #[test]
+    fn oversized_chain_rejected() {
+        let joints = vec![JointModel::revolute("j", 0.0, 0.1, 0.0, -1.0, 1.0, 1.0, 1.0); 13];
+        let links = vec![Link::new("l", SpatialInertia::zero()); 13];
+        let err = RobotModel::new("long", joints, links).unwrap_err();
+        assert!(err.to_string().contains("13 bodies"), "{err}");
+    }
+
+    #[test]
+    fn deserialisation_round_trips_and_validates() {
+        let robot = two_link();
+        let back = RobotModel::from_value(&robot.to_value()).unwrap();
+        assert_eq!(back.joints().len(), 2);
+        assert_eq!(back.gravity(), robot.gravity());
+        assert_eq!(back.name(), "two-link");
+
+        let mut value = robot.to_value();
+        if let serde::Value::Object(map) = &mut value {
+            map.insert("links".to_owned(), serde::Value::Array(Vec::new()));
+        }
+        let err = RobotModel::from_value(&value).unwrap_err();
+        assert!(err.to_string().contains("2 joints but 0 links"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! semi-implicit Euler scheme at a configurable physics step, which is how
 //! `corki-sim` closes the loop policy → trajectory → TS-CTC → robot motion.
 
-use crate::model::RobotModel;
+use crate::model::{RobotModel, MAX_BODIES};
 use crate::state::JointState;
 use serde::{Deserialize, Serialize};
 
@@ -110,25 +110,34 @@ impl ArmSimulator {
         &self.state
     }
 
+    /// One semi-implicit Euler step; allocation-free, so a warm
+    /// [`ArmSimulator::step`] never touches the heap.
     fn substep(&mut self, torque: &[f64], dt: f64) {
-        let mut applied = torque.to_vec();
+        let mut applied = [0.0; MAX_BODIES];
+        let applied = &mut applied[..torque.len()];
+        applied.copy_from_slice(torque);
         if self.config.enforce_effort_limits {
-            for (t, limit) in applied.iter_mut().zip(self.robot.effort_limits()) {
-                *t = t.clamp(-limit, limit);
+            for (t, joint) in applied.iter_mut().zip(self.robot.actuated_joints()) {
+                *t = t.clamp(-joint.effort_limit, joint.effort_limit);
             }
         }
         // Viscous friction.
         for (t, qd) in applied.iter_mut().zip(&self.state.velocities) {
             *t -= self.config.joint_friction * qd;
         }
-        let qdd =
-            self.robot.forward_dynamics(&self.state.positions, &self.state.velocities, &applied);
+        let mut qdd = [0.0; MAX_BODIES];
+        self.robot.forward_dynamics_into(
+            &self.state.positions,
+            &self.state.velocities,
+            applied,
+            &mut qdd,
+        );
         // Semi-implicit Euler: update velocity first, then position.
         for (v, a) in self.state.velocities.iter_mut().zip(&qdd) {
             *v += a * dt;
         }
-        let vel_limits = self.robot.velocity_limits();
-        for (v, limit) in self.state.velocities.iter_mut().zip(vel_limits) {
+        for (v, joint) in self.state.velocities.iter_mut().zip(self.robot.actuated_joints()) {
+            let limit = joint.velocity_limit;
             if limit > 0.0 {
                 *v = v.clamp(-limit, limit);
             }
@@ -137,12 +146,12 @@ impl ArmSimulator {
             *p += v * dt;
         }
         if self.config.enforce_position_limits {
-            let clamped = self.robot.clamp_positions(&self.state.positions);
             let joints = self.state.positions.iter_mut().zip(self.state.velocities.iter_mut());
-            for ((p, v), c) in joints.zip(&clamped) {
-                if (c - *p).abs() > 1e-12 {
+            for ((p, v), joint) in joints.zip(self.robot.actuated_joints()) {
+                let clamped = joint.clamp_position(*p);
+                if (clamped - *p).abs() > 1e-12 {
                     // Hit a joint limit: stop the joint.
-                    *p = *c;
+                    *p = clamped;
                     *v = 0.0;
                 }
             }
