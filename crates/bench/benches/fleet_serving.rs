@@ -1,17 +1,18 @@
 //! Benchmarks of the discrete-event fleet-serving runtime: how fast the
 //! engine simulates fleets of different sizes and scheduling disciplines.
 //!
-//! The canonical shapes come from the committed scenario files under
-//! `crates/bench/scenarios/` (the same specs behind `BENCH_fleet.json`);
-//! a fleet-size scaling series rides along via a scenario with a
+//! The canonical shapes are the committed scenario files under
+//! `crates/bench/scenarios/` (the same cells whose outputs
+//! `tests/scenarios.rs` pins in its golden), one case per cell; a
+//! fleet-size scaling series rides along via a scenario with a
 //! `robot_counts` axis.
 
-use corki::scenario::ScenarioBuilder;
+use corki::scenario::{ScenarioBuilder, ScenarioSpec};
 use corki::{SchedulerKind, Variant};
-use corki_bench::micro::fleet_scenario_cells;
 use corki_system::fleet::FleetSimulator;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::path::Path;
 
 fn bench_fleet(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_serving");
@@ -32,10 +33,23 @@ fn bench_fleet(c: &mut Criterion) {
         });
     }
 
-    for (name, cell) in fleet_scenario_cells() {
-        let case = name.trim_start_matches("fleet_serving/").to_owned();
-        let sim = FleetSimulator::new(cell.config);
-        group.bench_function(case, |b| b.iter(|| black_box(sim.run())));
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scenarios directory exists")
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    for path in files {
+        let json = std::fs::read_to_string(&path).expect("read committed scenario");
+        let spec = ScenarioSpec::from_json(&json).expect("committed scenario parses");
+        let cells = spec.expand().expect("committed scenario expands");
+        let single = cells.len() == 1;
+        for (index, cell) in cells.into_iter().enumerate() {
+            let case = if single { spec.name.clone() } else { format!("{}/{index}", spec.name) };
+            let sim = FleetSimulator::new(cell.config);
+            group.bench_function(case, |b| b.iter(|| black_box(sim.run())));
+        }
     }
 
     group.finish();

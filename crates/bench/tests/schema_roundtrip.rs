@@ -1,44 +1,10 @@
-//! Serde round-trip and schema tests for the committed `BENCH_*.json`
-//! reports and the fleet summary JSON.
+//! Serde round trip of the fleet outcome JSON, and the canonical labels the
+//! committed scenarios produce.
 
-use corki_bench::micro::BenchReport;
+use corki::scenario::ScenarioSpec;
 use corki_system::fleet::{FleetConfig, FleetOutcome, FleetSimulator, SchedulerKind};
 use corki_system::Variant;
 use std::path::PathBuf;
-
-fn workspace_file(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(name)
-}
-
-/// Loads a committed report, re-serialises it and compares: the canonical
-/// JSON layout must be stable so `--compare` keeps working across PRs.
-fn assert_report_roundtrips(name: &str) {
-    let path = workspace_file(name);
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let report = BenchReport::from_json(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
-    report.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
-    // Struct-level round trip is exact …
-    let reserialized = report.to_json();
-    let reparsed = BenchReport::from_json(&reserialized).expect("re-serialised report parses");
-    assert_eq!(reparsed, report, "{name}: serde round trip changed the report");
-    // … and the canonical pretty printing reproduces the committed bytes.
-    assert_eq!(
-        reserialized.trim_end(),
-        json.trim_end(),
-        "{name}: re-serialisation must reproduce the committed file"
-    );
-}
-
-#[test]
-fn bench_baseline_round_trips_through_the_schema() {
-    assert_report_roundtrips("BENCH_baseline.json");
-}
-
-#[test]
-fn bench_fleet_round_trips_through_the_schema() {
-    assert_report_roundtrips("BENCH_fleet.json");
-}
 
 #[test]
 fn fleet_outcome_json_round_trips() {
@@ -54,49 +20,43 @@ fn fleet_outcome_json_round_trips() {
     assert!(!parsed.event_log.is_empty());
 }
 
-/// Every label in the committed `BENCH_fleet.json` rows must parse back
-/// through the canonical `FromStr` implementation of its axis type and
-/// re-display identically — labels cannot drift from the enum definitions
-/// because they *are* the enum definitions.
+/// Every label the committed scenarios' cells carry must parse back through
+/// the canonical `FromStr` implementation of its axis type and re-display
+/// identically — labels cannot drift from the enum definitions because they
+/// *are* the enum definitions.
 #[test]
 fn bench_fleet_labels_round_trip_through_canonical_parsers() {
     use corki_system::fleet::PoolSchedule;
     use corki_system::scenario::CompositionLabel;
     use corki_system::scenario::VariantMix;
     use corki_system::RoutingPolicy;
-    let json = std::fs::read_to_string(workspace_file("BENCH_fleet.json")).expect("read report");
-    let report = BenchReport::from_json(&json).expect("BENCH_fleet.json parses");
-    assert!(!report.fleet_rows.is_empty());
-    for row in &report.fleet_rows {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut cells = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("scenarios directory exists") {
+        let path = entry.expect("readable dir entry").path();
+        if path.extension().is_some_and(|ext| ext == "json") {
+            let json = std::fs::read_to_string(&path).expect("read scenario");
+            let spec = ScenarioSpec::from_json(&json).expect("committed scenario parses");
+            cells.extend(spec.expand().expect("committed scenario expands"));
+        }
+    }
+    assert!(!cells.is_empty());
+    for cell in &cells {
+        let name = &cell.scenario;
         // `PoolSchedule` covers uniform pools ("fifo") and mixed pools
         // ("fifo+stf") with one grammar, so every label the engine can
         // print reparses here.
         let scheduler: PoolSchedule =
-            row.scheduler.parse().unwrap_or_else(|e| panic!("{}: {e}", row.name));
-        assert_eq!(scheduler.to_string(), row.scheduler, "{}", row.name);
+            cell.scheduler_label.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(scheduler.to_string(), cell.scheduler_label, "{name}");
         let routing: RoutingPolicy =
-            row.routing.parse().unwrap_or_else(|e| panic!("{}: {e}", row.name));
-        assert_eq!(routing.to_string(), row.routing, "{}", row.name);
+            cell.routing_label.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(routing.to_string(), cell.routing_label, "{name}");
         let composition: CompositionLabel =
-            row.composition.parse().unwrap_or_else(|e| panic!("{}: {e}", row.name));
-        assert_eq!(composition.to_string(), row.composition, "{}", row.name);
+            cell.composition_label.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(composition.to_string(), cell.composition_label, "{name}");
         let variant: VariantMix =
-            row.variant.parse().unwrap_or_else(|e| panic!("{}: {e}", row.name));
-        assert_eq!(variant.to_string(), row.variant, "{}", row.name);
+            cell.variant_label.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(variant.to_string(), cell.variant_label, "{name}");
     }
-}
-
-/// The report schema parses strictly: a typo'd or extraneous key fails
-/// loudly instead of silently deserialising with defaults.
-#[test]
-fn typod_report_keys_fail_loudly() {
-    let json = std::fs::read_to_string(workspace_file("BENCH_fleet.json")).expect("read report");
-    // A misspelled required key reads as that key missing.
-    let renamed = json.replacen("\"schema_version\"", "\"schema_versionn\"", 1);
-    let err = BenchReport::from_json(&renamed).expect_err("typo'd key must not parse");
-    assert!(err.contains("schema_version") || err.contains("unknown field"), "{err}");
-    // An extra unknown key is rejected even with every real key present.
-    let extended = json.replacen('{', "{\n  \"schema_versionn\": 3,", 1);
-    let err = BenchReport::from_json(&extended).expect_err("extra key must not parse");
-    assert!(err.contains("unknown field `schema_versionn`"), "{err}");
 }

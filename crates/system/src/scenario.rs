@@ -958,9 +958,9 @@ impl ScenarioSpec {
 }
 
 /// A 64-bit FNV-1a content fingerprint of expanded cells, rendered as 16
-/// lowercase hex characters — the provenance hash stamped into `BENCH_fleet`
-/// rows so `bench --compare` can tell "scenario edited" from "engine
-/// regressed".
+/// lowercase hex characters — the provenance hash stamped into every cell of
+/// the committed scenario golden (`crates/bench/tests/scenarios.rs`) so a
+/// mismatch reads as "scenario edited" rather than "engine drift".
 ///
 /// The fingerprint hashes the canonical serialization of each cell.
 pub fn scenario_fingerprint(cells: &[ConcreteScenario]) -> String {
