@@ -3,16 +3,14 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [--full | --smoke] [--json <path>] [--servers <n>]
-//!             [--routing <policy>] [--scenario <file.json>] [--robots <n>]
-//!             [--frames <n>] [--telemetry] [name ...]
+//! experiments [--full | --smoke] [--json <path>] [--scenario <file.json>]
+//!             [--robots <n>] [--frames <n>] [--telemetry] [name ...]
 //! ```
 //!
 //! Experiment names: `fig2`, `table1`, `table2`, `fig11`, `fig12`, `fig13`,
 //! `fig14`, `table3`, `table4`, `resources`, `fig9`, `ablation`, `approx`,
 //! `fig15`, `bottleneck`, `fleet`, `serve`. With no names, everything except
-//! `serve` runs; the historical `only` keyword before names is still
-//! accepted.
+//! `serve` runs.
 //!
 //! Both `fleet` and `serve` carry the always-on in-path telemetry recorder
 //! (`corki_telemetry`): per-stage latency histograms over the shared
@@ -21,6 +19,22 @@
 //! are always written to `--json` output (`fleet_telemetry`, and inside
 //! every `serve` report); `--telemetry` additionally renders the per-stage
 //! p50/p99/p99.9 tables on stdout.
+//!
+//! The fleet sweep is a declarative `ScenarioSpec` (`corki::scenario`):
+//!
+//! * `--scenario <file.json>` runs a spec file (e.g. one of the committed
+//!   examples under `crates/bench/scenarios/`) — robot groups, server pool,
+//!   routing and sweep axes all come from the file; the flag selects the
+//!   `fleet` experiment by itself when no names are given.  Combined with
+//!   `--smoke`, the expanded cells are scaled down to a CI footprint (at
+//!   most 64 robots and 30 frames each) while keeping the pool and routing
+//!   — so a committed 10k-robot scenario smoke-tests the exact code paths
+//!   of the full run;
+//! * without it, `fleet` runs the paper's default sweep
+//!   (`corki::fleet::paper_sweep`): its smoke shape under `--smoke`, and
+//!   otherwise its full shape (1 vs 2 servers, all-offloaded vs a Jetson
+//!   board in every second robot) on Corki-ADAP lengths measured in the
+//!   simulator.
 //!
 //! `serve` is the live counterpart of `fleet`: it lowers the `--scenario`
 //! cells into real processes — one robot client per robot, one inference
@@ -33,32 +47,13 @@
 //! can be shrunk to a CI footprint.  The binary also hosts the hidden
 //! `__live-robot` / `__live-worker` child roles the live coordinator
 //! re-executes itself with.
-//!
-//! The fleet sweep is described by a declarative `ScenarioSpec`
-//! (`corki::scenario`) either way:
-//!
-//! * `--scenario <file.json>` runs a spec file (e.g. one of the committed
-//!   examples under `crates/bench/scenarios/`) — robot groups, server pool,
-//!   routing and sweep axes all come from the file; the flag selects the
-//!   `fleet` experiment by itself when no names are given.  Combined with
-//!   `--smoke`, the expanded cells are scaled down to a CI footprint (at
-//!   most 64 robots and 30 frames each) while keeping the pool and routing
-//!   — so a committed 10k-robot scenario smoke-tests the exact code paths
-//!   of the full run;
-//! * without it, the legacy flags build the spec: `--servers <n>` pins the
-//!   pool to exactly `n` servers and `--routing <policy>` (round-robin |
-//!   least-queue-depth | device-affinity, or the aliases rr/lqd/affinity)
-//!   picks the routing policy.  Without these flags the full-scale fleet
-//!   sweep additionally walks the heterogeneous axes (1 vs 2 servers,
-//!   all-offloaded vs a Jetson board in every second robot).
 
 use corki::experiments::{self, ExperimentScale};
 use corki::fleet::{
-    measured_adaptive_lengths, robots_within_budget, DetailedSweepCell, FleetExperiment,
-    FleetScale, FleetSweepRow,
+    measured_adaptive_lengths, paper_sweep, robots_within_budget, scenario_sweep_detailed,
+    smoke_scale_cells, FleetSweepRow,
 };
-use corki::scenario::ScenarioSpec;
-use corki::RoutingPolicy;
+use corki::scenario::{ConcreteScenario, ScenarioSpec};
 use corki_system::FrameKind;
 use std::collections::BTreeMap;
 
@@ -142,6 +137,73 @@ fn print_telemetry(report: &corki_telemetry::TelemetryReport) {
     );
 }
 
+/// Reads, parses and expands a scenario file; any failure exits with
+/// status 2.
+fn load_scenario(path: &str) -> (ScenarioSpec, Vec<ConcreteScenario>) {
+    let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read scenario {path}: {e}");
+        std::process::exit(2);
+    });
+    let spec = ScenarioSpec::from_json(&json).unwrap_or_else(|e| {
+        eprintln!("error: {path}: {e}");
+        std::process::exit(2);
+    });
+    let cells = spec.expand().unwrap_or_else(|e| {
+        eprintln!("error: {path}: {e}");
+        std::process::exit(2);
+    });
+    (spec, cells)
+}
+
+/// Prints the one-line description of a scenario about to run.
+fn print_scenario(spec: &ScenarioSpec, cells: &[ConcreteScenario]) {
+    println!(
+        "scenario `{}`: {} cell(s), {} frames/robot, seed {}, {} routing, {} warm-up",
+        spec.name,
+        cells.len(),
+        cells.first().map_or(spec.frames_per_robot, |c| c.config.frames_per_robot),
+        spec.seed,
+        spec.routing,
+        spec.warmup_ms,
+    );
+}
+
+/// Prints the sweep-row table shared by the simulated and the live fleet.
+fn print_sweep_rows<'a>(rows: impl IntoIterator<Item = &'a FleetSweepRow>) {
+    println!(
+        "  {:<12} {:<13} {:<26} {:>4} {:>4} {:>10} {:>9} {:>20} {:>20} {:>6} {:>6}",
+        "variant",
+        "scheduler",
+        "composition",
+        "N",
+        "srv",
+        "thr[st/s]",
+        "Hz/robot",
+        "plan mean/p99 [ms]",
+        "queue mean/p99 [ms]",
+        "util",
+        "batch"
+    );
+    for row in rows {
+        println!(
+            "  {:<12} {:<13} {:<26} {:>4} {:>4} {:>10.1} {:>9.1} {:>9.1} /{:>9.1} {:>9.1} /{:>9.1} {:>6.2} {:>6.2}",
+            row.variant,
+            row.scheduler,
+            row.composition,
+            row.robots,
+            row.servers,
+            row.throughput_steps_per_s,
+            row.per_robot_rate_hz,
+            row.mean_plan_latency_ms,
+            row.p99_plan_latency_ms,
+            row.mean_queue_delay_ms,
+            row.p99_queue_delay_ms,
+            row.server_utilization,
+            row.mean_batch_size,
+        );
+    }
+}
+
 fn main() {
     // The live coordinator re-executes this binary as its robot and worker
     // processes; those hidden roles bypass the experiment CLI entirely.
@@ -149,54 +211,31 @@ fn main() {
     if raw_args.len() > 1 && (raw_args[1] == "__live-robot" || raw_args[1] == "__live-worker") {
         std::process::exit(live_child_role(&raw_args));
     }
-    // Flags may appear anywhere, including after `only`; strip them first so
-    // only experiment names remain as positionals.
+    // Flags may appear anywhere; the remaining positional arguments select
+    // experiments (`experiments fleet …`).
     let mut scale = ExperimentScale::default();
-    let mut fleet_scale = FleetScale::default();
     let mut smoke = false;
     let mut json_path = None;
-    let mut servers_override: Option<usize> = None;
-    let mut routing_override: Option<RoutingPolicy> = None;
     let mut scenario_path: Option<String> = None;
     let mut robots_clamp: Option<usize> = None;
     let mut frames_clamp: Option<usize> = None;
     let mut telemetry_tables = false;
-    let mut positionals: Vec<String> = Vec::new();
+    let mut selected: Vec<String> = Vec::new();
     let mut raw = raw_args.into_iter().skip(1);
     while let Some(arg) = raw.next() {
         match arg.as_str() {
             "--full" => {
                 scale = ExperimentScale::full();
-                fleet_scale = FleetScale::default();
                 smoke = false;
             }
             "--smoke" => {
                 scale = ExperimentScale::smoke();
-                fleet_scale = FleetScale::smoke();
                 smoke = true;
             }
             "--json" => match raw.next() {
                 Some(path) => json_path = Some(path),
                 None => {
                     eprintln!("error: --json requires a path argument");
-                    std::process::exit(2);
-                }
-            },
-            "--servers" => match raw.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => servers_override = Some(n),
-                _ => {
-                    eprintln!("error: --servers requires a positive integer argument");
-                    std::process::exit(2);
-                }
-            },
-            "--routing" => match raw.next().map(|p| p.parse::<RoutingPolicy>()) {
-                Some(Ok(policy)) => routing_override = Some(policy),
-                Some(Err(e)) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("error: --routing requires a policy argument");
                     std::process::exit(2);
                 }
             },
@@ -222,17 +261,10 @@ fn main() {
                 }
             },
             "--telemetry" => telemetry_tables = true,
-            _ => positionals.push(arg),
+            _ => selected.push(arg),
         }
     }
-    // Positional arguments select experiments (`experiments fleet …`); the
-    // historical `only` keyword is tolerated and ignored.
-    let mut selected: Vec<String> = positionals.iter().filter(|a| *a != "only").cloned().collect();
     if scenario_path.is_some() {
-        if servers_override.is_some() || routing_override.is_some() {
-            eprintln!("error: --scenario describes the whole fleet experiment; it cannot be combined with --servers/--routing");
-            std::process::exit(2);
-        }
         // The flag only means something to the fleet sweep and its live
         // counterpart: select the simulator by default, and refuse a
         // selection that would never consult it.
@@ -531,111 +563,32 @@ fn main() {
 
     if wants("fleet") {
         println!("== Fleet serving: robots × variant × scheduler × pool × composition sweep ==");
-        let (detailed, latency_budget_ms): (Vec<DetailedSweepCell>, f64) = if let Some(path) =
-            &scenario_path
-        {
-            // A declarative scenario file fully describes the experiment.
-            let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read scenario {path}: {e}");
-                std::process::exit(2);
-            });
-            let spec = ScenarioSpec::from_json(&json).unwrap_or_else(|e| {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(2);
-            });
-            let mut cells = spec.expand().unwrap_or_else(|e| {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(2);
-            });
-            if smoke {
-                // CI footprint: keep the pool/routing shape of the
-                // committed scenario, shrink the fleet and the horizon.
-                cells = corki::fleet::smoke_scale_cells(cells, 64, 30);
-                println!("(smoke: cells scaled down to at most 64 robots x 30 frames)");
+        let (spec, cells) = match &scenario_path {
+            Some(path) => {
+                let (spec, mut cells) = load_scenario(path);
+                if smoke {
+                    // CI footprint: keep the pool/routing shape of the
+                    // committed scenario, shrink the fleet and the horizon.
+                    cells = smoke_scale_cells(cells, 64, 30);
+                    println!("(smoke: cells scaled down to at most 64 robots x 30 frames)");
+                }
+                (spec, cells)
             }
-            println!(
-                "scenario `{}`: {} cell(s), {} frames/robot, seed {}, {} routing, {} warm-up",
-                spec.name,
-                cells.len(),
-                spec.frames_per_robot,
-                spec.seed,
-                spec.routing,
-                spec.warmup_ms
-            );
-            (corki::fleet::scenario_sweep_detailed(&cells), spec.latency_budget_ms)
-        } else {
-            // Legacy flags: build the same experiment shim as before (it
-            // lowers to a ScenarioSpec internally, so both paths run the
-            // identical machinery).  Smoke runs keep the fast single-server
-            // homogeneous sweep; full runs walk the heterogeneous
-            // pool/composition axes too.
-            let mut experiment = if smoke {
-                FleetExperiment::paper_defaults(fleet_scale)
-            } else {
-                FleetExperiment::heterogeneous(fleet_scale)
-            };
-            if let Some(servers) = servers_override {
-                experiment.server_counts = vec![servers];
+            None => {
+                let mut spec = paper_sweep(smoke);
+                if !smoke {
+                    // Feed the serving sweep the executed lengths that
+                    // Corki-ADAP actually produced in the simulator rollouts.
+                    spec.adaptive_lengths = Some(measured_adaptive_lengths(3, scale.seed));
+                }
+                let cells = spec.expand().expect("the paper's fleet sweep expands");
+                (spec, cells)
             }
-            if let Some(routing) = routing_override {
-                experiment.routing = routing;
-            }
-            if !smoke {
-                // Feed the serving sweep the executed lengths that
-                // Corki-ADAP actually produced in the simulator rollouts.
-                experiment.adaptive_lengths = Some(measured_adaptive_lengths(3, scale.seed));
-            }
-            println!(
-                "scale: fleets of {:?} robots, {} frames/robot, seed {}, pools of {:?} servers, \
-                 {} routing, {:.0} ms warm-up",
-                experiment.scale.robot_counts,
-                experiment.scale.frames_per_robot,
-                experiment.scale.seed,
-                experiment.server_counts,
-                experiment.routing,
-                experiment.scale.warmup_ms
-            );
-            // The shim lowers to a spec anyway; expanding it here keeps one
-            // expansion path (and gives the legacy flags the same detailed,
-            // telemetry-carrying sweep as scenario files).
-            let spec = experiment.to_scenario();
-            let cells =
-                spec.expand().expect("FleetExperiment axis lists always lower to a valid scenario");
-            (corki::fleet::scenario_sweep_detailed(&cells), experiment.latency_budget_ms)
         };
+        print_scenario(&spec, &cells);
+        let detailed = scenario_sweep_detailed(&cells);
         let rows: Vec<FleetSweepRow> = detailed.iter().map(|cell| cell.row.clone()).collect();
-        println!(
-            "  {:<12} {:<13} {:<26} {:>4} {:>4} {:>10} {:>9} {:>20} {:>20} {:>6} {:>6}",
-            "variant",
-            "scheduler",
-            "composition",
-            "N",
-            "srv",
-            "thr[st/s]",
-            "Hz/robot",
-            "plan mean/p99 [ms]",
-            "queue mean/p99 [ms]",
-            "util",
-            "batch"
-        );
-        for row in &rows {
-            println!(
-                "  {:<12} {:<13} {:<26} {:>4} {:>4} {:>10.1} {:>9.1} {:>9.1} /{:>9.1} {:>9.1} /{:>9.1} {:>6.2} {:>6.2}",
-                row.variant,
-                row.scheduler,
-                row.composition,
-                row.robots,
-                row.servers,
-                row.throughput_steps_per_s,
-                row.per_robot_rate_hz,
-                row.mean_plan_latency_ms,
-                row.p99_plan_latency_ms,
-                row.mean_queue_delay_ms,
-                row.p99_queue_delay_ms,
-                row.server_utilization,
-                row.mean_batch_size,
-            );
-        }
+        print_sweep_rows(&rows);
         // Fault-injected cells get a second table with the robustness
         // counters; fault-free sweeps keep the historical output shape.
         let any_faults = rows.iter().any(|row| {
@@ -674,10 +627,10 @@ fn main() {
                 );
             }
         }
-        let budget = robots_within_budget(&rows, latency_budget_ms);
+        let budget = robots_within_budget(&rows, spec.latency_budget_ms);
         println!(
             "\n  robots-per-pool within a {:.0} ms p99 plan-latency budget (warm-up-trimmed):",
-            latency_budget_ms
+            spec.latency_budget_ms
         );
         println!(
             "  {:<12} {:<13} {:<26} {:>4} {:>11}",
@@ -713,24 +666,13 @@ fn main() {
     if serve_selected {
         println!("== Live fleet serving: scenario cells lowered onto real processes over shared memory ==");
         let path = scenario_path.as_ref().expect("serve always carries --scenario");
-        let raw_spec = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read scenario {path}: {e}");
-            std::process::exit(2);
-        });
-        let spec = ScenarioSpec::from_json(&raw_spec).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        });
-        let mut cells = spec.expand().unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        });
+        let (spec, mut cells) = load_scenario(path);
         if smoke {
-            cells = corki::fleet::smoke_scale_cells(cells, 8, 24);
+            cells = smoke_scale_cells(cells, 8, 24);
             println!("(smoke: live cells scaled down to at most 8 robots x 24 frames)");
         }
         if robots_clamp.is_some() || frames_clamp.is_some() {
-            cells = corki::fleet::smoke_scale_cells(
+            cells = smoke_scale_cells(
                 cells,
                 robots_clamp.unwrap_or(usize::MAX),
                 frames_clamp.unwrap_or(usize::MAX),
@@ -740,17 +682,7 @@ fn main() {
             eprintln!("error: cannot locate the experiments binary for child roles: {e}");
             std::process::exit(1);
         });
-        let frames_label =
-            cells.first().map_or(spec.frames_per_robot, |c| c.config.frames_per_robot);
-        println!(
-            "scenario `{}`: {} cell(s), {} frames/robot, seed {}, {} routing, {} warm-up",
-            spec.name,
-            cells.len(),
-            frames_label,
-            spec.seed,
-            spec.routing,
-            spec.warmup_ms,
-        );
+        print_scenario(&spec, &cells);
         let mut reports = Vec::new();
         for cell in &cells {
             match corki_serve::run_live(cell, &exe) {
@@ -764,39 +696,7 @@ fn main() {
                 }
             }
         }
-        println!(
-            "  {:<12} {:<13} {:<26} {:>4} {:>4} {:>10} {:>9} {:>20} {:>20} {:>6} {:>6}",
-            "variant",
-            "scheduler",
-            "composition",
-            "N",
-            "srv",
-            "thr[st/s]",
-            "Hz/robot",
-            "plan mean/p99 [ms]",
-            "queue mean/p99 [ms]",
-            "util",
-            "batch"
-        );
-        for report in &reports {
-            let row = &report.row;
-            println!(
-                "  {:<12} {:<13} {:<26} {:>4} {:>4} {:>10.1} {:>9.1} {:>9.1} /{:>9.1} {:>9.1} /{:>9.1} {:>6.2} {:>6.2}",
-                row.variant,
-                row.scheduler,
-                row.composition,
-                row.robots,
-                row.servers,
-                row.throughput_steps_per_s,
-                row.per_robot_rate_hz,
-                row.mean_plan_latency_ms,
-                row.p99_plan_latency_ms,
-                row.mean_queue_delay_ms,
-                row.p99_queue_delay_ms,
-                row.server_utilization,
-                row.mean_batch_size,
-            );
-        }
+        print_sweep_rows(reports.iter().map(|report| &report.row));
         println!("\n  measured shared-memory transit per offloaded plan (mean / p99, µs):");
         for report in &reports {
             let t = &report.transit;

@@ -3,173 +3,75 @@
 //! batch scheduling and device composition move that number?
 //!
 //! This is the experiment layer on top of the discrete-event fleet runtime
-//! in `corki_system::fleet`.  A sweep runs robots-per-server × variant ×
-//! scheduler × pool-size × device-composition cells and reports, per cell,
-//! fleet throughput, end-to-end plan latency (mean/p99), server queueing
-//! delay (mean/p99) and pool utilisation.  [`robots_within_budget`] then
-//! condenses the sweep into the paper's serving claim: because one Corki
-//! inference buys a multi-step trajectory, longer trajectories lower the
-//! per-robot request rate and raise the number of robots a server sustains
-//! within a latency budget.
+//! in `corki_system::fleet`.  Every sweep is a declarative [`ScenarioSpec`]
+//! ([`corki_system::scenario`], re-exported as [`crate::scenario`]) — a
+//! committed scenario file, a [`ScenarioBuilder`] chain, or the paper's
+//! default sweep ([`paper_sweep`]) — whose expanded cells
+//! [`scenario_sweep_detailed`] runs.  Per cell it reports fleet throughput,
+//! end-to-end plan latency (mean/p99), server queueing delay (mean/p99) and
+//! pool utilisation.  [`robots_within_budget`] then condenses the sweep into
+//! the paper's serving claim: because one Corki inference buys a multi-step
+//! trajectory, longer trajectories lower the per-robot request rate and
+//! raise the number of robots a server sustains within a latency budget.
 //!
-//! Since the `ScenarioSpec` redesign every sweep path runs through the
-//! declarative scenario layer ([`corki_system::scenario`], re-exported as
-//! [`crate::scenario`]): [`FleetExperiment`] is now a convenience *shim*
-//! that [builds a spec](FleetExperiment::to_scenario), and the sweep itself
-//! runs the spec's expanded cells ([`scenario_sweep`]).  That makes every
-//! shape a spec can describe — mixed-*variant* fleets, per-group on-robot
-//! devices, heterogeneous pools — first-class in [`FleetSweepRow`]s and the
-//! budget table, whether it came from the legacy axis lists, a committed
-//! scenario file or the `--scenario` CLI flag.
-//!
-//! Two additions beyond PR 3:
-//!
-//! * **heterogeneous axes** — [`FleetExperiment::server_counts`] sweeps the
-//!   pool size under a [`RoutingPolicy`], and [`FleetComposition`] mixes
-//!   on-robot devices (Jetson-class boards that bypass the uplink) into an
-//!   otherwise offloaded fleet;
-//! * **steady-state metrics** — sweeps enable the engine's warm-up window
-//!   ([`FleetScale::warmup_ms`]), so the reported p99s measure the
-//!   stationary regime of the closed queueing loop instead of its start-up
-//!   transient.
+//! Sweeps enable the engine's warm-up window, so the reported p99s measure
+//! the stationary regime of the closed queueing loop instead of its
+//! start-up transient.
 
 use corki_sim::evaluation::{parallel_map, run_job, session_seed, EvalConfig};
-use corki_system::fleet::{fleet_robot_seed, FleetSimulator, SchedulerKind, ServerConfig};
+use corki_system::fleet::{FleetSimulator, SchedulerKind};
 use corki_system::scenario::{
-    ConcreteScenario, ScenarioAxes, ScenarioSpec, VariantMix, WarmupSpec,
+    CompositionSpec, ConcreteScenario, ScenarioBuilder, ScenarioSpec, VariantMix,
 };
-use corki_system::{ControlBackend, InferenceModel, RoutingPolicy, Variant};
+use corki_system::{RoutingPolicy, Variant};
 use corki_telemetry::TelemetryReport;
 use serde::{Deserialize, Serialize};
 
 use crate::variants::VariantSetup;
 
-/// The device-composition axis entry, now defined once in the scenario
-/// layer (kept under its historical name for the experiment shim).
-pub use corki_system::scenario::CompositionSpec as FleetComposition;
-
-/// Scale of a fleet sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetScale {
-    /// Fleet sizes to sweep (robots per cell).
-    pub robot_counts: Vec<usize>,
-    /// Camera frames each robot executes per cell.
-    pub frames_per_robot: usize,
-    /// Base seed; robots derive their jitter seeds from it.
-    pub seed: u64,
-    /// Warm-up window excluded from each cell's plan/queue latency
-    /// statistics (ms), so short sweep runs report steady-state p99s.
-    pub warmup_ms: f64,
-}
-
-impl Default for FleetScale {
-    fn default() -> Self {
-        FleetScale {
-            robot_counts: vec![1, 2, 3, 4, 6, 8, 12, 16],
-            frames_per_robot: 240,
-            seed: 2024,
-            warmup_ms: 2000.0,
-        }
-    }
-}
-
-impl FleetScale {
-    /// A minimal configuration for CI and integration tests.
-    pub fn smoke() -> Self {
-        FleetScale { robot_counts: vec![1, 8], frames_per_robot: 60, seed: 2024, warmup_ms: 250.0 }
-    }
-}
-
-/// A full fleet experiment: scale × variants × schedulers × pool sizes ×
-/// compositions plus the latency budget used for the robots-per-server
-/// summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetExperiment {
-    /// Sweep scale.
-    pub scale: FleetScale,
-    /// Variants to sweep (one fleet-wide variant per cell).
-    pub variants: Vec<Variant>,
-    /// Schedulers to sweep (applied to every server of the pool).
-    pub schedulers: Vec<SchedulerKind>,
-    /// Pool sizes to sweep (replicas of the default V100 server).
-    pub server_counts: Vec<usize>,
-    /// How offloaded requests are spread over multi-server pools.
-    pub routing: RoutingPolicy,
-    /// Device compositions to sweep.
-    pub compositions: Vec<FleetComposition>,
-    /// Executed-length distribution for Corki-ADAP fleets; `None` uses the
-    /// pipeline defaults, `Some` typically carries lengths measured by
-    /// [`measured_adaptive_lengths`].
-    pub adaptive_lengths: Option<Vec<usize>>,
-    /// End-to-end plan-latency budget (p99, ms) for [`robots_within_budget`].
-    pub latency_budget_ms: f64,
-}
-
-impl FleetExperiment {
-    /// The default sweep: four variants spanning the trajectory-length axis
-    /// and both serving disciplines, on the PR 3 single-server homogeneous
-    /// pool.
-    pub fn paper_defaults(scale: FleetScale) -> Self {
-        FleetExperiment {
-            scale,
-            variants: vec![
-                Variant::RoboFlamingo,
-                Variant::CorkiFixed(3),
-                Variant::CorkiFixed(9),
-                Variant::CorkiAdaptive,
-            ],
-            schedulers: vec![
-                SchedulerKind::Fifo,
-                SchedulerKind::DynamicBatch { max_batch: 8, timeout_ms: 15.0 },
-            ],
-            server_counts: vec![1],
-            routing: RoutingPolicy::RoundRobin,
-            compositions: vec![FleetComposition::Homogeneous],
-            adaptive_lengths: None,
-            latency_budget_ms: 400.0,
-        }
-    }
-
-    /// [`paper_defaults`](FleetExperiment::paper_defaults) widened by the
-    /// heterogeneous axes: single server vs a pool of two behind
-    /// least-queue-depth routing, and an all-offloaded fleet vs one with a
-    /// Jetson board in every second robot.
-    pub fn heterogeneous(scale: FleetScale) -> Self {
-        let mut experiment = FleetExperiment::paper_defaults(scale);
-        experiment.server_counts = vec![1, 2];
-        experiment.routing = RoutingPolicy::LeastQueueDepth;
-        experiment.compositions =
-            vec![FleetComposition::Homogeneous, FleetComposition::jetson_every_second()];
-        experiment
-    }
-
-    /// Lowers the experiment's axis lists into one declarative
-    /// [`ScenarioSpec`] — the shim behind the legacy sweep API and the
-    /// legacy CLI flags.  The spec expands into the exact cells (and the
-    /// exact [`corki_system::FleetConfig`]s) the pre-scenario sweep built,
-    /// so rows are byte-identical to the old code path.
-    pub fn to_scenario(&self) -> ScenarioSpec {
-        ScenarioSpec {
-            name: "fleet-experiment".to_owned(),
-            seed: self.scale.seed,
-            frames_per_robot: self.scale.frames_per_robot,
-            warmup_ms: WarmupSpec::Fixed(self.scale.warmup_ms),
-            routing: self.routing,
-            control_backend: ControlBackend::PerRobot,
-            robots: Vec::new(),
-            servers: vec![ServerConfig::new(InferenceModel::default(), SchedulerKind::Fifo)],
-            adaptive_lengths: self.adaptive_lengths.clone().filter(|lengths| !lengths.is_empty()),
-            latency_budget_ms: self.latency_budget_ms,
-            axes: ScenarioAxes {
-                robot_counts: self.scale.robot_counts.clone(),
-                variants: self.variants.iter().cloned().map(VariantMix::uniform).collect(),
-                schedulers: self.schedulers.clone(),
-                server_counts: self.server_counts.clone(),
-                compositions: self.compositions.clone(),
-            },
-            faults: None,
-        }
-    }
+/// The paper's default fleet sweep, named `fleet-experiment`: RoboFlamingo,
+/// Corki-3, Corki-9 and Corki-ADAP under FIFO and an 8-wide dynamic batcher
+/// on V100 servers, with a 400 ms p99 plan-latency budget.
+///
+/// The smoke shape sweeps fleets of 1 and 8 robots for 60 frames (250 ms
+/// warm-up) on one server — 16 cells.  The full shape sweeps fleets of 1 to
+/// 16 robots for 240 frames (2 s warm-up) and adds the heterogeneous axes:
+/// one server vs a pool of two behind least-queue-depth routing, and an
+/// all-offloaded fleet vs one with a Jetson board in every second robot —
+/// 256 cells.  Corki-ADAP runs the pipeline's default executed lengths; set
+/// [`ScenarioSpec::adaptive_lengths`] (e.g. from
+/// [`measured_adaptive_lengths`]) to feed it measured ones.
+pub fn paper_sweep(smoke: bool) -> ScenarioSpec {
+    let variants = [
+        Variant::RoboFlamingo,
+        Variant::CorkiFixed(3),
+        Variant::CorkiFixed(9),
+        Variant::CorkiAdaptive,
+    ];
+    let builder = ScenarioBuilder::new("fleet-experiment")
+        .seed(2024)
+        .default_servers(1, SchedulerKind::Fifo)
+        .variant_axis(variants.into_iter().map(VariantMix::uniform).collect())
+        .scheduler_axis(vec![
+            SchedulerKind::Fifo,
+            SchedulerKind::DynamicBatch { max_batch: 8, timeout_ms: 15.0 },
+        ])
+        .latency_budget_ms(400.0);
+    let builder = if smoke {
+        builder.robot_counts(vec![1, 8]).frames_per_robot(60).warmup_ms(250.0)
+    } else {
+        builder
+            .robot_counts(vec![1, 2, 3, 4, 6, 8, 12, 16])
+            .frames_per_robot(240)
+            .warmup_ms(2000.0)
+            .routing(RoutingPolicy::LeastQueueDepth)
+            .server_count_axis(vec![1, 2])
+            .composition_axis(vec![
+                CompositionSpec::Homogeneous,
+                CompositionSpec::jetson_every_second(),
+            ])
+    };
+    builder.build().expect("the paper's fleet sweep is a valid scenario")
 }
 
 /// One cell of the fleet sweep.
@@ -219,78 +121,31 @@ pub struct FleetSweepRow {
     pub mean_recovery_ms: f64,
 }
 
-/// Runs the fleet sweep, fanning independent cells out over all cores.
-///
-/// Results are **byte-identical for every job count** — each cell is an
-/// independent deterministic simulation and rows are assembled in sweep
-/// order (pool-size-major, then composition, then scheduler, then variant,
-/// then fleet size).
-pub fn fleet_sweep(experiment: &FleetExperiment) -> Vec<FleetSweepRow> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    fleet_sweep_with_jobs(experiment, cores)
-}
-
-/// [`fleet_sweep`] with an explicit worker count (`1` runs sequentially).
-///
-/// The experiment is lowered to a [`ScenarioSpec`] first
-/// ([`FleetExperiment::to_scenario`]) and its expanded cells are run by
-/// [`scenario_sweep_with_jobs`] — the legacy axis lists are a shim over the
-/// declarative scenario layer.
-pub fn fleet_sweep_with_jobs(experiment: &FleetExperiment, jobs: usize) -> Vec<FleetSweepRow> {
-    // The legacy API multiplies its axis lists, so any empty list means an
-    // empty sweep (a spec would instead fall back to its base value).
-    if experiment.scale.robot_counts.is_empty()
-        || experiment.variants.is_empty()
-        || experiment.schedulers.is_empty()
-        || experiment.server_counts.is_empty()
-        || experiment.compositions.is_empty()
-    {
-        return Vec::new();
-    }
-    let cells = experiment
-        .to_scenario()
-        .expand()
-        .expect("FleetExperiment axis lists always lower to a valid scenario");
-    scenario_sweep_with_jobs(&cells, jobs)
-}
-
-/// Runs expanded scenario cells, fanning them out over all cores.
-pub fn scenario_sweep(cells: &[ConcreteScenario]) -> Vec<FleetSweepRow> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    scenario_sweep_with_jobs(cells, cores)
-}
-
-/// [`scenario_sweep`] with an explicit worker count (`1` runs sequentially).
-///
-/// Rows are assembled in cell order and are byte-identical for every job
-/// count; their labels come from the cells, which derive them from the one
-/// canonical `Display` implementation per axis type.
-pub fn scenario_sweep_with_jobs(cells: &[ConcreteScenario], jobs: usize) -> Vec<FleetSweepRow> {
-    scenario_sweep_detailed_with_jobs(cells, jobs).into_iter().map(|cell| cell.row).collect()
-}
-
 /// One cell's full result: the sweep row plus the always-on in-path
 /// telemetry the engine recorded while producing it (per-stage latency
 /// histograms and per-robot timelines, the same six-stage taxonomy the
 /// live path reports).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DetailedSweepCell {
-    /// The summary row, exactly as [`scenario_sweep`] reports it.
+    /// The summary row.
     pub row: FleetSweepRow,
     /// The engine's telemetry report for this cell.
     pub telemetry: TelemetryReport,
 }
 
-/// [`scenario_sweep`] keeping each cell's telemetry report alongside its
-/// row.
+/// Runs expanded scenario cells, fanning them out over all cores.
 pub fn scenario_sweep_detailed(cells: &[ConcreteScenario]) -> Vec<DetailedSweepCell> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     scenario_sweep_detailed_with_jobs(cells, cores)
 }
 
 /// [`scenario_sweep_detailed`] with an explicit worker count (`1` runs
-/// sequentially).  This is the primary sweep implementation; the row-only
-/// entry points project their rows out of it.
+/// sequentially).
+///
+/// Cells are assembled in cell order and are byte-identical for every job
+/// count: each cell is an independent deterministic simulation, and its row
+/// labels come from the cell, which derives them from the one canonical
+/// `Display` implementation per axis type.
 pub fn scenario_sweep_detailed_with_jobs(
     cells: &[ConcreteScenario],
     jobs: usize,
@@ -425,34 +280,34 @@ pub fn measured_adaptive_lengths(jobs: usize, seed: u64) -> Vec<usize> {
     }
 }
 
-/// Seeds of the robots of one fleet cell (exposed for tests and tooling;
-/// must match what `FleetConfig::paper_defaults` assigns).
-pub fn robot_seeds(seed: u64, robots: usize) -> Vec<u64> {
-    (0..robots).map(|r| fleet_robot_seed(seed, r as u64)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use corki_system::fleet::{FleetConfig, RobotCompute};
-    use corki_system::ScenarioBuilder;
+    use corki_system::scenario::{scenario_fingerprint, WarmupSpec};
 
-    fn smoke_experiment() -> FleetExperiment {
-        FleetExperiment::paper_defaults(FleetScale::smoke())
+    fn sweep_rows(spec: &ScenarioSpec, jobs: usize) -> Vec<FleetSweepRow> {
+        let cells = spec.expand().expect("valid scenario");
+        scenario_sweep_detailed_with_jobs(&cells, jobs).into_iter().map(|cell| cell.row).collect()
+    }
+
+    /// The default sweep's cells are pinned by content: both shapes expand
+    /// to exactly the cells the historical axis-list sweep built.
+    #[test]
+    fn paper_sweep_expands_to_the_pinned_cells() {
+        let smoke = paper_sweep(true).expand().expect("smoke shape expands");
+        assert_eq!(smoke.len(), 16);
+        assert_eq!(scenario_fingerprint(&smoke), "cd622538072c2389");
+        let full = paper_sweep(false).expand().expect("full shape expands");
+        assert_eq!(full.len(), 256);
+        assert_eq!(scenario_fingerprint(&full), "6350647043a19f0d");
     }
 
     #[test]
     fn sweep_covers_every_cell_in_order() {
-        let experiment = smoke_experiment();
-        let rows = fleet_sweep_with_jobs(&experiment, 1);
-        assert_eq!(
-            rows.len(),
-            experiment.server_counts.len()
-                * experiment.compositions.len()
-                * experiment.schedulers.len()
-                * experiment.variants.len()
-                * experiment.scale.robot_counts.len()
-        );
+        let rows = sweep_rows(&paper_sweep(true), 1);
+        // schedulers × variants × fleet sizes.
+        assert_eq!(rows.len(), 2 * 4 * 2);
         assert_eq!(rows[0].variant, "RoboFlamingo");
         assert_eq!(rows[0].robots, 1);
         assert_eq!(rows[0].servers, 1);
@@ -466,10 +321,10 @@ mod tests {
 
     #[test]
     fn sweep_is_byte_identical_across_job_counts() {
-        let experiment = smoke_experiment();
-        let sequential = fleet_sweep_with_jobs(&experiment, 1);
+        let spec = paper_sweep(true);
+        let sequential = sweep_rows(&spec, 1);
         for jobs in [2, 5, 16] {
-            let parallel = fleet_sweep_with_jobs(&experiment, jobs);
+            let parallel = sweep_rows(&spec, jobs);
             assert_eq!(
                 serde_json::to_string(&sequential).unwrap(),
                 serde_json::to_string(&parallel).unwrap(),
@@ -480,8 +335,12 @@ mod tests {
 
     #[test]
     fn heterogeneous_axes_add_pool_and_mixed_rows() {
-        let experiment = FleetExperiment::heterogeneous(FleetScale::smoke());
-        let rows = fleet_sweep_with_jobs(&experiment, 1);
+        // The full shape's axes at the smoke footprint.
+        let mut spec = paper_sweep(false);
+        spec.axes.robot_counts = vec![1, 8];
+        spec.frames_per_robot = 60;
+        spec.warmup_ms = WarmupSpec::Fixed(250.0);
+        let rows = sweep_rows(&spec, 1);
         assert!(rows.iter().any(|r| r.servers == 2));
         assert!(rows.iter().any(|r| r.composition.starts_with("mix(")));
         assert!(rows.iter().all(|r| r.routing == "least-queue-depth"));
@@ -509,7 +368,7 @@ mod tests {
         assert!(pooled.throughput_steps_per_s >= single.throughput_steps_per_s * 0.999);
         assert!(pooled.mean_queue_delay_ms <= single.mean_queue_delay_ms);
         // Budget table keys on the pool shape, so both shapes appear.
-        let budget = robots_within_budget(&rows, experiment.latency_budget_ms);
+        let budget = robots_within_budget(&rows, spec.latency_budget_ms);
         assert!(budget.iter().any(|b| b.servers == 2));
         assert!(budget.iter().any(|b| b.composition.starts_with("mix(")));
     }
@@ -517,7 +376,7 @@ mod tests {
     #[test]
     fn mixed_composition_marks_every_second_robot_on_robot() {
         let mut config = FleetConfig::paper_defaults(Variant::CorkiFixed(5), 6, 1);
-        FleetComposition::jetson_every_second().apply(&mut config);
+        CompositionSpec::jetson_every_second().apply(&mut config);
         let on_robot: Vec<usize> = config
             .robots
             .iter()
@@ -526,8 +385,11 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(on_robot, vec![1, 3, 5]);
-        assert!(FleetComposition::jetson_every_second().label().contains("Jetson"));
-        assert_eq!(FleetComposition::Homogeneous.label(), "offloaded");
+        assert_eq!(
+            CompositionSpec::jetson_every_second().label(),
+            "mix(Jetson Orin 32GB fp16 1/2)"
+        );
+        assert_eq!(CompositionSpec::Homogeneous.label(), "offloaded");
     }
 
     #[test]
@@ -535,17 +397,19 @@ mod tests {
         // Long enough that p99 measures the steady state, not the start-up
         // transient of the closed queueing loop (the sweep additionally
         // trims the warm-up window).
-        let mut experiment = FleetExperiment::paper_defaults(FleetScale {
-            robot_counts: vec![1, 2, 3, 4, 6, 8],
-            frames_per_robot: 240,
-            seed: 2024,
-            warmup_ms: 2000.0,
-        });
-        experiment.variants =
-            vec![Variant::RoboFlamingo, Variant::CorkiFixed(3), Variant::CorkiFixed(9)];
-        experiment.schedulers = vec![SchedulerKind::Fifo];
-        let rows = fleet_sweep(&experiment);
-        let budget = robots_within_budget(&rows, experiment.latency_budget_ms);
+        let mut spec = paper_sweep(true);
+        spec.axes.robot_counts = vec![1, 2, 3, 4, 6, 8];
+        spec.frames_per_robot = 240;
+        spec.warmup_ms = WarmupSpec::Fixed(2000.0);
+        spec.axes.variants =
+            [Variant::RoboFlamingo, Variant::CorkiFixed(3), Variant::CorkiFixed(9)]
+                .into_iter()
+                .map(VariantMix::uniform)
+                .collect();
+        spec.axes.schedulers = vec![SchedulerKind::Fifo];
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let rows = sweep_rows(&spec, cores);
+        let budget = robots_within_budget(&rows, spec.latency_budget_ms);
         let max = |variant: &str| {
             budget.iter().find(|b| b.variant == variant).expect("variant swept").max_robots
         };
@@ -573,76 +437,17 @@ mod tests {
 
     #[test]
     fn sweep_rows_round_trip_through_serde() {
-        let rows = fleet_sweep_with_jobs(&smoke_experiment(), 1);
+        let rows = sweep_rows(&paper_sweep(true), 1);
         let json = serde_json::to_string(&rows).unwrap();
         let parsed: Vec<FleetSweepRow> = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, rows);
-    }
-
-    /// The scenario shim must reproduce the pre-redesign sweep exactly: this
-    /// re-implements the historical cell construction inline and compares
-    /// the rows byte for byte, heterogeneous axes included.
-    #[test]
-    fn scenario_shim_rows_are_byte_identical_to_the_legacy_sweep() {
-        let experiment = FleetExperiment::heterogeneous(FleetScale::smoke());
-        let mut legacy: Vec<FleetSweepRow> = Vec::new();
-        for &servers in &experiment.server_counts {
-            for composition in &experiment.compositions {
-                for scheduler in &experiment.schedulers {
-                    for variant in &experiment.variants {
-                        for &robots in &experiment.scale.robot_counts {
-                            let mut config = FleetConfig::paper_defaults(
-                                variant.clone(),
-                                robots,
-                                experiment.scale.seed,
-                            )
-                            .with_pool(servers);
-                            config.frames_per_robot = experiment.scale.frames_per_robot;
-                            config.set_scheduler(*scheduler);
-                            config.routing = experiment.routing;
-                            config.warmup_ms = experiment.scale.warmup_ms;
-                            composition.apply(&mut config);
-                            let summary = FleetSimulator::new(config).run().summary;
-                            legacy.push(FleetSweepRow {
-                                robots,
-                                servers,
-                                variant: variant.name(),
-                                scheduler: summary.scheduler.clone(),
-                                routing: summary.routing.clone(),
-                                composition: composition.label(),
-                                throughput_steps_per_s: summary.throughput_steps_per_s,
-                                per_robot_rate_hz: summary.throughput_steps_per_s / robots as f64,
-                                mean_plan_latency_ms: summary.mean_plan_latency_ms,
-                                p99_plan_latency_ms: summary.p99_plan_latency_ms,
-                                mean_queue_delay_ms: summary.mean_queue_delay_ms,
-                                p99_queue_delay_ms: summary.p99_queue_delay_ms,
-                                server_utilization: summary.server_utilization,
-                                mean_batch_size: summary.mean_batch_size,
-                                slo_violation_fraction: summary.slo_violation_fraction,
-                                timed_out_requests: summary.timed_out_requests,
-                                retries: summary.retries,
-                                dropped_requests: summary.dropped_requests,
-                                fallback_inferences: summary.fallback_inferences,
-                                mean_recovery_ms: summary.mean_recovery_ms,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let rows = fleet_sweep_with_jobs(&experiment, 1);
-        assert_eq!(
-            serde_json::to_string(&rows).unwrap(),
-            serde_json::to_string(&legacy).unwrap(),
-            "the scenario shim changed the sweep"
-        );
     }
 
     /// Cell labels are derived once in the scenario layer; the engine's own
     /// summary labels must agree with them.
     #[test]
     fn cell_labels_agree_with_engine_summaries() {
-        let cells = smoke_experiment().to_scenario().expand().expect("valid scenario");
+        let cells = paper_sweep(true).expand().expect("valid scenario");
         for cell in &cells {
             let summary = FleetSimulator::new(cell.config.clone()).run().summary;
             assert_eq!(summary.scheduler, cell.scheduler_label);
@@ -668,7 +473,7 @@ mod tests {
             .build()
             .expect("mixed-variant spec is valid");
         let cells = spec.expand().expect("expands");
-        let rows = scenario_sweep_with_jobs(&cells, 1);
+        let rows = sweep_rows(&spec, 1);
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert_eq!(row.variant, "Corki-3+Corki-9");
@@ -689,28 +494,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_axis_lists_keep_producing_an_empty_legacy_sweep() {
-        let mut experiment = smoke_experiment();
-        experiment.variants.clear();
-        assert!(fleet_sweep_with_jobs(&experiment, 1).is_empty());
-        let mut experiment = smoke_experiment();
-        experiment.scale.robot_counts.clear();
-        assert!(fleet_sweep_with_jobs(&experiment, 1).is_empty());
-    }
-
-    #[test]
     fn measured_adaptive_lengths_are_plausible() {
         let lengths = measured_adaptive_lengths(2, 5);
         assert!(!lengths.is_empty());
         assert!(lengths.iter().all(|&l| (1..=9).contains(&l)));
-    }
-
-    #[test]
-    fn robot_seeds_are_distinct_per_fleet() {
-        let seeds = robot_seeds(2024, 16);
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), 16);
     }
 }

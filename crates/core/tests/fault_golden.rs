@@ -5,7 +5,7 @@
 //! Regenerate with `FLEET_FAULT_GOLDEN_REGEN=1 cargo test -p corki --test
 //! fault_golden` — only ever alongside a reviewed engine change.
 
-use corki::fleet::scenario_sweep_with_jobs;
+use corki::fleet::scenario_sweep_detailed_with_jobs;
 use corki_system::ScenarioSpec;
 use std::path::PathBuf;
 
@@ -18,7 +18,8 @@ fn committed_crash_scenario_matches_golden_rows() {
     let spec = ScenarioSpec::from_json(&json).expect("the committed crash scenario parses");
     let run = || {
         let cells = spec.expand().expect("the committed crash scenario expands");
-        let rows = scenario_sweep_with_jobs(&cells, 1);
+        let rows: Vec<_> =
+            scenario_sweep_detailed_with_jobs(&cells, 1).into_iter().map(|cell| cell.row).collect();
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert!(row.fallback_inferences > 0, "the full-pool outage must force fallbacks");

@@ -68,11 +68,11 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
     // capture of robot r at `r · start_stagger_ms`.
     sleep_until_ns(start_ns + ns_of_ms(robot as f64 * cfg.start_stagger_ms));
 
-    let step_ms = if cfg.execution_step_ms > 0.0 {
+    let step_ns = ns_of_ms(if cfg.execution_step_ms > 0.0 {
         profile.control_ms.max(cfg.execution_step_ms)
     } else {
         profile.control_ms
-    };
+    });
     let mut frame_index = 0_usize;
     let mut plans = 0_u64;
     let mut attempt = 0_u64;
@@ -157,10 +157,13 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
         plans += 1;
 
         // Execute the plan, paced by the slower of control compute and the
-        // physical step period.
+        // physical step period.  Each step ends at an absolute deadline on
+        // the plan's own clock, so sleep overshoot does not accumulate
+        // across a multi-step plan.
+        let exec_start_ns = monotonic_ns();
         for step in 0..plan_steps {
             let step_start_ns = monotonic_ns();
-            sleep_ms(step_ms);
+            sleep_until_ns(exec_start_ns + (step as u64 + 1) * step_ns);
             telemetry.record(Stage::ControlStep, monotonic_ns() - step_start_ns);
             frame_index += 1;
             // After the first executed step of a multi-step plan, the next

@@ -39,33 +39,32 @@
 //!
 //! # Module layout
 //!
-//! The state machines are split into transport- and clock-agnostic cores —
-//! [`scheduler`] (batching disciplines), [`session`] (robot profiles and
-//! per-robot state), [`server`] (pool configuration and the batch
-//! service-time model), [`faults`] (injection plans) and [`stats`] (run
-//! outputs and warm-up trimming) — all re-exported here, so the public
-//! `corki_system::fleet::*` paths are unchanged.  This module keeps what is
-//! genuinely DES-specific: the event enum, the engine that lowers session
-//! and server transitions onto the event queue, and the simulator
-//! front-end.  The live `corki-serve` path drives the *same* cores from
-//! wall-clock time, which is why a live run can be checked against the DES
-//! as an oracle.
+//! The state machines are split into transport- and clock-agnostic cores
+//! in private submodules — `scheduler` (batching disciplines), `session`
+//! (robot profiles and per-robot state), `server` (pool configuration and
+//! the batch service-time model), `faults` (injection plans) and `stats`
+//! (run outputs and warm-up trimming) — whose public items are re-exported
+//! here, so each has the one path `corki_system::fleet::*`.  This module
+//! keeps what is genuinely DES-specific: the event enum, the engine that
+//! lowers session and server transitions onto the event queue, and the
+//! simulator front-end.  The live `corki-serve` path drives the *same*
+//! cores from wall-clock time, which is why a live run can be checked
+//! against the DES as an oracle.
 //!
 //! The engine is one sequential loop over one [`crate::des::EventQueue`] in
 //! global `(time, seq)` order; a sweep parallelises across cells, not
 //! within one.
 
-pub mod faults;
-pub mod scheduler;
-pub mod server;
-pub mod session;
-pub mod stats;
+mod faults;
+mod scheduler;
+mod server;
+mod session;
+mod stats;
 
 pub use faults::{ChurnSpec, CrashSpec, FaultPlan, LinkDegradationSpec, TimeoutSpec};
 pub use scheduler::{
-    BatchScheduler, DynamicBatchScheduler, FifoScheduler, ParsePoolScheduleError,
-    ParseSchedulerKindError, PendingRequest, PoolSchedule, SchedulerKind,
-    ShortestTrajectoryFirstScheduler,
+    BatchScheduler, DynamicBatchScheduler, FifoScheduler, ParseSchedulerKindError, PendingRequest,
+    PoolSchedule, SchedulerKind, ShortestTrajectoryFirstScheduler,
 };
 pub use server::{batch_service_ms, ServerConfig};
 pub use session::{
@@ -138,7 +137,7 @@ pub struct FleetConfig {
     pub control_backend: ControlBackend,
     /// Start-up window excluded from the aggregate plan/queue/link latency
     /// statistics (ms).  `0` (the default) keeps every sample — the PR 3
-    /// behaviour; `fleet_sweep` enables a warm-up so short runs report
+    /// behaviour; fleet sweeps enable a warm-up so short runs report
     /// steady-state percentiles instead of the closed-loop transient.
     pub warmup_ms: f64,
     /// Replace the fixed [`warmup_ms`](Self::warmup_ms) with adaptive
@@ -246,9 +245,8 @@ impl FleetConfig {
     }
 
     /// The scheduler label reported in summaries: the shared name when every
-    /// server agrees, otherwise the `+`-joined per-server names.  This is
-    /// exactly the [`PoolSchedule`] display form, so every emitted label
-    /// reparses via `PoolSchedule::from_str`.
+    /// server agrees, otherwise the `+`-joined per-server names (the
+    /// [`PoolSchedule`] display form).
     pub fn scheduler_label(&self) -> String {
         if self.servers.is_empty() {
             return "none".to_owned();
@@ -1303,37 +1301,6 @@ mod tests {
         assert_eq!(cfg.scheduler_label(), "fifo");
         cfg.servers[1].scheduler = SchedulerKind::ShortestTrajectoryFirst;
         assert_eq!(cfg.scheduler_label(), "fifo+stf");
-    }
-
-    #[test]
-    fn mixed_pool_labels_round_trip_through_pool_schedule() {
-        // The historical gap: `fifo+stf` printed but never reparsed.
-        let parsed: PoolSchedule = "fifo+stf".parse().expect("mixed label parses");
-        assert_eq!(
-            parsed.schedulers(),
-            [SchedulerKind::Fifo, SchedulerKind::ShortestTrajectoryFirst]
-        );
-        assert!(!parsed.is_uniform());
-        assert_eq!(parsed.to_string(), "fifo+stf");
-
-        // Every label the engine can emit reparses, uniform or mixed.
-        let mut cfg = quick_fleet(Variant::CorkiFixed(5), 2, SchedulerKind::Fifo).with_pool(3);
-        cfg.servers[1].scheduler = SchedulerKind::ShortestTrajectoryFirst;
-        cfg.servers[2].scheduler = SchedulerKind::DynamicBatch { max_batch: 4, timeout_ms: 15.0 };
-        for label in [cfg.scheduler_label(), "fifo".to_owned(), "stf+batch4-15.5ms".to_owned()] {
-            let schedule: PoolSchedule = label.parse().expect("emitted labels reparse");
-            assert_eq!(schedule.to_string(), label, "round trip of `{label}`");
-        }
-
-        // A uniform pool collapses to the single shared name.
-        assert_eq!(
-            PoolSchedule::new(vec![SchedulerKind::Fifo; 3]).to_string(),
-            "fifo",
-            "uniform pools print one name"
-        );
-        for broken in ["", "fifo+", "+stf", "fifo+lifo"] {
-            assert!(broken.parse::<PoolSchedule>().is_err(), "`{broken}` must not parse");
-        }
     }
 
     // ---- fault injection --------------------------------------------------

@@ -116,15 +116,9 @@ impl std::str::FromStr for SchedulerKind {
 }
 
 /// The batching disciplines of a whole server pool, with the canonical
-/// label grammar used by every summary/bench table: a uniform pool prints
-/// the single shared [`SchedulerKind`] name, a mixed pool prints the
-/// `+`-joined per-server names (`fifo+stf`) — and **both** forms reparse
-/// via [`FromStr`](std::str::FromStr), closing the historical gap where
-/// `SchedulerKind::from_str` rejected the joined labels.
-///
-/// Parsing a single name yields a uniform one-entry schedule (the label
-/// does not encode the pool width); parsing `a+b+…` yields exactly one
-/// entry per `+`-separated name.
+/// label grammar used by every summary table: a uniform pool prints the
+/// single shared [`SchedulerKind`] name, a mixed pool prints the `+`-joined
+/// per-server names (`fifo+stf`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolSchedule(Vec<SchedulerKind>);
 
@@ -142,11 +136,6 @@ impl PoolSchedule {
     /// The schedule of an existing server pool.
     pub fn of_servers(servers: &[ServerConfig]) -> Self {
         PoolSchedule::new(servers.iter().map(|s| s.scheduler).collect())
-    }
-
-    /// The per-server disciplines, in pool order.
-    pub fn schedulers(&self) -> &[SchedulerKind] {
-        &self.0
     }
 
     /// Whether every server runs the same discipline.
@@ -167,37 +156,6 @@ impl std::fmt::Display for PoolSchedule {
             write!(f, "{scheduler}")?;
         }
         Ok(())
-    }
-}
-
-/// Error produced when parsing an unknown pool-schedule label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsePoolScheduleError(pub(crate) String);
-
-impl std::fmt::Display for ParsePoolScheduleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown pool schedule `{}` (expected `+`-joined scheduler names, e.g. fifo+stf)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParsePoolScheduleError {}
-
-impl std::str::FromStr for PoolSchedule {
-    type Err = ParsePoolScheduleError;
-
-    /// Parses `+`-joined [`SchedulerKind`] labels (each parsed by the
-    /// scheduler grammar, so `fifo`, `stf+batch4-15ms` etc. all work).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let schedulers: Result<Vec<SchedulerKind>, _> =
-            s.split('+').map(str::parse::<SchedulerKind>).collect();
-        match schedulers {
-            Ok(list) if !list.is_empty() => Ok(PoolSchedule(list)),
-            _ => Err(ParsePoolScheduleError(s.to_owned())),
-        }
     }
 }
 

@@ -44,9 +44,9 @@ pub use devices::{
 };
 pub use fleet::{
     BatchScheduler, ChurnSpec, ControlBackend, CrashSpec, EventRecord, FaultPlan, FleetConfig,
-    FleetOutcome, FleetSimulator, FleetSummary, LinkDegradationSpec, ParsePoolScheduleError,
-    ParseSchedulerKindError, PendingRequest, PoolSchedule, RobotCompute, RobotConfig, RobotOutcome,
-    SchedulerKind, ServerConfig, TimeoutSpec, DEFAULT_EXECUTION_STEP_MS,
+    FleetOutcome, FleetSimulator, FleetSummary, LinkDegradationSpec, ParseSchedulerKindError,
+    PendingRequest, PoolSchedule, RobotCompute, RobotConfig, RobotOutcome, SchedulerKind,
+    ServerConfig, TimeoutSpec, DEFAULT_EXECUTION_STEP_MS,
 };
 pub use pipeline::{
     mean, percentile, ExecutionStats, FrameKind, FrameTrace, PipelineConfig, PipelineSimulator,

@@ -1,11 +1,8 @@
 //! Declarative scenario specifications: one serializable description for
 //! every fleet experiment.
 //!
-//! Before this module the scenario space of the fleet-serving engine was
-//! described four different ways — [`FleetConfig`] mutation helpers, the
-//! experiment axis lists in `corki::fleet`, ad-hoc CLI flags and hand-rolled
-//! bench cases.  A [`ScenarioSpec`] replaces all of them: it is a plain,
-//! serde-serializable value that fully describes a fleet experiment —
+//! A [`ScenarioSpec`] is a plain, serde-serializable value that fully
+//! describes a fleet experiment —
 //!
 //! * **robot groups** ([`RobotGroupSpec`]): count, [`Variant`],
 //!   [`RobotCompute`] placement and (optionally) explicit per-robot seeds;
@@ -27,10 +24,10 @@
 //!
 //! Specs written by hand (or committed under `crates/bench/scenarios/`)
 //! parse strictly: unknown keys are rejected loudly instead of silently
-//! falling back to defaults, and every label that appears in result rows
-//! round-trips through the canonical `Display`/`FromStr` implementations of
-//! the underlying types ([`Variant`], [`crate::SchedulerKind`],
-//! [`RoutingPolicy`], [`CompositionLabel`]).
+//! falling back to defaults.  Every label that appears in result rows comes
+//! from the one canonical `Display` implementation of its type
+//! ([`VariantMix`], [`crate::PoolSchedule`], [`RoutingPolicy`],
+//! [`CompositionLabel`]).
 
 use crate::devices::{DataRepresentation, InferenceDevice, InferenceModel};
 use crate::fleet::{
@@ -41,7 +38,6 @@ use crate::routing::RoutingPolicy;
 use crate::variant::Variant;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 // ---------------------------------------------------------------------------
 // Spec types
@@ -159,53 +155,6 @@ impl fmt::Display for VariantMix {
             )
             .collect();
         f.write_str(&parts.join("+"))
-    }
-}
-
-/// Error produced when parsing an unknown variant-mix label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseVariantMixError(String);
-
-impl fmt::Display for ParseVariantMixError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown variant mix `{}` (expected `+`-joined variant names, each optionally \
-             prefixed `<weight>x`)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseVariantMixError {}
-
-impl FromStr for VariantMix {
-    type Err = ParseVariantMixError;
-
-    /// Parses the canonical mix labels: `Corki-3`, `Corki-3+Corki-9`,
-    /// `2xCorki-3+Corki-9`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut groups = Vec::new();
-        for part in s.split('+') {
-            let part = part.trim();
-            let (weight, name) = match part.split_once('x') {
-                Some((prefix, rest))
-                    if !prefix.is_empty() && prefix.chars().all(|c| c.is_ascii_digit()) =>
-                {
-                    (prefix.parse().map_err(|_| ParseVariantMixError(s.to_owned()))?, rest)
-                }
-                _ => (1, part),
-            };
-            let variant: Variant = name.parse().map_err(|_| ParseVariantMixError(s.to_owned()))?;
-            if weight == 0 {
-                return Err(ParseVariantMixError(s.to_owned()));
-            }
-            groups.push(VariantShare { variant, weight });
-        }
-        if groups.is_empty() {
-            return Err(ParseVariantMixError(s.to_owned()));
-        }
-        Ok(VariantMix { groups })
     }
 }
 
@@ -1089,48 +1038,6 @@ impl fmt::Display for CompositionLabel {
     }
 }
 
-/// Error produced when parsing an unknown composition label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseCompositionLabelError(String);
-
-impl fmt::Display for ParseCompositionLabelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown composition label `{}` (expected `offloaded` or \
-             `mix(<device> <precision> <on-robot>/<fleet>)`)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseCompositionLabelError {}
-
-impl FromStr for CompositionLabel {
-    type Err = ParseCompositionLabelError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let trimmed = s.trim();
-        if trimmed.eq_ignore_ascii_case("offloaded") {
-            return Ok(CompositionLabel::Offloaded);
-        }
-        let err = || ParseCompositionLabelError(s.to_owned());
-        let body =
-            trimmed.strip_prefix("mix(").and_then(|rest| rest.strip_suffix(')')).ok_or_else(err)?;
-        let (head, share) = body.rsplit_once(' ').ok_or_else(err)?;
-        let (on_robot, fleet) = share.split_once('/').ok_or_else(err)?;
-        let on_robot: usize = on_robot.parse().map_err(|_| err())?;
-        let fleet: usize = fleet.parse().map_err(|_| err())?;
-        let (device, representation) = head.rsplit_once(' ').ok_or_else(err)?;
-        let device: InferenceDevice = device.parse().map_err(|_| err())?;
-        let representation: DataRepresentation = representation.parse().map_err(|_| err())?;
-        if fleet == 0 || on_robot > fleet {
-            return Err(err());
-        }
-        Ok(CompositionLabel::Mixed { device, representation, on_robot, fleet })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
@@ -1791,78 +1698,6 @@ mod tests {
         edited.seed += 1;
         assert_ne!(scenario_fingerprint(&edited.expand().unwrap()), base);
         assert_ne!(scenario_fingerprint(&[]), base);
-    }
-
-    #[test]
-    fn variant_mix_labels_round_trip() {
-        for mix in [
-            VariantMix::uniform(Variant::CorkiFixed(3)),
-            VariantMix::mixed([(Variant::CorkiFixed(3), 1), (Variant::CorkiFixed(9), 1)]),
-            VariantMix::mixed([(Variant::CorkiFixed(3), 2), (Variant::CorkiFixed(9), 1)]),
-            VariantMix::mixed([(Variant::RoboFlamingo, 4), (Variant::CorkiAdaptive, 4)]),
-        ] {
-            let label = mix.to_string();
-            let parsed: VariantMix = label.parse().expect("canonical mix label parses");
-            assert_eq!(parsed.to_string(), label, "label `{label}`");
-        }
-        assert_eq!(VariantMix::uniform(Variant::CorkiFixed(3)).to_string(), "Corki-3");
-        assert_eq!(
-            VariantMix::mixed([(Variant::CorkiFixed(3), 4), (Variant::CorkiFixed(9), 4)])
-                .to_string(),
-            "Corki-3+Corki-9",
-            "weights reduce by their gcd"
-        );
-        // Shares of the same variant merge: a fleet split across groups of
-        // one variant (e.g. an offloaded and an on-robot Corki-5 group) is
-        // still uniform and must group with other Corki-5 rows.
-        assert_eq!(
-            VariantMix::mixed([(Variant::CorkiFixed(5), 6), (Variant::CorkiFixed(5), 2)])
-                .to_string(),
-            "Corki-5"
-        );
-        assert_eq!(
-            VariantMix::mixed([
-                (Variant::CorkiFixed(5), 2),
-                (Variant::CorkiFixed(9), 2),
-                (Variant::CorkiFixed(5), 2),
-            ])
-            .to_string(),
-            "2xCorki-5+Corki-9"
-        );
-        for broken in ["", "Corki-3+", "0xCorki-3", "what+ever"] {
-            assert!(broken.parse::<VariantMix>().is_err(), "`{broken}` must not parse");
-        }
-    }
-
-    #[test]
-    fn composition_labels_round_trip() {
-        for label in [
-            CompositionLabel::Offloaded,
-            CompositionLabel::Mixed {
-                device: InferenceDevice::JetsonOrin32Gb,
-                representation: DataRepresentation::Float16,
-                on_robot: 1,
-                fleet: 2,
-            },
-            CompositionLabel::Mixed {
-                device: InferenceDevice::Xeon8260,
-                representation: DataRepresentation::Int8,
-                on_robot: 3,
-                fleet: 8,
-            },
-        ] {
-            let text = label.to_string();
-            let parsed: CompositionLabel = text.parse().expect("canonical label parses");
-            assert_eq!(parsed, label, "label `{text}`");
-        }
-        assert_eq!(
-            CompositionSpec::jetson_every_second().label(),
-            "mix(Jetson Orin 32GB fp16 1/2)"
-        );
-        assert_eq!(CompositionSpec::Homogeneous.label(), "offloaded");
-        for broken in ["", "mix()", "mix(V100 fp32)", "mix(V100 fp32 3/2)", "mix(TPU fp32 1/2)"] {
-            assert!(broken.parse::<CompositionLabel>().is_err(), "`{broken}` must not parse");
-        }
     }
 
     #[test]

@@ -45,17 +45,15 @@ fn every_experiment_runs_at_smoke_scale() {
     assert!(accel_hz > cpu_hz);
 
     // Fleet serving sweep.
-    let experiment = fleet::FleetExperiment::paper_defaults(fleet::FleetScale::smoke());
-    let rows = fleet::fleet_sweep(&experiment);
-    assert_eq!(
-        rows.len(),
-        experiment.schedulers.len()
-            * experiment.variants.len()
-            * experiment.scale.robot_counts.len()
-    );
+    let spec = fleet::paper_sweep(true);
+    let cells = spec.expand().expect("the smoke sweep expands");
+    let rows: Vec<_> =
+        fleet::scenario_sweep_detailed(&cells).into_iter().map(|cell| cell.row).collect();
+    // schedulers × variants × fleet sizes.
+    assert_eq!(rows.len(), 2 * 4 * 2);
     assert!(rows.iter().all(|r| r.throughput_steps_per_s > 0.0));
-    let budget = fleet::robots_within_budget(&rows, experiment.latency_budget_ms);
-    assert_eq!(budget.len(), experiment.schedulers.len() * experiment.variants.len());
+    let budget = fleet::robots_within_budget(&rows, spec.latency_budget_ms);
+    assert_eq!(budget.len(), 2 * 4);
 }
 
 #[test]
