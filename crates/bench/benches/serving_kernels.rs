@@ -1,6 +1,8 @@
 //! Benchmarks of the small kernels on the fleet-serving hot paths: the DES
-//! event queue behind every fleet run, the shared-memory hops of the live
-//! path, and the always-on telemetry recorder in both of its homes.
+//! event queue behind every fleet run (random near-term traffic, and the
+//! saturated-uplink pattern its FIFO lane absorbs), the shared-memory hops
+//! of the live path, and the always-on telemetry recorder in both of its
+//! homes.
 //!
 //! Timings are host-bound and never committed; `python3 benchmark/run.py`
 //! measures the serving paths end to end.
@@ -21,7 +23,8 @@ fn lcg(state: u64) -> u64 {
     state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)
 }
 
-/// Steady-state schedule/pop traffic through a warm 512-event queue.
+/// Steady-state schedule/pop traffic through a warm 512-event queue, then
+/// through a 10,512-event queue dominated by a monotone far-future stream.
 fn bench_des_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("des_queue");
     let mut queue = EventQueue::new();
@@ -35,6 +38,37 @@ fn bench_des_queue(c: &mut Criterion) {
             state = lcg(state);
             queue.schedule(queue.now_ms() + 1.0 + (state >> 40) as f64 / 64.0, state);
             black_box(queue.pop())
+        })
+    });
+    // The saturated-uplink pattern (the classic hold model): 10,000
+    // far-future upload completions granted back to back by a FIFO link,
+    // plus 512 near-term events.  Each iteration pops the earliest event and
+    // schedules a replacement of the same kind — a far event at the link's
+    // next grant, a near one shortly after the clock — so both populations
+    // stay constant and the far stream stays monotone.
+    const FAR: u64 = 1;
+    const GRANT_MS: f64 = 0.5;
+    let mut queue = EventQueue::new();
+    let mut far_ms = 1_000.0;
+    for _ in 0..10_000 {
+        far_ms += GRANT_MS;
+        queue.schedule(far_ms, FAR);
+    }
+    for _ in 0..512 {
+        state = lcg(state);
+        queue.schedule((state >> 58) as f64, 0);
+    }
+    group.bench_function("fifo_lane", |b| {
+        b.iter(|| {
+            let popped = queue.pop().expect("the queue holds a constant population");
+            if popped.event == FAR {
+                far_ms += GRANT_MS;
+                queue.schedule(far_ms, FAR);
+            } else {
+                state = lcg(state);
+                queue.schedule(queue.now_ms() + 1.0 + (state >> 58) as f64, 0);
+            }
+            black_box(popped)
         })
     });
     group.finish();

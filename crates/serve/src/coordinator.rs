@@ -480,17 +480,12 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
                         }
                         let wants_trajectory = !profiles[robot].is_baseline;
                         let target = router.try_route_blind(servers).unwrap_or_else(|| {
-                            let snapshots: Vec<ServerSnapshot> = (0..servers)
-                                .map(|s| ServerSnapshot {
-                                    queue_depth: schedulers[s].pending()
-                                        + busy[s]
-                                            .map(|id| in_flight[&id].requests.len())
-                                            .unwrap_or(0),
-                                    service_ms: cfg.servers[s].service_ms(wants_trajectory),
-                                    up: true,
-                                })
-                                .collect();
-                            router.route(&snapshots)
+                            router.route_by(servers, |s| ServerSnapshot {
+                                queue_depth: schedulers[s].pending()
+                                    + busy[s].map(|id| in_flight[&id].requests.len()).unwrap_or(0),
+                                service_ms: cfg.servers[s].service_ms(wants_trajectory),
+                                up: true,
+                            })
                         });
                         next_seq += 1;
                         schedulers[target].push(PendingRequest {

@@ -7,8 +7,19 @@
 //! instant fire in scheduling order and every run of the same configuration
 //! pops events in exactly the same order — determinism is structural, not
 //! accidental.
+//!
+//! The queue has two lanes behind one interface: a FIFO lane that takes
+//! every event scheduled no earlier than the lane's current tail, and a
+//! 4-ary heap for the rest.  Fleet runs schedule long monotone runs of
+//! far-future events (the uplink's FIFO arbiter grants uploads in
+//! non-decreasing time order, so a saturated link's completions arrive
+//! sorted); those append and pop in O(1) instead of sifting through a heap
+//! that would otherwise hold thousands of them.  Both lanes are sorted on
+//! the same `(time, seq)` key, so popping the earlier of the two fronts
+//! yields exactly the single-heap total order.
 
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 /// An event scheduled at a point in simulated time.
 ///
@@ -123,9 +134,20 @@ impl<E> MinHeap<E> {
 /// Events are totally ordered by `(time_ms, seq)`; `seq` is assigned at
 /// scheduling time.  Popping an event advances the queue's clock, and
 /// scheduling into the past is a logic error (checked in debug builds).
+///
+/// Internally the queue keeps two lanes.  An event whose time is not before
+/// the FIFO lane's tail (or that finds the lane empty) is appended to the
+/// lane; any other event goes to the 4-ary heap.  A new event's `seq`
+/// exceeds every pending `seq`, so each append keeps the lane sorted by
+/// `(time_ms, seq)`, and the heap's root is its own minimum.  The earliest
+/// pending event is therefore the earlier of the two fronts under the one
+/// comparator both lanes use, and the pop order is exactly that of a
+/// single heap holding every event.  Both backing buffers are arenas that
+/// never shrink, so a warm queue schedules and pops without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue<E> {
     heap: MinHeap<E>,
+    lane: VecDeque<Scheduled<E>>,
     next_seq: u64,
     now_ms: f64,
 }
@@ -133,7 +155,7 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with its clock at time zero.
     pub fn new() -> Self {
-        EventQueue { heap: MinHeap::new(), next_seq: 0, now_ms: 0.0 }
+        EventQueue { heap: MinHeap::new(), lane: VecDeque::new(), next_seq: 0, now_ms: 0.0 }
     }
 
     /// The current simulated time (the timestamp of the last popped event).
@@ -157,36 +179,52 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { time_ms, seq, event });
+        let scheduled = Scheduled { time_ms, seq, event };
+        match self.lane.back() {
+            Some(tail) if fires_before(&scheduled, tail) => self.heap.push(scheduled),
+            _ => self.lane.push_back(scheduled),
+        }
         seq
     }
 
     /// Pops the earliest event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let scheduled = self.heap.pop()?;
+        let scheduled =
+            if self.lane_fires_first() { self.lane.pop_front() } else { self.heap.pop() }?;
         self.now_ms = scheduled.time_ms;
         Some(scheduled)
     }
 
     /// The timestamp of the next event, if any.
     pub fn peek_time_ms(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time_ms)
+        let next = if self.lane_fires_first() { self.lane.front() } else { self.heap.peek() };
+        next.map(|s| s.time_ms)
+    }
+
+    /// Whether the earliest pending event is the FIFO lane's front rather
+    /// than the heap's root (`false` when both lanes are empty).
+    fn lane_fires_first(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(lane), Some(heap)) => fires_before(lane, heap),
+            (lane, _) => lane.is_some(),
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn events_pop_in_time_order() {
@@ -245,5 +283,65 @@ mod tests {
     fn nan_times_are_rejected() {
         let mut q = EventQueue::new();
         q.schedule(f64::NAN, ());
+    }
+
+    // The two-lane queue must pop in exactly the `(time_ms, seq)` order of
+    // a reference that sorts every pending event, under random
+    // interleavings of schedule and pop that mix a monotone far-future
+    // stream (the lane's traffic), near-term times (the heap's traffic) and
+    // exactly equal timestamps (the `seq` tie-break), and its `len`,
+    // `is_empty` and `peek_time_ms` must agree with the reference after
+    // every operation.
+    proptest! {
+        #[test]
+        fn two_lane_pops_match_a_reference_sort(
+            kinds in proptest::collection::vec(0u8..6, 256),
+            draws in proptest::collection::vec(0u32..64, 256)
+        ) {
+            let mut queue = EventQueue::new();
+            let mut reference: Vec<(f64, u64, usize)> = Vec::new();
+            let mut far_ms: f64 = 1.0e6;
+            let mut last_ms: f64 = 0.0;
+            let first = |pending: &[(f64, u64, usize)]| {
+                (0..pending.len()).min_by(|&a, &b| {
+                    pending[a].0.total_cmp(&pending[b].0).then(pending[a].1.cmp(&pending[b].1))
+                })
+            };
+            for (op, (&kind, &draw)) in kinds.iter().zip(&draws).enumerate() {
+                let now = queue.now_ms();
+                let time_ms = match kind {
+                    0 | 1 => None,
+                    2 => {
+                        // Monotone far future; a zero step repeats the tail.
+                        far_ms = far_ms.max(now) + f64::from(draw % 4) * 125.0;
+                        Some(far_ms)
+                    }
+                    3 => Some(now + f64::from(draw) * 0.5),
+                    4 => Some(now),
+                    _ => Some(last_ms.max(now)),
+                };
+                match time_ms {
+                    Some(time_ms) => {
+                        let seq = queue.schedule(time_ms, op);
+                        reference.push((time_ms, seq, op));
+                        last_ms = time_ms;
+                    }
+                    None => {
+                        let expected = first(&reference).map(|i| reference.remove(i));
+                        let popped = queue.pop().map(|s| (s.time_ms, s.seq, s.event));
+                        prop_assert_eq!(popped, expected);
+                    }
+                }
+                prop_assert_eq!(queue.len(), reference.len());
+                prop_assert_eq!(queue.is_empty(), reference.is_empty());
+                prop_assert_eq!(queue.peek_time_ms(), first(&reference).map(|i| reference[i].0));
+            }
+            while let Some(i) = first(&reference) {
+                let expected = reference.remove(i);
+                let popped = queue.pop().map(|s| (s.time_ms, s.seq, s.event));
+                prop_assert_eq!(popped, Some(expected));
+            }
+            prop_assert!(queue.pop().is_none());
+        }
     }
 }

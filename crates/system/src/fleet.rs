@@ -53,7 +53,11 @@
 //!
 //! The engine is one sequential loop over one [`crate::des::EventQueue`] in
 //! global `(time, seq)` order; a sweep parallelises across cells, not
-//! within one.
+//! within one.  The queue's FIFO lane absorbs the monotone stream of
+//! far-future upload completions that a saturated uplink grants in time
+//! order, so its heap holds only the near-term events; routing reads the
+//! server pool in place through [`Router::route_by`].  Neither allocates in
+//! the steady state (see the `event_arena` allocation-counting test).
 
 mod faults;
 mod scheduler;
@@ -570,10 +574,10 @@ impl Engine<'_> {
         }
         let session = &self.sessions[robot];
         let wants_trajectory = !session.is_baseline;
-        // Blind routing (round-robin, or any single-server pool) skips the
-        // per-server snapshots entirely — this is the engine's hot path and
-        // the shape the tracked fleet benches measure.  Crash plans force
-        // the snapshot path so every policy can route around dead servers.
+        // Blind routing (round-robin, or any single-server pool) looks at no
+        // server at all.  Everything else routes over an indexed view of the
+        // pool, which allocates nothing; crash plans always take the view so
+        // every policy can route around dead servers.
         let target =
             match (!has_crashes).then(|| self.router.try_route_blind(self.servers.len())).flatten()
             {
@@ -584,16 +588,12 @@ impl Engine<'_> {
                         // and the robot recovers via its timeout.
                         return;
                     }
-                    let snapshots: Vec<ServerSnapshot> = self
-                        .servers
-                        .iter()
-                        .map(|server| ServerSnapshot {
-                            queue_depth: server.depth(),
-                            service_ms: server.config.service_ms(wants_trajectory),
-                            up: server.up,
-                        })
-                        .collect();
-                    self.router.route(&snapshots)
+                    let servers = &self.servers;
+                    self.router.route_by(servers.len(), |i| ServerSnapshot {
+                        queue_depth: servers[i].depth(),
+                        service_ms: servers[i].config.service_ms(wants_trajectory),
+                        up: servers[i].up,
+                    })
                 }
             };
         let seq = self.arrival_seq;

@@ -2,8 +2,9 @@
 //!
 //! With more than one [`crate::fleet::ServerConfig`] in a fleet, every
 //! offloaded request must be placed on exactly one server the moment its
-//! upload completes.  The [`Router`] makes that decision from a snapshot of
-//! the pool ([`ServerSnapshot`] per server) under one of three policies:
+//! upload completes.  The [`Router`] makes that decision from an indexed
+//! view of the pool (a [`ServerSnapshot`] per server index, produced on
+//! demand by the caller) under one of three policies:
 //!
 //! * [`RoutingPolicy::RoundRobin`] — cycle through the servers in arrival
 //!   order.  Stateless with respect to the pool (the decision depends only
@@ -23,9 +24,13 @@
 //!
 //! Routing is fully deterministic: no randomness, ties broken by server
 //! index, so fleet runs stay byte-identical across repeats and worker
-//! counts.
+//! counts.  It is also allocation-free: [`Router::route_by`] scans the view
+//! in place, and both the DES engine and the live coordinator route every
+//! request through it (after [`Router::try_route_blind`], which needs no
+//! view at all).
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 
@@ -128,6 +133,10 @@ pub struct ServerSnapshot {
 
 /// The routing decision engine: a policy plus the small amount of state the
 /// policy needs (the round-robin cursor).
+///
+/// Two entry points share that state: [`Router::try_route_blind`] answers
+/// without looking at the pool when the policy allows it, and
+/// [`Router::route_by`] decides over an indexed view of the pool.
 #[derive(Debug, Clone)]
 pub struct Router {
     policy: RoutingPolicy,
@@ -148,8 +157,8 @@ impl Router {
     /// Routes without looking at the pool, when the policy allows it:
     /// round-robin depends only on how many requests were routed before,
     /// and any single-server pool has exactly one answer.  Returns `None`
-    /// when the policy needs [`ServerSnapshot`]s — the engine's hot loop
-    /// uses this to skip building snapshots for the common cases.
+    /// when the policy needs to see the pool; callers then fall back to
+    /// [`Router::route_by`], so the common cases never read server state.
     ///
     /// # Panics
     ///
@@ -167,7 +176,13 @@ impl Router {
         }
     }
 
-    /// Picks the server for one request from a snapshot of the pool.
+    /// Picks the server for one request from an indexed view of the pool:
+    /// `snapshot(i)` describes server `i` for `i in 0..pool_size`.
+    ///
+    /// Routing builds nothing on the heap: it filters health and scans the
+    /// pool in place, so a caller passes a closure over its own server
+    /// state instead of materialising a snapshot slice per request.
+    /// `snapshot` may be called more than once per server.
     ///
     /// Crashed servers (`up: false`) are excluded from the decision as long
     /// as at least one healthy server remains; an all-down pool falls back
@@ -178,35 +193,56 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if `servers` is empty — a fleet always has at least one
+    /// Panics if `pool_size` is zero — a fleet always has at least one
     /// server.
-    pub fn route(&mut self, servers: &[ServerSnapshot]) -> usize {
-        assert!(!servers.is_empty(), "cannot route across an empty server pool");
-        let healthy: Vec<usize> = (0..servers.len()).filter(|&i| servers[i].up).collect();
-        let candidates: Vec<usize> =
-            if healthy.is_empty() { (0..servers.len()).collect() } else { healthy };
+    pub fn route_by(
+        &mut self,
+        pool_size: usize,
+        snapshot: impl Fn(usize) -> ServerSnapshot,
+    ) -> usize {
+        assert!(pool_size > 0, "cannot route across an empty server pool");
         match self.policy {
             RoutingPolicy::RoundRobin => {
-                let pick = candidates[self.round_robin_next % candidates.len()];
-                self.round_robin_next = (self.round_robin_next + 1) % candidates.len();
-                pick
+                let healthy = (0..pool_size).filter(|&i| snapshot(i).up).count();
+                let candidates = if healthy == 0 { pool_size } else { healthy };
+                let rank = self.round_robin_next % candidates;
+                self.round_robin_next = (self.round_robin_next + 1) % candidates;
+                (0..pool_size)
+                    .filter(|&i| healthy == 0 || snapshot(i).up)
+                    .nth(rank)
+                    .expect("rank is below the candidate count")
             }
-            RoutingPolicy::LeastQueueDepth => candidates
-                .iter()
-                .copied()
-                .min_by_key(|&index| (servers[index].queue_depth, index))
-                .expect("pool is non-empty"),
-            RoutingPolicy::DeviceAffinity => candidates
-                .iter()
-                .copied()
-                .min_by(|&ia, &ib| {
-                    affinity_cost(&servers[ia])
-                        .total_cmp(&affinity_cost(&servers[ib]))
-                        .then(ia.cmp(&ib))
-                })
-                .expect("pool is non-empty"),
+            RoutingPolicy::LeastQueueDepth => {
+                lowest(pool_size, snapshot, |a, b| a.queue_depth < b.queue_depth)
+            }
+            RoutingPolicy::DeviceAffinity => lowest(pool_size, snapshot, |a, b| {
+                affinity_cost(a).total_cmp(&affinity_cost(b)) == Ordering::Less
+            }),
         }
     }
+}
+
+/// The index of the candidate server no other candidate is `better` than,
+/// found in one pass over the pool.  The candidates are the healthy
+/// servers, or the whole pool when none is up.  Only a strictly better
+/// server displaces the incumbent, so ties go to the lower index.
+fn lowest(
+    pool_size: usize,
+    snapshot: impl Fn(usize) -> ServerSnapshot,
+    better: impl Fn(&ServerSnapshot, &ServerSnapshot) -> bool,
+) -> usize {
+    let mut best_up: Option<(usize, ServerSnapshot)> = None;
+    let mut best_any: Option<(usize, ServerSnapshot)> = None;
+    for index in 0..pool_size {
+        let server = snapshot(index);
+        if server.up && best_up.is_none_or(|(_, best)| better(&server, &best)) {
+            best_up = Some((index, server));
+        }
+        if best_any.is_none_or(|(_, best)| better(&server, &best)) {
+            best_any = Some((index, server));
+        }
+    }
+    best_up.or(best_any).expect("pool is non-empty").0
 }
 
 /// Estimated completion cost of a request on one server: its service time on
@@ -229,6 +265,12 @@ mod tests {
         ServerSnapshot { queue_depth, service_ms, up: false }
     }
 
+    /// Routes one request over a pool held in a slice, through the indexed
+    /// view the fleet engine and the live coordinator use.
+    fn route(router: &mut Router, pool: &[ServerSnapshot]) -> usize {
+        router.route_by(pool.len(), |i| pool[i])
+    }
+
     #[test]
     fn blind_routing_matches_snapshot_routing() {
         // Round-robin routes blind and must advance the same cursor either
@@ -237,7 +279,7 @@ mod tests {
         let mut blind = Router::new(RoutingPolicy::RoundRobin);
         let mut full = Router::new(RoutingPolicy::RoundRobin);
         for _ in 0..7 {
-            assert_eq!(blind.try_route_blind(pool.len()), Some(full.route(&pool)));
+            assert_eq!(blind.try_route_blind(pool.len()), Some(route(&mut full, &pool)));
         }
         for policy in [RoutingPolicy::LeastQueueDepth, RoutingPolicy::DeviceAffinity] {
             let mut router = Router::new(policy);
@@ -250,38 +292,38 @@ mod tests {
     fn round_robin_cycles_in_order() {
         let mut router = Router::new(RoutingPolicy::RoundRobin);
         let pool = vec![snapshot(9, 1.0), snapshot(0, 1.0), snapshot(3, 1.0)];
-        let picks: Vec<usize> = (0..7).map(|_| router.route(&pool)).collect();
+        let picks: Vec<usize> = (0..7).map(|_| route(&mut router, &pool)).collect();
         assert_eq!(picks, [0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]
     fn least_queue_depth_prefers_the_shallow_queue_and_low_index_ties() {
         let mut router = Router::new(RoutingPolicy::LeastQueueDepth);
-        assert_eq!(router.route(&[snapshot(4, 1.0), snapshot(1, 1.0), snapshot(2, 1.0)]), 1);
-        assert_eq!(router.route(&[snapshot(2, 1.0), snapshot(2, 1.0), snapshot(5, 1.0)]), 0);
+        assert_eq!(route(&mut router, &[snapshot(4, 1.0), snapshot(1, 1.0), snapshot(2, 1.0)]), 1);
+        assert_eq!(route(&mut router, &[snapshot(2, 1.0), snapshot(2, 1.0), snapshot(5, 1.0)]), 0);
     }
 
     #[test]
     fn device_affinity_weighs_service_time_against_stacked_work() {
         let mut router = Router::new(RoutingPolicy::DeviceAffinity);
         // An idle slow server loses to a lightly loaded fast one …
-        assert_eq!(router.route(&[snapshot(1, 100.0), snapshot(0, 1000.0)]), 0);
+        assert_eq!(route(&mut router, &[snapshot(1, 100.0), snapshot(0, 1000.0)]), 0);
         // … until the fast queue grows deep enough.
-        assert_eq!(router.route(&[snapshot(12, 100.0), snapshot(0, 1000.0)]), 1);
+        assert_eq!(route(&mut router, &[snapshot(12, 100.0), snapshot(0, 1000.0)]), 1);
     }
 
     #[test]
     fn every_policy_routes_around_down_servers() {
         // LQD: the shallowest queue is on a dead server — skip it.
         let mut lqd = Router::new(RoutingPolicy::LeastQueueDepth);
-        assert_eq!(lqd.route(&[down(0, 1.0), snapshot(5, 1.0), snapshot(2, 1.0)]), 2);
+        assert_eq!(route(&mut lqd, &[down(0, 1.0), snapshot(5, 1.0), snapshot(2, 1.0)]), 2);
         // Affinity: the cheapest device is down — pay for the live one.
         let mut affinity = Router::new(RoutingPolicy::DeviceAffinity);
-        assert_eq!(affinity.route(&[down(0, 100.0), snapshot(0, 1000.0)]), 1);
+        assert_eq!(route(&mut affinity, &[down(0, 100.0), snapshot(0, 1000.0)]), 1);
         // Round-robin cycles over the healthy subset only.
         let mut rr = Router::new(RoutingPolicy::RoundRobin);
         let pool = vec![snapshot(0, 1.0), down(0, 1.0), snapshot(0, 1.0)];
-        let picks: Vec<usize> = (0..4).map(|_| rr.route(&pool)).collect();
+        let picks: Vec<usize> = (0..4).map(|_| route(&mut rr, &pool)).collect();
         assert_eq!(picks, [0, 2, 0, 2]);
     }
 
@@ -290,7 +332,7 @@ mod tests {
         // The engine never routes into an all-down pool, but the router
         // itself stays total rather than panicking.
         let mut router = Router::new(RoutingPolicy::LeastQueueDepth);
-        assert_eq!(router.route(&[down(4, 1.0), down(1, 1.0)]), 1);
+        assert_eq!(route(&mut router, &[down(4, 1.0), down(1, 1.0)]), 1);
     }
 
     #[test]
@@ -316,6 +358,30 @@ mod tests {
         (0..n).map(|i| snapshot(depths[i], services[i])).collect()
     }
 
+    /// The candidate-list routing rule spelled out with `Vec`s: the healthy
+    /// subset (or the whole pool when none is up), then round-robin rank,
+    /// `(depth, index)` minimum or `(cost, index)` minimum over it.
+    fn reference_pick(policy: RoutingPolicy, cursor: &mut usize, pool: &[ServerSnapshot]) -> usize {
+        let healthy: Vec<usize> = (0..pool.len()).filter(|&i| pool[i].up).collect();
+        let candidates = if healthy.is_empty() { (0..pool.len()).collect() } else { healthy };
+        match policy {
+            RoutingPolicy::RoundRobin => {
+                let pick = candidates[*cursor % candidates.len()];
+                *cursor = (*cursor + 1) % candidates.len();
+                pick
+            }
+            RoutingPolicy::LeastQueueDepth => {
+                candidates.into_iter().min_by_key(|&i| (pool[i].queue_depth, i)).unwrap()
+            }
+            RoutingPolicy::DeviceAffinity => candidates
+                .into_iter()
+                .min_by(|&a, &b| {
+                    affinity_cost(&pool[a]).total_cmp(&affinity_cost(&pool[b])).then(a.cmp(&b))
+                })
+                .unwrap(),
+        }
+    }
+
     // Least-queue-depth must never route to a strictly deeper queue than
     // some other server offers; round-robin must depend on nothing but the
     // number of requests routed so far; and every policy must return a
@@ -328,7 +394,7 @@ mod tests {
             len_pick in 0usize..64
         ) {
             let pool = arbitrary_pool(&depths, &services, len_pick);
-            let pick = Router::new(RoutingPolicy::LeastQueueDepth).route(&pool);
+            let pick = route(&mut Router::new(RoutingPolicy::LeastQueueDepth), &pool);
             let best = pool.iter().map(|s| s.queue_depth).min().expect("non-empty");
             prop_assert_eq!(pool[pick].queue_depth, best);
         }
@@ -343,7 +409,7 @@ mod tests {
             let pool = arbitrary_pool(&depths, &services, len_pick);
             let mut router = Router::new(RoutingPolicy::RoundRobin);
             for k in 0..requests {
-                prop_assert_eq!(router.route(&pool), k % pool.len());
+                prop_assert_eq!(route(&mut router, &pool), k % pool.len());
             }
         }
 
@@ -355,7 +421,7 @@ mod tests {
         ) {
             let pool = arbitrary_pool(&depths, &services, len_pick);
             for policy in RoutingPolicy::ALL {
-                let pick = Router::new(policy).route(&pool);
+                let pick = route(&mut Router::new(policy), &pool);
                 prop_assert!(pick < pool.len());
             }
         }
@@ -373,8 +439,37 @@ mod tests {
             }
             if pool.iter().any(|s| s.up) {
                 for policy in RoutingPolicy::ALL {
-                    let pick = Router::new(policy).route(&pool);
+                    let pick = route(&mut Router::new(policy), &pool);
                     prop_assert!(pool[pick].up, "{policy:?} routed to a down server");
+                }
+            }
+        }
+
+        // The in-place scan must agree with the candidate-list rule request
+        // by request: ties to the lower index, the round-robin cursor over
+        // the healthy subset, and the health-blind all-down fallback.  Few
+        // distinct depths and services make ties common.
+        #[test]
+        fn route_by_matches_the_candidate_list_rule(
+            depths in proptest::collection::vec(0usize..3, 8),
+            service_picks in proptest::collection::vec(0usize..3, 8),
+            up_picks in proptest::collection::vec(0usize..3, 8),
+            len_pick in 0usize..64,
+            requests in 1usize..12
+        ) {
+            let services: Vec<f64> = service_picks.iter().map(|&k| [50.0, 100.0, 200.0][k]).collect();
+            let mut pool = arbitrary_pool(&depths, &services, len_pick);
+            for (index, server) in pool.iter_mut().enumerate() {
+                server.up = up_picks[index] != 0;
+            }
+            for policy in RoutingPolicy::ALL {
+                let mut router = Router::new(policy);
+                let mut cursor = 0;
+                for _ in 0..requests {
+                    prop_assert_eq!(
+                        route(&mut router, &pool),
+                        reference_pick(policy, &mut cursor, &pool)
+                    );
                 }
             }
         }
