@@ -1,14 +1,15 @@
 //! Benchmarks of the small kernels on the fleet-serving hot paths: the DES
 //! event queue behind every fleet run (random near-term traffic, and the
-//! saturated-uplink pattern its FIFO lane absorbs), the shared-memory hops
-//! of the live path, and the always-on telemetry recorder in both of its
-//! homes.
+//! saturated-uplink pattern its FIFO lane absorbs), a shortest-trajectory-
+//! first server queue a thousand requests deep, the shared-memory hops of
+//! the live path, and the always-on telemetry recorder in both of its homes.
 //!
 //! Timings are host-bound and never committed; `python3 benchmark/run.py`
 //! measures the serving paths end to end.
 
 use corki_ipc::ShmSegment;
 use corki_system::des::EventQueue;
+use corki_system::{PendingRequest, SchedulerKind};
 use corki_telemetry::{Recorder, ShmTelemetry, Stage, PAGE_WORDS};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -69,6 +70,40 @@ fn bench_des_queue(c: &mut Criterion) {
                 queue.schedule(queue.now_ms() + 1.0 + (state >> 58) as f64, 0);
             }
             black_box(popped)
+        })
+    });
+    group.finish();
+}
+
+/// One dispatch at a shortest-trajectory-first server 1,024 requests deep
+/// (an overloaded server whose timed-out requests pile up): each iteration
+/// pushes one request with a Corki-1, -5 or -9 plan and pops the shortest.
+fn bench_scheduler(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scheduler");
+    let mut scheduler = SchedulerKind::ShortestTrajectoryFirst.build();
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut seq = 0u64;
+    let mut next_request = || {
+        state = lcg(state);
+        seq += 1;
+        PendingRequest {
+            robot: (state >> 48) as usize % 48,
+            arrival_ms: seq as f64,
+            service_ms: 29.0,
+            planned_steps: [1, 5, 9][(state >> 40) as usize % 3],
+            seq,
+            attempt: 0,
+        }
+    };
+    for _ in 0..1024 {
+        scheduler.push(next_request());
+    }
+    let mut batch = Vec::with_capacity(1);
+    group.bench_function("stf_deep_queue", |b| {
+        b.iter(|| {
+            scheduler.push(next_request());
+            scheduler.pop_batch_into(0.0, &mut batch);
+            black_box(&batch);
         })
     });
     group.finish();
@@ -168,5 +203,5 @@ fn bench_telemetry(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_des_queue, bench_ipc_transit, bench_telemetry);
+criterion_group!(benches, bench_des_queue, bench_scheduler, bench_ipc_transit, bench_telemetry);
 criterion_main!(benches);

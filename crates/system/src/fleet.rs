@@ -689,7 +689,7 @@ impl Engine<'_> {
             server.busy = false;
             server.batch.clear();
         }
-        drop(server.scheduler.drain());
+        server.scheduler.clear();
     }
 
     /// The crashed server comes back empty and healthy.

@@ -2,15 +2,16 @@
 //!
 //! A [`BatchScheduler`] is a pure `event in → actions out` core: requests go
 //! in via [`push`](BatchScheduler::push), batches come out via
-//! [`pop_batch`](BatchScheduler::pop_batch), and the *caller* owns the clock
-//! (`now_ms` is a parameter, never read from a timer).  The same scheduler
-//! objects therefore serve two drivers: the deterministic DES engine of
-//! [`crate::fleet::FleetSimulator`], which feeds simulated milliseconds, and
-//! the live `corki-serve` coordinator, which feeds wall-clock milliseconds
-//! measured since the run epoch.
+//! [`pop_batch_into`](BatchScheduler::pop_batch_into), and the *caller* owns
+//! the clock (`now_ms` is a parameter, never read from a timer).  The same
+//! scheduler objects therefore serve two drivers: the deterministic DES
+//! engine of [`crate::fleet::FleetSimulator`], which feeds simulated
+//! milliseconds, and the live `corki-serve` coordinator, which feeds
+//! wall-clock milliseconds measured since the run epoch.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 use super::server::ServerConfig;
 
@@ -182,33 +183,27 @@ pub struct PendingRequest {
 /// Decides when queued inference requests are released as a batch.
 ///
 /// The driver calls [`push`](BatchScheduler::push) on every arrival and
-/// [`pop_batch`](BatchScheduler::pop_batch) whenever the server goes idle;
-/// a scheduler that holds requests back (e.g. waiting for a batch to fill)
-/// reports the release deadline via
+/// [`pop_batch_into`](BatchScheduler::pop_batch_into) whenever the server
+/// goes idle; a scheduler that holds requests back (e.g. waiting for a batch
+/// to fill) reports the release deadline via
 /// [`next_release_ms`](BatchScheduler::next_release_ms) so the driver can
 /// schedule a wake-up (a DES event, or a poll deadline in the live path).
 pub trait BatchScheduler: std::fmt::Debug {
     /// Accepts a newly arrived request.
     fn push(&mut self, request: PendingRequest);
-    /// Releases the batch to serve now, or an empty vector to keep waiting.
-    fn pop_batch(&mut self, now_ms: f64) -> Vec<PendingRequest>;
-    /// Like [`pop_batch`](BatchScheduler::pop_batch), but fills a
-    /// caller-provided buffer (cleared first) so the engine's dispatch loop
-    /// can recycle batch allocations.  The default delegates to
-    /// `pop_batch`; the built-in schedulers override it to fill `out`
-    /// directly.
-    fn pop_batch_into(&mut self, now_ms: f64, out: &mut Vec<PendingRequest>) {
-        out.clear();
-        out.append(&mut self.pop_batch(now_ms));
-    }
+    /// Fills `out` (cleared first) with the batch to serve now, or leaves it
+    /// empty to keep waiting.  The caller owns `out`, so the engine's
+    /// dispatch loop recycles batch allocations.
+    fn pop_batch_into(&mut self, now_ms: f64, out: &mut Vec<PendingRequest>);
     /// The earliest time a held-back batch would be released without new
     /// arrivals (None when the scheduler never holds requests back).
     fn next_release_ms(&self) -> Option<f64>;
     /// Number of queued requests.
     fn pending(&self) -> usize;
-    /// Removes and returns every queued request (a crashed server drops its
-    /// queue; the abandoned robots recover via their timeouts).
-    fn drain(&mut self) -> Vec<PendingRequest>;
+    /// Forgets every queued request but keeps the queue's storage (a crashed
+    /// server drops its queue; the abandoned robots recover via their
+    /// timeouts).
+    fn clear(&mut self);
 }
 
 /// One-at-a-time FIFO service.
@@ -220,10 +215,6 @@ pub struct FifoScheduler {
 impl BatchScheduler for FifoScheduler {
     fn push(&mut self, request: PendingRequest) {
         self.queue.push_back(request);
-    }
-
-    fn pop_batch(&mut self, _now_ms: f64) -> Vec<PendingRequest> {
-        self.queue.pop_front().into_iter().collect()
     }
 
     fn pop_batch_into(&mut self, _now_ms: f64, out: &mut Vec<PendingRequest>) {
@@ -239,8 +230,8 @@ impl BatchScheduler for FifoScheduler {
         self.queue.len()
     }
 
-    fn drain(&mut self) -> Vec<PendingRequest> {
-        self.queue.drain(..).collect()
+    fn clear(&mut self) {
+        self.queue.clear();
     }
 }
 
@@ -267,18 +258,6 @@ impl BatchScheduler for DynamicBatchScheduler {
         self.queue.push_back(request);
     }
 
-    fn pop_batch(&mut self, now_ms: f64) -> Vec<PendingRequest> {
-        let ready_by_size = self.queue.len() >= self.max_batch;
-        let ready_by_timeout =
-            self.queue.front().is_some_and(|oldest| oldest.arrival_ms + self.timeout_ms <= now_ms);
-        if ready_by_size || ready_by_timeout {
-            let take = self.queue.len().min(self.max_batch);
-            self.queue.drain(..take).collect()
-        } else {
-            Vec::new()
-        }
-    }
-
     fn pop_batch_into(&mut self, now_ms: f64, out: &mut Vec<PendingRequest>) {
         out.clear();
         let ready_by_size = self.queue.len() >= self.max_batch;
@@ -298,48 +277,68 @@ impl BatchScheduler for DynamicBatchScheduler {
         self.queue.len()
     }
 
-    fn drain(&mut self) -> Vec<PendingRequest> {
-        self.queue.drain(..).collect()
+    fn clear(&mut self) {
+        self.queue.clear();
     }
 }
 
 /// Shortest-trajectory-first arbitration: requests whose plans cover fewer
-/// control steps (robots that will be back soonest) are served first.
+/// control steps (robots that will be back soonest) are served first, one
+/// at a time.
+///
+/// The queue is a binary heap keyed on `(planned_steps, seq, push index)`,
+/// so a push and a pop each cost O(log n) in the queue depth.  Ties on
+/// `(planned_steps, seq)` go to the earliest-pushed request, even when a
+/// caller repeats `seq`.
 #[derive(Debug, Default)]
 pub struct ShortestTrajectoryFirstScheduler {
-    queue: Vec<PendingRequest>,
+    heap: BinaryHeap<Queued>,
+    pushes: u64,
 }
+
+/// A request waiting in the STF heap, with the push index that breaks ties.
+#[derive(Debug)]
+struct Queued {
+    request: PendingRequest,
+    index: u64,
+}
+
+impl Queued {
+    fn key(&self) -> (usize, u64, u64) {
+        (self.request.planned_steps, self.request.seq, self.index)
+    }
+}
+
+/// Reversed, so `BinaryHeap` (a max-heap) pops the smallest key first.
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Queued {}
 
 impl BatchScheduler for ShortestTrajectoryFirstScheduler {
     fn push(&mut self, request: PendingRequest) {
-        self.queue.push(request);
-    }
-
-    fn pop_batch(&mut self, _now_ms: f64) -> Vec<PendingRequest> {
-        if self.queue.is_empty() {
-            return Vec::new();
-        }
-        let best = self
-            .queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| (r.planned_steps, r.seq))
-            .map(|(i, _)| i)
-            .expect("queue is non-empty");
-        vec![self.queue.remove(best)]
+        self.heap.push(Queued { request, index: self.pushes });
+        self.pushes += 1;
     }
 
     fn pop_batch_into(&mut self, _now_ms: f64, out: &mut Vec<PendingRequest>) {
         out.clear();
-        if let Some(best) = self
-            .queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| (r.planned_steps, r.seq))
-            .map(|(i, _)| i)
-        {
-            out.push(self.queue.remove(best));
-        }
+        out.extend(self.heap.pop().map(|queued| queued.request));
     }
 
     fn next_release_ms(&self) -> Option<f64> {
@@ -347,10 +346,86 @@ impl BatchScheduler for ShortestTrajectoryFirstScheduler {
     }
 
     fn pending(&self) -> usize {
-        self.queue.len()
+        self.heap.len()
     }
 
-    fn drain(&mut self) -> Vec<PendingRequest> {
-        std::mem::take(&mut self.queue)
+    fn clear(&mut self) {
+        self.heap.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn request(robot: usize, planned_steps: usize, seq: u64) -> PendingRequest {
+        PendingRequest { robot, arrival_ms: 0.0, service_ms: 1.0, planned_steps, seq, attempt: 0 }
+    }
+
+    #[test]
+    fn a_crashed_server_forgets_its_queue() {
+        for kind in [
+            SchedulerKind::Fifo,
+            SchedulerKind::DynamicBatch { max_batch: 4, timeout_ms: 5.0 },
+            SchedulerKind::ShortestTrajectoryFirst,
+        ] {
+            let mut scheduler = kind.build();
+            for robot in 0..6 {
+                scheduler.push(request(robot, 5 - robot % 3, robot as u64));
+            }
+            assert_eq!(scheduler.pending(), 6, "{kind}");
+            scheduler.clear();
+            assert_eq!(scheduler.pending(), 0, "{kind}");
+            assert_eq!(scheduler.next_release_ms(), None, "{kind}");
+            let mut batch = vec![request(99, 1, 99)];
+            scheduler.pop_batch_into(1.0e9, &mut batch);
+            assert!(batch.is_empty(), "{kind}: a cleared queue releases nothing");
+        }
+    }
+
+    // The heap pops exactly what the old linear scan did:
+    // `min_by_key((planned_steps, seq))` over the queue in push order (the
+    // earliest-pushed minimum wins), then `Vec::remove`.
+    proptest! {
+        #[test]
+        fn stf_pops_match_the_linear_scan_rule(
+            ops in proptest::collection::vec((0u8..32, 0usize..3, 0u8..8), 256)
+        ) {
+            let mut scheduler = ShortestTrajectoryFirstScheduler::default();
+            let mut reference: Vec<PendingRequest> = Vec::new();
+            let mut seq = 0u64;
+            let mut batch = Vec::new();
+            for (robot, &(op, steps, seq_draw)) in ops.iter().enumerate() {
+                match op {
+                    // Push: few distinct step counts (many ties), and a
+                    // repeated `seq` one time in eight.
+                    0..=17 => {
+                        if seq_draw != 0 {
+                            seq += 1;
+                        }
+                        let pushed = request(robot, [1, 5, 9][steps], seq);
+                        scheduler.push(pushed);
+                        reference.push(pushed);
+                    }
+                    31 => {
+                        scheduler.clear();
+                        reference.clear();
+                    }
+                    _ => {
+                        scheduler.pop_batch_into(robot as f64, &mut batch);
+                        let expected = reference
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|(_, r)| (r.planned_steps, r.seq))
+                            .map(|(i, _)| i)
+                            .map(|best| reference.remove(best));
+                        prop_assert_eq!(batch.first().copied(), expected);
+                        prop_assert!(batch.len() <= 1);
+                    }
+                }
+                prop_assert_eq!(scheduler.pending(), reference.len());
+            }
+        }
     }
 }

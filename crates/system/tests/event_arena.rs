@@ -11,7 +11,7 @@ use corki_system::des::EventQueue;
 use corki_system::fleet::{FleetConfig, FleetSimulator};
 use corki_system::{
     CrashSpec, DataRepresentation, FaultPlan, InferenceDevice, InferenceModel, RoutingPolicy,
-    SchedulerKind, ServerConfig, Variant,
+    SchedulerKind, ServerConfig, TimeoutSpec, Variant,
 };
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -103,10 +103,13 @@ fn marginal_allocations_per_robot_frame(config: &FleetConfig) -> f64 {
 /// allocated once up front — so the marginal cost of a longer run is one
 /// more doubling of each per-run sample `Vec`, not per-event boxing or a
 /// snapshot per routed request.  The cells cover blind single-server
-/// routing, least-queue-depth and device-affinity routing over a pool, and
-/// a crash plan (which routes every request over the indexed view).
-/// Measured on x86-64 Linux: 7 allocations over the 5,760 extra
-/// robot-frames (0.0012 per robot-frame) in every cell.  One allocation per
+/// routing, least-queue-depth and device-affinity routing over a pool, a
+/// crash plan (which routes every request over the indexed view), and an
+/// overloaded shortest-trajectory-first server whose crash and timeouts
+/// keep its heap thousands of requests deep (the heap's backing `Vec` is
+/// kept across the crash).  Measured on x86-64 Linux: 7 allocations over
+/// the 5,760 extra robot-frames (0.0012 per robot-frame) in the first four
+/// cells, 4 (0.0007) in the STF cell.  One allocation per
 /// plan would read 0.2 here (Corki-5 plans every fifth frame), so the bound
 /// of 0.02 trips on any per-plan or per-request allocation.
 #[test]
@@ -131,11 +134,23 @@ fn fleet_event_loop_allocations_grow_sublinearly_with_the_horizon() {
         crashes: vec![CrashSpec { server: 1, at_ms: 500.0, down_ms: 400.0 }],
         ..FaultPlan::none()
     });
+    let mut overloaded_stf = FleetConfig::paper_defaults(Variant::CorkiFixed(5), 24, 2024);
+    let mix = [Variant::CorkiFixed(1), Variant::CorkiFixed(5), Variant::CorkiFixed(9)];
+    for (robot, variant) in overloaded_stf.robots.iter_mut().zip(mix.iter().cycle()) {
+        robot.variant = variant.clone();
+    }
+    overloaded_stf.set_scheduler(SchedulerKind::ShortestTrajectoryFirst);
+    overloaded_stf.faults = Some(FaultPlan {
+        crashes: vec![CrashSpec { server: 0, at_ms: 500.0, down_ms: 400.0 }],
+        timeout: Some(TimeoutSpec { timeout_ms: 600.0, max_retries: 2, backoff_ms: 50.0 }),
+        ..FaultPlan::none()
+    });
     for (name, config) in [
         ("blind", &blind),
         ("least-queue-depth", &least_queue_depth),
         ("device-affinity", &affinity),
         ("crash", &crash),
+        ("overloaded-stf", &overloaded_stf),
     ] {
         let per_robot_frame = marginal_allocations_per_robot_frame(config);
         assert!(
