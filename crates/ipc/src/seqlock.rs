@@ -140,6 +140,10 @@ impl<'a> SeqlockSlot<'a> {
     /// returns the publish count alongside.  Retries spin briefly, then
     /// yield the CPU — on a single-core host a pure spin would otherwise
     /// burn the writer's entire timeslice.
+    ///
+    /// Retries are unbounded: a writer that publishes back to back without
+    /// pause can starve readers, since each copy may overlap the next
+    /// write.  The live path writes a slot once per plan, far apart.
     pub fn read(&self, out: &mut [u8]) -> u64 {
         let mut attempts = 0_u32;
         loop {
@@ -159,6 +163,8 @@ impl<'a> SeqlockSlot<'a> {
 #[cfg(test)]
 mod tests {
     use crate::ShmSegment;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn versions_count_publishes_and_reads_round_trip() {
@@ -181,40 +187,64 @@ mod tests {
 
     #[test]
     fn concurrent_writer_never_yields_a_torn_snapshot() {
-        // The writer publishes uniform-byte payloads (all 0x00, all 0x01,
-        // …); any mix of bytes in an accepted snapshot is a torn read.
+        // Publish `v` fills the payload with the byte `v as u8`, so an
+        // accepted snapshot must hold that one byte throughout; any other
+        // byte is a torn read.  The run is bounded by work, not by
+        // scheduling: the writer publishes a fixed number of versions, and
+        // after each one waits (boundedly) for the reader to accept a
+        // snapshot, since an unpaced writer can starve readers.  The reader
+        // checks every snapshot it accepts until the writer is done.
         const LEN: usize = 512; // Large payload: torn windows are wide.
+        const PUBLISHES: u64 = 10_000;
+        const MIN_ACCEPTED: u64 = 5_000;
+        const MAX_PAUSE_YIELDS: usize = 100;
         let seg = ShmSegment::anonymous(8192).expect("map");
         seg.init_seqlock(0, LEN);
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let start = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        // Paces the writer only; it publishes no data.
+        let accepted = AtomicU64::new(0);
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let slot = seg.seqlock(0).expect("attach writer");
-                let mut value = 0_u8;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    value = value.wrapping_add(1);
-                    slot.write(&[value; LEN]);
+                start.wait();
+                for version in 1..=PUBLISHES {
+                    slot.write(&[version as u8; LEN]);
+                    let seen = accepted.load(Ordering::Relaxed);
+                    for _ in 0..MAX_PAUSE_YIELDS {
+                        if accepted.load(Ordering::Relaxed) != seen {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
                 }
+                done.store(true, Ordering::Release);
             });
             scope.spawn(|| {
                 let slot = seg.seqlock(0).expect("attach reader");
                 let mut out = [0_u8; LEN];
-                let mut accepted = 0_u64;
                 let mut last_version = 0_u64;
-                while accepted < 5_000 {
+                start.wait();
+                while !done.load(Ordering::Acquire) {
                     let version = slot.read(&mut out);
-                    let first = out[0];
+                    let expected = version as u8;
                     assert!(
-                        out.iter().all(|&b| b == first),
-                        "torn snapshot at version {version}: {:?} != {first}",
-                        out.iter().find(|&&b| b != first)
+                        out.iter().all(|&b| b == expected),
+                        "torn snapshot at version {version}: {:?} != {expected}",
+                        out.iter().find(|&&b| b != expected)
                     );
                     assert!(version >= last_version, "versions must be monotonic");
                     last_version = version;
-                    accepted += 1;
+                    accepted.fetch_add(1, Ordering::Relaxed);
+                    // Hands a single core back to the waiting writer.
+                    std::thread::yield_now();
                 }
-                stop.store(true, std::sync::atomic::Ordering::Relaxed);
             });
         });
+        let accepted = accepted.into_inner();
+        assert!(
+            accepted >= MIN_ACCEPTED,
+            "the reader accepted only {accepted} snapshots while {PUBLISHES} were published"
+        );
     }
 }

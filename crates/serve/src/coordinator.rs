@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use corki::fleet::FleetSweepRow;
 use corki_ipc::{monotonic_ns, Doorbell, ShmSegment, SpscRing};
-use corki_system::fleet::{batch_service_ms, trim_warmup, RobotProfile};
+use corki_system::fleet::{batch_service_ms, trim_warmup, RobotProfile, WarmupSpec};
 use corki_system::{
     mean, percentile, scenario_fingerprint, BatchScheduler, ConcreteScenario, ControlBackend,
     PendingRequest, Router, ServerSnapshot,
@@ -64,7 +64,7 @@ pub fn ensure_live_supported(cell: &ConcreteScenario) -> Result<(), LiveError> {
             "shared-accelerator control arbitration is DES-only".into(),
         ));
     }
-    if cfg.auto_warmup {
+    if cfg.warmup_ms == WarmupSpec::Auto {
         return Err(LiveError::Unsupported(
             "adaptive (MSER-5) warm-up detection is DES-only; use a fixed warmup_ms".into(),
         ));
@@ -593,7 +593,7 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
             }
             progressed = true;
             let base_ms = batch.iter().map(|r| r.service_ms).fold(0.0, f64::max);
-            let service_ms = batch_service_ms(base_ms, batch.len(), cfg.batch_overhead);
+            let service_ms = batch_service_ms(base_ms, batch.len());
             let dispatch_ns = monotonic_ns();
             for request in &batch {
                 queue_samples.push((
@@ -703,7 +703,9 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
     let total_frames: u64 = fins.iter().map(|f| f.frames).sum();
     let offloaded_plans: u64 = offloaded_e2e_ms.len() as u64;
     let makespan_ms = fins.iter().map(|f| rel_ms(f.finish_ns, start_ns)).fold(0.0, f64::max);
-    let warmup_ms = cfg.warmup_ms;
+    let WarmupSpec::Fixed(warmup_ms) = cfg.warmup_ms else {
+        unreachable!("ensure_live_supported rejects adaptive warm-up")
+    };
     let plan_latencies = trim_warmup(&plan_samples, warmup_ms);
     let queue_waits = trim_warmup(&queue_samples, warmup_ms);
     let total_link_wait_ms: f64 = fins.iter().map(|f| f.link_wait_ns as f64 / 1e6).sum();

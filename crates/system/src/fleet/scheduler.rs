@@ -7,13 +7,16 @@
 //! scheduler objects therefore serve two drivers: the deterministic DES
 //! engine of [`crate::fleet::FleetSimulator`], which feeds simulated
 //! milliseconds, and the live `corki-serve` coordinator, which feeds
-//! wall-clock milliseconds measured since the run epoch.
+//! wall-clock milliseconds measured since the run epoch.  Both obtain their
+//! queues from [`SchedulerKind::build`] alone.
+//!
+//! There are two queues behind the three disciplines: the max-batch/timeout
+//! batcher (Clipper-style dynamic batching), which also serves `fifo` as the
+//! batcher of one, and the shortest-trajectory-first heap.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-
-use super::server::ServerConfig;
 
 /// How requests waiting at one inference server are released as batches.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,17 +37,12 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// A stable short name used in result tables (same as
-    /// [`Display`](std::fmt::Display)): `fifo`, `batch<max>-<timeout>ms` or
-    /// `stf`.
-    pub fn name(&self) -> String {
-        self.to_string()
-    }
-
-    /// Builds the scheduler implementation.
+    /// Builds the scheduler implementation.  FIFO service is the dynamic
+    /// batcher with a batch size of one: it releases each request the
+    /// moment it is queued, in arrival order.
     pub fn build(&self) -> Box<dyn BatchScheduler> {
         match *self {
-            SchedulerKind::Fifo => Box::new(FifoScheduler::default()),
+            SchedulerKind::Fifo => Box::new(DynamicBatchScheduler::new(1, 0.0)),
             SchedulerKind::DynamicBatch { max_batch, timeout_ms } => {
                 Box::new(DynamicBatchScheduler::new(max_batch, timeout_ms))
             }
@@ -56,13 +54,15 @@ impl SchedulerKind {
 }
 
 impl std::fmt::Display for SchedulerKind {
+    /// The stable short name used in result tables: `fifo`,
+    /// `batch<max>-<timeout>ms` or `stf`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SchedulerKind::Fifo => f.write_str("fifo"),
             SchedulerKind::DynamicBatch { max_batch, timeout_ms } => {
                 // Integral timeouts keep the historical `batch8-15ms` form;
                 // fractional ones print exactly so two distinct schedulers
-                // never share a label (and the label parses back losslessly).
+                // never share a label.
                 if timeout_ms.fract() == 0.0 {
                     write!(f, "batch{max_batch}-{timeout_ms:.0}ms")
                 } else {
@@ -71,92 +71,6 @@ impl std::fmt::Display for SchedulerKind {
             }
             SchedulerKind::ShortestTrajectoryFirst => f.write_str("stf"),
         }
-    }
-}
-
-/// Error produced when parsing an unknown batch-scheduler label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseSchedulerKindError(pub(crate) String);
-
-impl std::fmt::Display for ParseSchedulerKindError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown batch scheduler `{}` (expected fifo, stf or batch<max>-<timeout>ms)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseSchedulerKindError {}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = ParseSchedulerKindError;
-
-    /// Parses the canonical table labels case-insensitively: `fifo`, `stf`
-    /// (or `shortest-trajectory-first`) and `batch<max>-<timeout>ms`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let normalized = s.trim().to_ascii_lowercase();
-        match normalized.as_str() {
-            "fifo" => return Ok(SchedulerKind::Fifo),
-            "stf" | "shortest-trajectory-first" | "shortesttrajectoryfirst" => {
-                return Ok(SchedulerKind::ShortestTrajectoryFirst)
-            }
-            _ => {}
-        }
-        let parse_batch = || {
-            let body = normalized.strip_prefix("batch")?.strip_suffix("ms")?;
-            let (max_batch, timeout) = body.split_once('-')?;
-            let max_batch: usize = max_batch.parse().ok()?;
-            let timeout_ms: f64 = timeout.parse().ok()?;
-            (max_batch >= 1 && timeout_ms.is_finite() && timeout_ms >= 0.0)
-                .then_some(SchedulerKind::DynamicBatch { max_batch, timeout_ms })
-        };
-        parse_batch().ok_or_else(|| ParseSchedulerKindError(s.to_owned()))
-    }
-}
-
-/// The batching disciplines of a whole server pool, with the canonical
-/// label grammar used by every summary table: a uniform pool prints the
-/// single shared [`SchedulerKind`] name, a mixed pool prints the `+`-joined
-/// per-server names (`fifo+stf`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolSchedule(Vec<SchedulerKind>);
-
-impl PoolSchedule {
-    /// Wraps per-server disciplines into a pool schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty list — a pool always has at least one server.
-    pub fn new(schedulers: Vec<SchedulerKind>) -> Self {
-        assert!(!schedulers.is_empty(), "a pool schedule needs at least one scheduler");
-        PoolSchedule(schedulers)
-    }
-
-    /// The schedule of an existing server pool.
-    pub fn of_servers(servers: &[ServerConfig]) -> Self {
-        PoolSchedule::new(servers.iter().map(|s| s.scheduler).collect())
-    }
-
-    /// Whether every server runs the same discipline.
-    pub fn is_uniform(&self) -> bool {
-        self.0.iter().all(|s| *s == self.0[0])
-    }
-}
-
-impl std::fmt::Display for PoolSchedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_uniform() {
-            return write!(f, "{}", self.0[0]);
-        }
-        for (index, scheduler) in self.0.iter().enumerate() {
-            if index > 0 {
-                f.write_str("+")?;
-            }
-            write!(f, "{scheduler}")?;
-        }
-        Ok(())
     }
 }
 
@@ -206,40 +120,13 @@ pub trait BatchScheduler: std::fmt::Debug {
     fn clear(&mut self);
 }
 
-/// One-at-a-time FIFO service.
-#[derive(Debug, Default)]
-pub struct FifoScheduler {
-    queue: VecDeque<PendingRequest>,
-}
-
-impl BatchScheduler for FifoScheduler {
-    fn push(&mut self, request: PendingRequest) {
-        self.queue.push_back(request);
-    }
-
-    fn pop_batch_into(&mut self, _now_ms: f64, out: &mut Vec<PendingRequest>) {
-        out.clear();
-        out.extend(self.queue.pop_front());
-    }
-
-    fn next_release_ms(&self) -> Option<f64> {
-        None
-    }
-
-    fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn clear(&mut self) {
-        self.queue.clear();
-    }
-}
-
 /// Max-batch / timeout dynamic batching (the classic serving trade-off:
 /// larger batches amortise the forward pass, the timeout bounds how long a
-/// lone request waits for company).
+/// lone request waits for company).  With `max_batch` 1 it is FIFO
+/// service: the size check comes first, so every queued request is
+/// released at once and the timeout is never consulted.
 #[derive(Debug)]
-pub struct DynamicBatchScheduler {
+struct DynamicBatchScheduler {
     max_batch: usize,
     timeout_ms: f64,
     queue: VecDeque<PendingRequest>,
@@ -248,7 +135,7 @@ pub struct DynamicBatchScheduler {
 impl DynamicBatchScheduler {
     /// Creates a scheduler with the given knobs (`max_batch` is clamped to
     /// at least 1).
-    pub fn new(max_batch: usize, timeout_ms: f64) -> Self {
+    fn new(max_batch: usize, timeout_ms: f64) -> Self {
         DynamicBatchScheduler { max_batch: max_batch.max(1), timeout_ms, queue: VecDeque::new() }
     }
 }
@@ -260,10 +147,8 @@ impl BatchScheduler for DynamicBatchScheduler {
 
     fn pop_batch_into(&mut self, now_ms: f64, out: &mut Vec<PendingRequest>) {
         out.clear();
-        let ready_by_size = self.queue.len() >= self.max_batch;
-        let ready_by_timeout =
-            self.queue.front().is_some_and(|oldest| oldest.arrival_ms + self.timeout_ms <= now_ms);
-        if ready_by_size || ready_by_timeout {
+        let Some(oldest) = self.queue.front() else { return };
+        if self.queue.len() >= self.max_batch || oldest.arrival_ms + self.timeout_ms <= now_ms {
             let take = self.queue.len().min(self.max_batch);
             out.extend(self.queue.drain(..take));
         }
@@ -291,7 +176,7 @@ impl BatchScheduler for DynamicBatchScheduler {
 /// `(planned_steps, seq)` go to the earliest-pushed request, even when a
 /// caller repeats `seq`.
 #[derive(Debug, Default)]
-pub struct ShortestTrajectoryFirstScheduler {
+struct ShortestTrajectoryFirstScheduler {
     heap: BinaryHeap<Queued>,
     pushes: u64,
 }
@@ -381,6 +266,46 @@ mod tests {
             let mut batch = vec![request(99, 1, 99)];
             scheduler.pop_batch_into(1.0e9, &mut batch);
             assert!(batch.is_empty(), "{kind}: a cleared queue releases nothing");
+        }
+    }
+
+    // FIFO is the batcher of one, checked against a plain `VecDeque`: each
+    // pop releases at most the oldest request.  Every pop happens before
+    // the popped request's arrival stamp, so only the size check (never the
+    // timeout) can release it.
+    proptest! {
+        #[test]
+        fn fifo_pops_match_a_vecdeque(
+            ops in proptest::collection::vec((0u8..32, 0usize..3), 256)
+        ) {
+            let mut scheduler = SchedulerKind::Fifo.build();
+            let mut reference: VecDeque<PendingRequest> = VecDeque::new();
+            let mut batch = Vec::new();
+            for (robot, &(op, steps)) in ops.iter().enumerate() {
+                match op {
+                    0..=15 => {
+                        let pushed = PendingRequest {
+                            arrival_ms: 1.0e6 + robot as f64,
+                            ..request(robot, [1, 5, 9][steps], robot as u64)
+                        };
+                        scheduler.push(pushed);
+                        reference.push_back(pushed);
+                    }
+                    31 => {
+                        scheduler.clear();
+                        reference.clear();
+                    }
+                    _ => {
+                        scheduler.pop_batch_into(robot as f64, &mut batch);
+                        prop_assert!(batch.len() <= 1);
+                        prop_assert_eq!(batch.first().copied(), reference.pop_front());
+                    }
+                }
+                prop_assert_eq!(scheduler.pending(), reference.len());
+                if reference.is_empty() {
+                    prop_assert_eq!(scheduler.next_release_ms(), None);
+                }
+            }
         }
     }
 

@@ -47,19 +47,22 @@ impl ServerConfig {
     }
 }
 
+/// Fractional extra service time per additional request in a batch.
+const BATCH_OVERHEAD: f64 = 0.15;
+
 /// Service time of a batch whose slowest member costs `base_ms` unbatched,
-/// ms: a batch of n costs `1 + batch_overhead·(n−1)` times its slowest
+/// ms: a batch of n costs `1 + BATCH_OVERHEAD·(n−1)` times its slowest
 /// request.  Shared by the DES dispatch path and the live coordinator so
 /// both model the same batching economics.
-pub fn batch_service_ms(base_ms: f64, batch_len: usize, batch_overhead: f64) -> f64 {
-    base_ms * (1.0 + batch_overhead * (batch_len as f64 - 1.0))
+pub fn batch_service_ms(base_ms: f64, batch_len: usize) -> f64 {
+    base_ms * (1.0 + BATCH_OVERHEAD * (batch_len as f64 - 1.0))
 }
 
 /// Per-server runtime state.
 pub(crate) struct ServerState {
     pub(crate) config: ServerConfig,
     pub(crate) scheduler: Box<dyn BatchScheduler>,
-    pub(crate) busy: bool,
+    /// The batch in service; empty while the server is idle.
     pub(crate) batch: Vec<PendingRequest>,
     pub(crate) busy_since_ms: f64,
     pub(crate) busy_ms: f64,
@@ -80,7 +83,6 @@ impl ServerState {
         ServerState {
             config,
             scheduler: config.scheduler.build(),
-            busy: false,
             batch: Vec::new(),
             busy_since_ms: 0.0,
             busy_ms: 0.0,
@@ -91,8 +93,13 @@ impl ServerState {
         }
     }
 
+    /// Whether a batch is in service.
+    pub(crate) fn busy(&self) -> bool {
+        !self.batch.is_empty()
+    }
+
     /// Queued plus in-flight requests, as seen by the router.
     pub(crate) fn depth(&self) -> usize {
-        self.scheduler.pending() + if self.busy { self.batch.len() } else { 0 }
+        self.scheduler.pending() + self.batch.len()
     }
 }

@@ -102,8 +102,8 @@ pub fn plan_upload_ms(
 /// The calibrated, clock-agnostic constants of one robot session, computed
 /// once per robot from its [`RobotConfig`] and the fleet-wide models.
 ///
-/// Both drivers build sessions from this profile: the DES engine folds it
-/// into its per-robot `Session` state, and the live `corki-serve` robot
+/// Both drivers build sessions from this profile: the DES engine embeds it
+/// in its per-robot `Session` state, and the live `corki-serve` robot
 /// processes replay the same constants against the wall clock — so a plan's
 /// modelled control/upload/service times are bit-identical across the two
 /// paths.
@@ -176,18 +176,9 @@ impl RobotProfile {
 
 /// Per-robot runtime state.
 pub(crate) struct Session {
-    pub(crate) steps_model: StepsTakenModel,
+    /// The robot's calibrated constants.
+    pub(crate) profile: RobotProfile,
     pub(crate) rng: StdRng,
-    pub(crate) is_baseline: bool,
-    pub(crate) uses_shared_accelerator: bool,
-    pub(crate) variant_name: String,
-    // Calibrated constants.
-    pub(crate) control_ms: f64,
-    pub(crate) control_energy_j: f64,
-    pub(crate) comm_energy_j: f64,
-    /// Unbatched local service time and per-inference energy for
-    /// [`RobotCompute::OnRobot`] sessions; `None` when offloaded.
-    pub(crate) local: Option<(f64, f64)>,
     // Progress.
     pub(crate) frame_index: usize,
     pub(crate) inference_count: usize,
@@ -227,17 +218,9 @@ pub(crate) struct Session {
 
 impl Session {
     pub(crate) fn new(index: usize, robot: &RobotConfig, cfg: &FleetConfig) -> Self {
-        let profile = RobotProfile::of(robot, cfg);
         Session {
-            steps_model: profile.steps_model,
+            profile: RobotProfile::of(robot, cfg),
             rng: StdRng::seed_from_u64(robot.seed),
-            is_baseline: profile.is_baseline,
-            uses_shared_accelerator: profile.uses_shared_accelerator,
-            variant_name: profile.variant_name,
-            control_ms: profile.control_ms,
-            control_energy_j: profile.control_energy_j,
-            comm_energy_j: profile.comm_energy_j,
-            local: profile.local,
             frame_index: 0,
             inference_count: 0,
             plan_steps: 0,

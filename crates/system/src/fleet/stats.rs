@@ -1,5 +1,6 @@
-//! Run outputs and statistics: event records, per-robot outcomes, the
-//! aggregate [`FleetSummary`] and the warm-up trimming/detection helpers.
+//! Run outputs and statistics: per-robot outcomes, the aggregate
+//! [`FleetSummary`], the warm-up choice ([`WarmupSpec`]) and the warm-up
+//! trimming/detection helpers.
 //!
 //! These types are driver-independent: the DES engine fills them from
 //! simulated timestamps, the live `corki-serve` coordinator from wall-clock
@@ -9,24 +10,6 @@
 use crate::pipeline::FrameTrace;
 use corki_telemetry::TelemetryReport;
 use serde::{Deserialize, Serialize};
-
-/// One recorded event of a fleet run (the determinism regression surface).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EventRecord {
-    /// Event time, ms.
-    pub time_ms: f64,
-    /// Event queue sequence number.
-    pub seq: u64,
-    /// Event kind (`capture`, `upload_done`, `scheduler_wake`,
-    /// `inference_done`, `local_inference_done`, `step_done`,
-    /// `request_timeout`, `retry_upload`, `server_crash`,
-    /// `server_recover`).
-    pub kind: String,
-    /// The robot concerned, if any.
-    pub robot: Option<usize>,
-    /// The server concerned, if any.
-    pub server: Option<usize>,
-}
 
 /// Per-robot results of a fleet run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -121,13 +104,58 @@ pub struct FleetOutcome {
     pub summary: FleetSummary,
     /// Per-robot results.
     pub robots: Vec<RobotOutcome>,
-    /// Event log (empty unless
-    /// [`FleetConfig::record_event_log`](super::FleetConfig::record_event_log)).
-    pub event_log: Vec<EventRecord>,
     /// Always-on per-stage latency histograms and bounded per-robot
     /// timelines — the same six-stage taxonomy the live path records, so
     /// a DES run and a live run of one scenario compare stage by stage.
     pub telemetry: TelemetryReport,
+}
+
+/// The warm-up handling of a fleet run: either a fixed start-up window in
+/// milliseconds, or adaptive MSER-5 steady-state detection.
+///
+/// In JSON a fixed window is spelled as a plain number (`"warmup_ms": 250`)
+/// and adaptive detection as the string `"warmup_ms": "auto"`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WarmupSpec {
+    /// Exclude a fixed start-up window (ms) from the aggregate latency
+    /// statistics.
+    Fixed(f64),
+    /// Detect the truncation point adaptively with MSER-5 over the pool's
+    /// queue-depth time series.
+    Auto,
+}
+
+impl std::fmt::Display for WarmupSpec {
+    /// `auto (MSER-5)` for adaptive detection, otherwise the fixed window
+    /// with its unit (`250 ms`).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WarmupSpec::Fixed(ms) => write!(f, "{ms} ms"),
+            WarmupSpec::Auto => f.write_str("auto (MSER-5)"),
+        }
+    }
+}
+
+impl Serialize for WarmupSpec {
+    fn to_value(&self) -> serde::Value {
+        match self {
+            WarmupSpec::Fixed(ms) => serde::Value::Number(*ms),
+            WarmupSpec::Auto => serde::Value::String("auto".to_owned()),
+        }
+    }
+}
+
+impl Deserialize for WarmupSpec {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        match value {
+            serde::Value::Number(ms) => Ok(WarmupSpec::Fixed(*ms)),
+            serde::Value::String(s) if s == "auto" => Ok(WarmupSpec::Auto),
+            other => Err(serde::Error::custom(format!(
+                "warmup_ms must be a number of milliseconds or the string \"auto\", \
+                 found {other:?}"
+            ))),
+        }
+    }
 }
 
 /// Keeps the samples completed at or after the warm-up window: each sample

@@ -43,10 +43,9 @@ pub use devices::{
     ParseDataRepresentationError, ParseInferenceDeviceError, BASELINE_FRAME_MS,
 };
 pub use fleet::{
-    BatchScheduler, ChurnSpec, ControlBackend, CrashSpec, EventRecord, FaultPlan, FleetConfig,
-    FleetOutcome, FleetSimulator, FleetSummary, LinkDegradationSpec, ParseSchedulerKindError,
-    PendingRequest, PoolSchedule, RobotCompute, RobotConfig, RobotOutcome, SchedulerKind,
-    ServerConfig, TimeoutSpec, DEFAULT_EXECUTION_STEP_MS,
+    BatchScheduler, ChurnSpec, ControlBackend, CrashSpec, FaultPlan, FleetConfig, FleetOutcome,
+    FleetSimulator, FleetSummary, LinkDegradationSpec, PendingRequest, RobotCompute, RobotConfig,
+    RobotOutcome, SchedulerKind, ServerConfig, TimeoutSpec, DEFAULT_EXECUTION_STEP_MS,
 };
 pub use pipeline::{
     mean, percentile, ExecutionStats, FrameKind, FrameTrace, PipelineConfig, PipelineSimulator,

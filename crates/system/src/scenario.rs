@@ -26,10 +26,12 @@
 //! parse strictly: unknown keys are rejected loudly instead of silently
 //! falling back to defaults.  Every label that appears in result rows comes
 //! from the one canonical `Display` implementation of its type
-//! ([`VariantMix`], [`crate::PoolSchedule`], [`RoutingPolicy`],
+//! ([`VariantMix`], [`SchedulerKind`] (joined per pool by
+//! [`FleetConfig::scheduler_label`]), [`RoutingPolicy`],
 //! [`CompositionLabel`]).
 
 use crate::devices::{DataRepresentation, InferenceDevice, InferenceModel};
+pub use crate::fleet::WarmupSpec;
 use crate::fleet::{
     ControlBackend, FaultPlan, FleetConfig, RobotCompute, SchedulerKind, ServerConfig,
     DEFAULT_EXECUTION_STEP_MS,
@@ -251,71 +253,6 @@ impl ScenarioAxes {
     }
 }
 
-/// The warm-up handling of a scenario: either a fixed start-up window in
-/// milliseconds, or adaptive MSER-5 steady-state detection.
-///
-/// In spec JSON a fixed window is spelled as a plain number
-/// (`"warmup_ms": 250`) and adaptive detection as the string
-/// `"warmup_ms": "auto"`, which lowers to
-/// [`FleetConfig::auto_warmup`](crate::fleet::FleetConfig::auto_warmup).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WarmupSpec {
-    /// Exclude a fixed start-up window (ms) from the aggregate latency
-    /// statistics.
-    Fixed(f64),
-    /// Detect the truncation point adaptively with MSER-5 over the pool's
-    /// queue-depth time series.
-    Auto,
-}
-
-impl WarmupSpec {
-    /// The fixed window in milliseconds, or `None` for adaptive detection.
-    pub fn fixed_ms(&self) -> Option<f64> {
-        match self {
-            WarmupSpec::Fixed(ms) => Some(*ms),
-            WarmupSpec::Auto => None,
-        }
-    }
-
-    /// Whether adaptive MSER-5 detection is requested.
-    pub fn is_auto(&self) -> bool {
-        matches!(self, WarmupSpec::Auto)
-    }
-}
-
-impl fmt::Display for WarmupSpec {
-    /// `auto (MSER-5)` for adaptive detection, otherwise the fixed window
-    /// with its unit (`250 ms`).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WarmupSpec::Fixed(ms) => write!(f, "{ms} ms"),
-            WarmupSpec::Auto => f.write_str("auto (MSER-5)"),
-        }
-    }
-}
-
-impl Serialize for WarmupSpec {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            WarmupSpec::Fixed(ms) => serde::Value::Number(*ms),
-            WarmupSpec::Auto => serde::Value::String("auto".to_owned()),
-        }
-    }
-}
-
-impl Deserialize for WarmupSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Number(ms) => Ok(WarmupSpec::Fixed(*ms)),
-            serde::Value::String(s) if s == "auto" => Ok(WarmupSpec::Auto),
-            other => Err(serde::Error::custom(format!(
-                "warmup_ms must be a number of milliseconds or the string \"auto\", \
-                 found {other:?}"
-            ))),
-        }
-    }
-}
-
 /// A full, serializable description of one fleet experiment.
 ///
 /// Build one with [`ScenarioBuilder`], parse one from JSON with
@@ -386,6 +323,14 @@ pub enum ScenarioError {
     InvalidBudget {
         /// The offending value.
         value: f64,
+    },
+    /// A dynamic batcher, on a server or on the scheduler axis, has a
+    /// `max_batch` of zero or a negative or non-finite `timeout_ms`.
+    InvalidScheduler {
+        /// The offending batch size.
+        max_batch: usize,
+        /// The offending timeout (ms).
+        timeout_ms: f64,
     },
     /// A sweep axis contains a zero entry.
     ZeroAxisEntry {
@@ -483,6 +428,11 @@ impl fmt::Display for ScenarioError {
             ScenarioError::InvalidBudget { value } => {
                 write!(f, "latency_budget_ms must be finite and positive, got {value}")
             }
+            ScenarioError::InvalidScheduler { max_batch, timeout_ms } => write!(
+                f,
+                "a dynamic batcher needs max_batch of at least 1 and a finite non-negative \
+                 timeout_ms, got max_batch {max_batch} and timeout_ms {timeout_ms}"
+            ),
             ScenarioError::ZeroAxisEntry { axis } => {
                 write!(f, "the {axis} axis contains a zero entry")
             }
@@ -589,7 +539,7 @@ impl ScenarioSpec {
         if self.frames_per_robot == 0 {
             return Err(ScenarioError::ZeroFrames);
         }
-        if let Some(warmup) = self.warmup_ms.fixed_ms() {
+        if let WarmupSpec::Fixed(warmup) = self.warmup_ms {
             if !warmup.is_finite() || warmup < 0.0 {
                 return Err(ScenarioError::InvalidWarmup { value: warmup });
             }
@@ -606,6 +556,14 @@ impl ScenarioSpec {
         }
         if self.axes.server_counts.contains(&0) {
             return Err(ScenarioError::ZeroAxisEntry { axis: "server_counts" });
+        }
+        let schedulers = self.servers.iter().map(|server| &server.scheduler);
+        for scheduler in schedulers.chain(&self.axes.schedulers) {
+            if let SchedulerKind::DynamicBatch { max_batch, timeout_ms } = *scheduler {
+                if max_batch == 0 || !timeout_ms.is_finite() || timeout_ms < 0.0 {
+                    return Err(ScenarioError::InvalidScheduler { max_batch, timeout_ms });
+                }
+            }
         }
         for (index, mix) in self.axes.variants.iter().enumerate() {
             if mix.groups.is_empty() || mix.groups.iter().any(|share| share.weight == 0) {
@@ -879,8 +837,7 @@ impl ScenarioSpec {
         }
         config.routing = self.routing;
         config.frames_per_robot = self.frames_per_robot;
-        config.warmup_ms = self.warmup_ms.fixed_ms().unwrap_or(0.0);
-        config.auto_warmup = self.warmup_ms.is_auto();
+        config.warmup_ms = self.warmup_ms;
         config.slo_budget_ms = self.latency_budget_ms;
         config.faults = self.faults.clone();
         config.control_backend = self.control_backend;
@@ -1472,6 +1429,26 @@ mod tests {
                 s.latency_budget_ms = 0.0;
                 s
             }),
+            (ScenarioError::InvalidScheduler { max_batch: 0, timeout_ms: 15.0 }, {
+                let mut s = valid().build().unwrap();
+                s.servers[0].scheduler =
+                    SchedulerKind::DynamicBatch { max_batch: 0, timeout_ms: 15.0 };
+                s
+            }),
+            (ScenarioError::InvalidScheduler { max_batch: 4, timeout_ms: -5.0 }, {
+                let mut s = valid().build().unwrap();
+                s.axes.schedulers = vec![
+                    SchedulerKind::Fifo,
+                    SchedulerKind::DynamicBatch { max_batch: 4, timeout_ms: -5.0 },
+                ];
+                s
+            }),
+            (ScenarioError::InvalidScheduler { max_batch: 4, timeout_ms: f64::INFINITY }, {
+                let mut s = valid().build().unwrap();
+                s.axes.schedulers =
+                    vec![SchedulerKind::DynamicBatch { max_batch: 4, timeout_ms: f64::INFINITY }];
+                s
+            }),
             (ScenarioError::ZeroAxisEntry { axis: "robot_counts" }, {
                 let mut s = valid().build().unwrap();
                 s.axes.robot_counts = vec![1, 0];
@@ -1580,6 +1557,30 @@ mod tests {
         }
     }
 
+    /// Spec JSON reaches the engine through the derived `Deserialize`, so
+    /// `validate()` is where batcher parameters are range-checked.
+    #[test]
+    fn out_of_range_batcher_parameters_are_rejected_in_spec_json() {
+        let json = ScenarioBuilder::new("batch4")
+            .frames_per_robot(60)
+            .group(Variant::CorkiFixed(5), 2)
+            .default_servers(1, SchedulerKind::DynamicBatch { max_batch: 4, timeout_ms: 15.0 })
+            .build()
+            .expect("a 4-wide batcher is valid")
+            .to_json();
+        assert!(ScenarioSpec::from_json(&json).is_ok());
+        for (from, to) in [
+            ("\"max_batch\": 4", "\"max_batch\": 0"),
+            ("\"timeout_ms\": 15", "\"timeout_ms\": -5"),
+            ("\"timeout_ms\": 15", "\"timeout_ms\": 1e999"),
+        ] {
+            let broken = json.replace(from, to);
+            assert_ne!(broken, json, "{to}");
+            let err = ScenarioSpec::from_json(&broken).expect_err(to);
+            assert!(err.contains("dynamic batcher"), "{to}: {err}");
+        }
+    }
+
     /// Satellite: `expand()` used to accept a warm-up window longer than the
     /// scenario itself, silently producing empty steady-state sample sets.
     #[test]
@@ -1616,7 +1617,7 @@ mod tests {
             .default_servers(1, SchedulerKind::Fifo)
             .build()
             .expect("auto warm-up validates");
-        assert!(auto.warmup_ms.is_auto());
+        assert_eq!(auto.warmup_ms, WarmupSpec::Auto);
     }
 
     #[test]
@@ -1635,8 +1636,7 @@ mod tests {
         assert_eq!(parsed.to_json(), json, "re-serialisation must be byte-stable");
         // The lowered cell asks the engine for adaptive detection.
         let cells = spec.expand().expect("expands");
-        assert!(cells[0].config.auto_warmup);
-        assert_eq!(cells[0].config.warmup_ms, 0.0);
+        assert_eq!(cells[0].config.warmup_ms, WarmupSpec::Auto);
         // Anything other than a number or "auto" is rejected loudly.
         let broken = json.replace("\"auto\"", "\"adaptive\"");
         let err = ScenarioSpec::from_json(&broken).expect_err("unknown spelling must not parse");

@@ -170,7 +170,6 @@ fn fleet_event_log_is_byte_identical_across_runs() {
     let mut cfg = FleetConfig::paper_defaults(Variant::CorkiAdaptive, 6, 2024);
     cfg.frames_per_robot = 90;
     cfg.set_scheduler(SchedulerKind::DynamicBatch { max_batch: 4, timeout_ms: 20.0 });
-    cfg.record_event_log = true;
     let runs: Vec<String> = (0..3)
         .map(|_| serde_json::to_string(&FleetSimulator::new(cfg.clone()).run()).unwrap())
         .collect();
@@ -183,7 +182,6 @@ fn fleet_seeds_change_the_jitter_but_not_the_event_structure() {
     let outcome = |seed: u64| {
         let mut cfg = FleetConfig::paper_defaults(Variant::CorkiFixed(5), 3, seed);
         cfg.frames_per_robot = 30;
-        cfg.record_event_log = true;
         // Keep the robot composition fixed; only jitter seeds change.
         for (r, robot) in cfg.robots.iter_mut().enumerate() {
             robot.seed = fleet_robot_seed(seed, r as u64);
@@ -192,11 +190,12 @@ fn fleet_seeds_change_the_jitter_but_not_the_event_structure() {
     };
     let a = outcome(1);
     let b = outcome(2);
-    // Jitter is observational: the event timeline (unjittered) is identical,
-    // the traced latencies differ.
+    // Jitter is observational: the event timeline (unjittered, and
+    // recorded stage by stage in the telemetry) is identical, the traced
+    // latencies differ.
     assert_eq!(
-        serde_json::to_string(&a.event_log).unwrap(),
-        serde_json::to_string(&b.event_log).unwrap()
+        serde_json::to_string(&a.telemetry).unwrap(),
+        serde_json::to_string(&b.telemetry).unwrap()
     );
     assert_ne!(
         serde_json::to_string(&a.robots[0].frame_traces).unwrap(),
