@@ -38,10 +38,12 @@
 //!
 //! `serve` is the live counterpart of `fleet`: it lowers the `--scenario`
 //! cells into real processes — one robot client per robot, one inference
-//! worker per server, a coordinator hosting the simulator's router and
-//! batch scheduler — communicating over a shared-memory segment, and prints
-//! the same sweep-row shape plus the measured IPC transit breakdown
-//! (`corki_serve`).  It must be selected explicitly, always needs
+//! worker per server, a coordinator serving from the simulator's own server
+//! pool — communicating over a shared-memory segment, and prints the same
+//! sweep-row shape plus the measured IPC transit breakdown (`corki_serve`).
+//! It exits 1 unless every live report is complete: samples in all six
+//! telemetry stages, one round-trip transit sample per offloaded plan, and
+//! at least one telemetry drain.  It must be selected explicitly, always needs
 //! `--scenario`, and honours `--robots <n>` / `--frames <n>` clamps (and
 //! `--smoke`, which clamps to 8 robots x 24 frames) so committed scenarios
 //! can be shrunk to a CI footprint.  The binary also hosts the hidden
@@ -110,6 +112,35 @@ fn live_child_role(args: &[String]) -> i32 {
 /// one-line timeline summary, indented under its cell's sweep row.
 /// Quantiles are log2-bucket ceilings, so they are conservative within one
 /// power of two of the exact nearest-rank value.
+/// What a live report must hold to count as a complete run: samples in
+/// each of the six telemetry stages, one round-trip transit sample per
+/// offloaded plan, and at least one telemetry drain.
+fn live_report_problems(report: &corki_serve::LiveReport) -> Vec<String> {
+    let stages = &report.telemetry.stages;
+    let mut problems: Vec<String> = stages
+        .iter()
+        .filter(|stage| stage.samples == 0)
+        .map(|stage| format!("telemetry stage `{}` has no samples", stage.stage))
+        .collect();
+    if stages.len() != corki_telemetry::Stage::COUNT {
+        problems.push(format!(
+            "{} telemetry stages, expected {}",
+            stages.len(),
+            corki_telemetry::Stage::COUNT
+        ));
+    }
+    if report.transit.round_trip.samples != report.offloaded_plans {
+        problems.push(format!(
+            "{} round-trip transit samples for {} offloaded plans",
+            report.transit.round_trip.samples, report.offloaded_plans
+        ));
+    }
+    if report.telemetry_drains == 0 {
+        problems.push("the telemetry pages were never drained".to_owned());
+    }
+    problems
+}
+
 fn print_telemetry(report: &corki_telemetry::TelemetryReport) {
     println!(
         "    {:<14} {:>9} {:>8} {:>10} {:>10} {:>10} {:>10}",
@@ -740,6 +771,17 @@ fn main() {
             }
         }
         println!();
+        for report in &reports {
+            let problems = live_report_problems(report);
+            if !problems.is_empty() {
+                eprintln!(
+                    "error: live report of `{}` is incomplete: {}",
+                    report.scenario,
+                    problems.join("; ")
+                );
+                std::process::exit(1);
+            }
+        }
         json.insert("serve".to_owned(), serde_json::to_value(&reports).unwrap());
     }
 

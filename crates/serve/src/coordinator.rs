@@ -1,24 +1,21 @@
 //! The coordinator of a live run: creates the shared segment, spawns the
-//! robot-client and inference-worker processes, hosts the router and the
-//! per-server batch schedulers (the same objects the DES engine drives),
-//! and aggregates the per-stage and cross-process latency samples into a
-//! simulator-shaped report.
+//! robot-client and inference-worker processes, serves requests from the
+//! DES's own [`ServerPool`] (routing, batching, batch pricing and busy
+//! time), records into the DES's own [`ServingSamples`], and adds what
+//! only a live run measures — the per-hop transit and the stage-total
+//! residual — to a simulator-shaped report.
 //!
 //! Cleanup is unconditional: the segment owner unlinks on drop, the child
 //! guard kills whatever is still running on any exit path, and stale
 //! segments of dead runs are swept on startup.
 
-use std::collections::HashMap;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use corki::fleet::FleetSweepRow;
 use corki_ipc::{monotonic_ns, Doorbell, ShmSegment, SpscRing};
-use corki_system::fleet::{batch_service_ms, trim_warmup, RobotProfile, WarmupSpec};
-use corki_system::{
-    mean, percentile, scenario_fingerprint, BatchScheduler, ConcreteScenario, ControlBackend,
-    PendingRequest, Router, ServerSnapshot,
-};
+use corki_system::fleet::{RobotProfile, ServerPool, ServingSamples, WarmupSpec};
+use corki_system::{scenario_fingerprint, ConcreteScenario, ControlBackend};
 use corki_telemetry::{Recorder, ShmTelemetry, Stage, PAGE_WORDS};
 
 use crate::proto::{
@@ -112,10 +109,6 @@ struct ChildGuard {
 }
 
 impl ChildGuard {
-    fn new() -> Self {
-        ChildGuard { children: Vec::new() }
-    }
-
     fn push(&mut self, label: String, child: Child) {
         self.children.push((label, Some(child)));
     }
@@ -137,17 +130,6 @@ impl ChildGuard {
         failed
     }
 
-    /// Which children are still running.
-    fn running(&mut self) -> Vec<String> {
-        self.children
-            .iter_mut()
-            .filter_map(|(label, slot)| {
-                let child = slot.as_mut()?;
-                matches!(child.try_wait(), Ok(None)).then(|| label.clone())
-            })
-            .collect()
-    }
-
     /// Waits for every child to exit by `deadline`; returns the failures.
     fn join_all(&mut self, deadline: Instant) -> Vec<String> {
         let mut failures = Vec::new();
@@ -157,9 +139,8 @@ impl ChildGuard {
                 return failures;
             }
             if Instant::now() > deadline {
-                for label in self.running() {
-                    failures.push(format!("{label} did not exit before the deadline"));
-                }
+                let running = self.children.iter().filter(|(_, slot)| slot.is_some());
+                failures.extend(running.map(|(label, _)| format!("{label} did not exit in time")));
                 return failures;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -221,12 +202,44 @@ struct PlanTrace {
     completion_transit_ns: f64,
 }
 
-/// A batch currently on a worker.
-struct InFlightBatch {
-    server: usize,
-    requests: Vec<PendingRequest>,
-    dispatch_ns: u64,
-    service_ns: u64,
+/// The live-only samples: each offloaded plan's four measured hops and
+/// their sum, and its end-to-end latency.
+#[derive(Default)]
+struct Hops {
+    request: Vec<f64>,
+    dispatch: Vec<f64>,
+    completion: Vec<f64>,
+    response: Vec<f64>,
+    round_trip: Vec<f64>,
+    e2e_total_ms: f64,
+}
+
+impl Hops {
+    /// Closes an offloaded plan whose response the robot observed at
+    /// `resp_recv_ns`: records its hops, and its end-to-end latency as a
+    /// plan sample stamped like the DES stamps a delivered plan.
+    fn close(
+        &mut self,
+        trace: PlanTrace,
+        resp_recv_ns: u64,
+        start_ns: u64,
+        samples: &mut ServingSamples,
+    ) {
+        let latency_ms = resp_recv_ns.saturating_sub(trace.capture_ns) as f64 / 1e6;
+        samples.plan(rel_ms(resp_recv_ns, start_ns), latency_ms);
+        self.e2e_total_ms += latency_ms;
+        let response_ns = resp_recv_ns.saturating_sub(trace.publish_ns) as f64;
+        self.request.push(trace.request_transit_ns);
+        self.dispatch.push(trace.dispatch_transit_ns);
+        self.completion.push(trace.completion_transit_ns);
+        self.response.push(response_ns);
+        self.round_trip.push(
+            trace.request_transit_ns
+                + trace.dispatch_transit_ns
+                + trace.completion_transit_ns
+                + response_ns,
+        );
+    }
 }
 
 /// Per-robot completion summary from its `Finished` message.
@@ -247,6 +260,9 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
     cleanup_stale_segments();
 
     let cfg = &cell.config;
+    let WarmupSpec::Fixed(warmup_ms) = cfg.warmup_ms else {
+        return Err(LiveError::Unsupported("adaptive warm-up detection is DES-only".into()));
+    };
     let robots = cfg.robots.len();
     let servers = cfg.servers.len();
     let layout = SegmentLayout::new(robots, servers);
@@ -294,52 +310,41 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
         .map_err(|e| LiveError::Protocol(format!("cannot serialise live config: {e}")))?;
     std::fs::write(&config_path, config_json).map_err(LiveError::Io)?;
     let _config_guard = TempConfig(config_path.clone());
+    let config_arg = config_path.to_str().ok_or_else(|| {
+        LiveError::Protocol(format!("config path {} is not UTF-8", config_path.display()))
+    })?;
 
-    let mut guard = ChildGuard::new();
-    let abort = |guard: &mut ChildGuard, err: LiveError| -> LiveError {
+    let mut guard = ChildGuard { children: Vec::new() };
+    let abort = |err: LiveError| -> LiveError {
         run_state.store(state::ABORT, std::sync::atomic::Ordering::Release);
         // Wake every blocked child so it sees the flag and exits now; any
         // that do not are killed by the guard's drop.
         ring_children();
-        let _ = guard;
         err
     };
 
-    for s in 0..servers {
-        let child = Command::new(exe)
-            .args([
-                "__live-worker",
-                "--shm",
-                &shm_name,
-                "--server",
-                &s.to_string(),
-                "--robots",
-                &robots.to_string(),
-                "--servers",
-                &servers.to_string(),
-            ])
+    // Every child is `<exe> <role> --shm <segment> <role arguments>`.
+    let spawn = |role: &str, args: &[&str]| {
+        Command::new(exe)
+            .args([role, "--shm", &shm_name])
+            .args(args)
             .stdin(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
-            .map_err(LiveError::Io)?;
-        guard.push(format!("worker {s}"), child);
+            .map_err(LiveError::Io)
+    };
+    let (robots_arg, servers_arg) = (robots.to_string(), servers.to_string());
+    for s in 0..servers {
+        let server = s.to_string();
+        let args = ["--server", &server, "--robots", &robots_arg, "--servers", &servers_arg];
+        guard.push(format!("worker {s}"), spawn("__live-worker", &args)?);
     }
     for r in 0..robots {
-        let child = Command::new(exe)
-            .args([
-                "__live-robot",
-                "--shm",
-                &shm_name,
-                "--robot",
-                &r.to_string(),
-                "--config",
-                config_path.to_str().expect("temp path is valid UTF-8"),
-            ])
-            .stdin(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(LiveError::Io)?;
-        guard.push(format!("robot {r}"), child);
+        let robot = r.to_string();
+        guard.push(
+            format!("robot {r}"),
+            spawn("__live-robot", &["--robot", &robot, "--config", config_arg])?,
+        );
     }
 
     // Wait for the whole fleet to attach, then publish the epoch.
@@ -351,13 +356,12 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
             break;
         }
         if let Some(failure) = guard.poll_failures().into_iter().next() {
-            return Err(abort(&mut guard, LiveError::ChildFailed(failure)));
+            return Err(abort(LiveError::ChildFailed(failure)));
         }
         if Instant::now() > ready_deadline {
-            return Err(abort(
-                &mut guard,
-                LiveError::Protocol("fleet did not attach before the deadline".into()),
-            ));
+            return Err(abort(LiveError::Protocol(
+                "fleet did not attach before the deadline".into(),
+            )));
         }
         bell.wait(seen, ABORT_CHECK);
     }
@@ -366,39 +370,25 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
     run_state.store(state::RUNNING, std::sync::atomic::Ordering::Release);
     ring_children();
 
-    // ---- The serving loop: the same scheduler/router cores as the DES,
-    // driven by wall-clock milliseconds since the epoch. -------------------
-    let profiles: Vec<RobotProfile> =
-        cfg.robots.iter().map(|robot| RobotProfile::of(robot, cfg)).collect();
-    let mut schedulers: Vec<Box<dyn BatchScheduler>> =
-        cfg.servers.iter().map(|server| server.scheduler.build()).collect();
-    let mut router = Router::new(cfg.routing);
-    let mut busy: Vec<Option<u64>> = vec![None; servers];
-    let mut busy_ns: Vec<u64> = vec![0; servers];
-    let mut in_flight: HashMap<u64, InFlightBatch> = HashMap::new();
+    // ---- The serving loop: the DES's server pool and samples, driven by
+    // wall-clock milliseconds since the epoch. -----------------------------
+    let wants_trajectory: Vec<bool> =
+        cfg.robots.iter().map(|robot| !RobotProfile::of(robot, cfg).is_baseline).collect();
+    let mut pool = ServerPool::new(&cfg.servers, cfg.routing);
+    // What the pool has no counterpart for: the id and push instant of the
+    // batch each worker holds.
+    let mut on_worker: Vec<Option<(u64, u64)>> = vec![None; servers];
     let mut open: Vec<Option<PlanTrace>> = vec![None; robots];
     let mut awaiting: Vec<Option<PlanTrace>> = vec![None; robots];
     let mut fins: Vec<Option<RobotFin>> = vec![None; robots];
     let mut next_batch_id = 0_u64;
-    let mut next_seq = 0_u64;
-
-    // Samples.  Latency-style samples carry their completion timestamp
-    // (ms since epoch) for warm-up trimming, exactly like the DES.
-    let mut plan_samples: Vec<(f64, f64)> = Vec::new();
-    let mut queue_samples: Vec<(f64, f64)> = Vec::new();
-    let mut offloaded_e2e_ms: Vec<f64> = Vec::new();
-    let mut service_ms_samples: Vec<f64> = Vec::new();
-    let mut batch_sizes: Vec<usize> = Vec::new();
-    let mut transit_request: Vec<f64> = Vec::new();
-    let mut transit_dispatch: Vec<f64> = Vec::new();
-    let mut transit_completion: Vec<f64> = Vec::new();
-    let mut transit_response: Vec<f64> = Vec::new();
-    let mut transit_round_trip: Vec<f64> = Vec::new();
+    let mut samples = ServingSamples::default();
+    let mut hops = Hops::default();
+    let mut service_total_ms = 0.0;
 
     let watchdog =
         Instant::now() + Duration::from_secs(120 + (cfg.frames_per_robot as u64).saturating_mul(1));
     let mut buf = [0_u8; MSG_SIZE];
-    let mut batch: Vec<PendingRequest> = Vec::new();
 
     // Every page word is cumulative, so a drain rebuilds the fleet view
     // from scratch instead of merging into the previous one (merging two
@@ -420,25 +410,6 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
     let mut telemetry_drains = 0_usize;
     let mut last_drain = Instant::now();
 
-    let close_plan = |trace: PlanTrace,
-                      resp_recv_ns: u64,
-                      plan_samples: &mut Vec<(f64, f64)>,
-                      offloaded_e2e_ms: &mut Vec<f64>,
-                      transit_response: &mut Vec<f64>,
-                      transit_round_trip: &mut Vec<f64>| {
-        let latency_ms = resp_recv_ns.saturating_sub(trace.capture_ns) as f64 / 1e6;
-        plan_samples.push((rel_ms(resp_recv_ns, start_ns), latency_ms));
-        offloaded_e2e_ms.push(latency_ms);
-        let response_ns = resp_recv_ns.saturating_sub(trace.publish_ns) as f64;
-        transit_response.push(response_ns);
-        transit_round_trip.push(
-            trace.request_transit_ns
-                + trace.dispatch_transit_ns
-                + trace.completion_transit_ns
-                + response_ns,
-        );
-    };
-
     loop {
         // Read the bell before looking for work: a ring that lands after
         // the rings and queues are checked then cuts the wait below short.
@@ -450,13 +421,12 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
             while req_rings[robot].try_pop(&mut buf) {
                 progressed = true;
                 let recv_ns = monotonic_ns();
-                let (from, msg) = RobotMsg::decode(&buf)
-                    .map_err(|e| abort(&mut guard, LiveError::Protocol(e)))?;
+                let (from, msg) =
+                    RobotMsg::decode(&buf).map_err(|e| abort(LiveError::Protocol(e)))?;
                 if from as usize != robot {
-                    return Err(abort(
-                        &mut guard,
-                        LiveError::Protocol(format!("robot {from} wrote into ring {robot}")),
-                    ));
+                    return Err(abort(LiveError::Protocol(format!(
+                        "robot {from} wrote into ring {robot}"
+                    ))));
                 }
                 match msg {
                     RobotMsg::Request {
@@ -468,34 +438,19 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
                     } => {
                         if let Some(trace) = awaiting[robot].take() {
                             if prev_resp_recv_ns > 0 {
-                                close_plan(
-                                    trace,
-                                    prev_resp_recv_ns,
-                                    &mut plan_samples,
-                                    &mut offloaded_e2e_ms,
-                                    &mut transit_response,
-                                    &mut transit_round_trip,
-                                );
+                                hops.close(trace, prev_resp_recv_ns, start_ns, &mut samples);
                             }
                         }
-                        let wants_trajectory = !profiles[robot].is_baseline;
-                        let target = router.try_route_blind(servers).unwrap_or_else(|| {
-                            router.route_by(servers, |s| ServerSnapshot {
-                                queue_depth: schedulers[s].pending()
-                                    + busy[s].map(|id| in_flight[&id].requests.len()).unwrap_or(0),
-                                service_ms: cfg.servers[s].service_ms(wants_trajectory),
-                                up: true,
-                            })
-                        });
-                        next_seq += 1;
-                        schedulers[target].push(PendingRequest {
+                        // A live pool never crashes, so some server always
+                        // takes the request.
+                        pool.admit(
+                            rel_ms(recv_ns, start_ns),
                             robot,
-                            arrival_ms: rel_ms(recv_ns, start_ns),
-                            service_ms: cfg.servers[target].service_ms(wants_trajectory),
-                            planned_steps: planned_steps as usize,
-                            seq: next_seq,
                             attempt,
-                        });
+                            planned_steps as usize,
+                            wants_trajectory[robot],
+                        )
+                        .ok_or_else(|| abort(LiveError::Protocol("no server is up".into())))?;
                         open[robot] = Some(PlanTrace {
                             capture_ns,
                             request_transit_ns: recv_ns.saturating_sub(send_ns) as f64,
@@ -503,11 +458,10 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
                         });
                     }
                     RobotMsg::LocalPlan { latency_ns, done_ns } => {
-                        plan_samples.push((rel_ms(done_ns, start_ns), latency_ns as f64 / 1e6));
+                        samples.plan(rel_ms(done_ns, start_ns), latency_ns as f64 / 1e6);
                     }
                     RobotMsg::Finished {
                         frames,
-                        plans: _,
                         last_resp_recv_ns,
                         finish_ns,
                         link_wait_ns,
@@ -515,14 +469,7 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
                     } => {
                         if let Some(trace) = awaiting[robot].take() {
                             if last_resp_recv_ns > 0 {
-                                close_plan(
-                                    trace,
-                                    last_resp_recv_ns,
-                                    &mut plan_samples,
-                                    &mut offloaded_e2e_ms,
-                                    &mut transit_response,
-                                    &mut transit_round_trip,
-                                );
+                                hops.close(trace, last_resp_recv_ns, start_ns, &mut samples);
                             }
                         }
                         fins[robot] = Some(RobotFin { frames, finish_ns, link_wait_ns, upload_ns });
@@ -532,45 +479,41 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
         }
 
         // Worker completions.
-        for done_ring in &done_rings {
+        for (server, done_ring) in done_rings.iter().enumerate() {
             while done_ring.try_pop(&mut buf) {
                 progressed = true;
                 let done_recv_ns = monotonic_ns();
-                let done = DoneMsg::decode(&buf);
-                let Some(flight) = in_flight.remove(&done.batch_id) else {
-                    return Err(abort(
-                        &mut guard,
-                        LiveError::Protocol(format!("unknown batch {} completed", done.batch_id)),
-                    ));
+                let done = DoneMsg::decode(&buf).map_err(|e| abort(LiveError::Protocol(e)))?;
+                let held = on_worker[server].take();
+                let Some((_, dispatch_ns)) = held.filter(|&(id, _)| id == done.batch_id) else {
+                    return Err(abort(LiveError::Protocol(format!(
+                        "server {server} completed batch {} while holding {held:?}",
+                        done.batch_id
+                    ))));
                 };
-                busy[flight.server] = None;
-                busy_ns[flight.server] += done.done_ns.saturating_sub(done.pop_ns);
+                // Busy time is the worker's own pop → done interval.
+                let batch = pool.complete(
+                    server,
+                    Some(rel_ms(done.pop_ns, start_ns)),
+                    rel_ms(done.done_ns, start_ns),
+                );
+                let dispatch_ms = rel_ms(dispatch_ns, start_ns);
                 let publish_ns = monotonic_ns();
-                for request in &flight.requests {
+                for request in &batch {
                     let Some(mut trace) = open[request.robot].take() else {
-                        return Err(abort(
-                            &mut guard,
-                            LiveError::Protocol(format!(
-                                "robot {} has no open plan for batch {}",
-                                request.robot, done.batch_id
-                            )),
-                        ));
+                        return Err(abort(LiveError::Protocol(format!(
+                            "robot {} has no open plan for batch {}",
+                            request.robot, done.batch_id
+                        ))));
                     };
-                    trace.dispatch_transit_ns =
-                        done.pop_ns.saturating_sub(flight.dispatch_ns) as f64;
+                    trace.dispatch_transit_ns = done.pop_ns.saturating_sub(dispatch_ns) as f64;
                     trace.completion_transit_ns = done_recv_ns.saturating_sub(done.done_ns) as f64;
                     trace.publish_ns = publish_ns;
-                    transit_request.push(trace.request_transit_ns);
-                    transit_dispatch.push(trace.dispatch_transit_ns);
-                    transit_completion.push(trace.completion_transit_ns);
-                    let queue_wait_ms = rel_ms(flight.dispatch_ns, start_ns) - request.arrival_ms;
+                    let queue_wait_ms = (dispatch_ms - request.arrival_ms).max(0.0);
                     resp_slots[request.robot].write(
                         &RespMsg {
                             attempt: request.attempt,
-                            plan_steps: request.planned_steps as u64,
-                            queue_wait_ns: ns_of_ms(queue_wait_ms.max(0.0)),
-                            service_ns: flight.service_ns,
-                            server: flight.server as u64,
+                            queue_wait_ns: ns_of_ms(queue_wait_ms),
                             publish_ns,
                         }
                         .encode(),
@@ -578,62 +521,35 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
                     robot_bells[request.robot].ring();
                     awaiting[request.robot] = Some(trace);
                 }
+                pool.recycle(batch);
             }
         }
 
         // Dispatch: any idle server with a releasable batch gets one.
-        let now_ms = rel_ms(monotonic_ns(), start_ns);
         for server in 0..servers {
-            if busy[server].is_some() {
-                continue;
-            }
-            schedulers[server].pop_batch_into(now_ms, &mut batch);
-            if batch.is_empty() {
-                continue;
-            }
-            progressed = true;
-            let base_ms = batch.iter().map(|r| r.service_ms).fold(0.0, f64::max);
-            let service_ms = batch_service_ms(base_ms, batch.len());
             let dispatch_ns = monotonic_ns();
-            for request in &batch {
-                queue_samples.push((
-                    rel_ms(dispatch_ns, start_ns),
-                    (rel_ms(dispatch_ns, start_ns) - request.arrival_ms).max(0.0),
-                ));
-                service_ms_samples.push(service_ms);
+            let dispatch_ms = rel_ms(dispatch_ns, start_ns);
+            let Some((service_ms, batch)) = pool.dispatch(server, dispatch_ms) else { continue };
+            progressed = true;
+            for request in batch {
+                samples.queue_wait(dispatch_ms, (dispatch_ms - request.arrival_ms).max(0.0));
             }
-            batch_sizes.push(batch.len());
+            samples.batch(batch.len());
+            service_total_ms += service_ms * batch.len() as f64;
             next_batch_id += 1;
-            let work = WorkMsg {
-                batch_id: next_batch_id,
-                batch_len: batch.len() as u64,
-                service_ns: ns_of_ms(service_ms),
-                dispatch_ns,
-            };
+            let work =
+                WorkMsg { batch_id: next_batch_id, service_ns: ns_of_ms(service_ms), dispatch_ns };
             if !work_rings[server].try_push(&work.encode()) {
-                return Err(abort(
-                    &mut guard,
-                    LiveError::Protocol(format!("work ring of server {server} is full")),
-                ));
+                return Err(abort(LiveError::Protocol(format!(
+                    "work ring of server {server} is full"
+                ))));
             }
             server_bells[server].ring();
-            busy[server] = Some(next_batch_id);
-            in_flight.insert(
-                next_batch_id,
-                InFlightBatch {
-                    server,
-                    requests: std::mem::take(&mut batch),
-                    dispatch_ns,
-                    service_ns: work.service_ns,
-                },
-            );
+            on_worker[server] = Some((next_batch_id, dispatch_ns));
         }
 
         // Done?
-        if fins.iter().all(Option::is_some)
-            && in_flight.is_empty()
-            && schedulers.iter().all(|s| s.pending() == 0)
-        {
+        if fins.iter().all(Option::is_some) && pool.is_idle() {
             break;
         }
 
@@ -649,13 +565,12 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
         // Child health: a robot may exit cleanly once its Finished message
         // is in; anything else ending early wedges the run.
         if let Some(failure) = guard.poll_failures().into_iter().next() {
-            return Err(abort(&mut guard, LiveError::ChildFailed(failure)));
+            return Err(abort(LiveError::ChildFailed(failure)));
         }
         if Instant::now() > watchdog {
-            return Err(abort(
-                &mut guard,
-                LiveError::Protocol("live run exceeded its watchdog deadline".into()),
-            ));
+            return Err(abort(LiveError::Protocol(
+                "live run exceeded its watchdog deadline".into(),
+            )));
         }
         if !progressed {
             // Sleep until a child rings, the next health check or telemetry
@@ -663,10 +578,8 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
             let mut timeout =
                 ABORT_CHECK.min(TELEMETRY_DRAIN_INTERVAL.saturating_sub(last_drain.elapsed()));
             let now_ms = rel_ms(monotonic_ns(), start_ns);
-            for server in (0..servers).filter(|&s| busy[s].is_none()) {
-                if let Some(release_ms) = schedulers[server].next_release_ms() {
-                    timeout = timeout.min(Duration::from_nanos(ns_of_ms(release_ms - now_ms)));
-                }
+            for release_ms in (0..servers).filter_map(|server| pool.next_release_ms(server)) {
+                timeout = timeout.min(Duration::from_nanos(ns_of_ms(release_ms - now_ms)));
             }
             bell.wait(seen, timeout);
         }
@@ -674,16 +587,13 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
 
     // Shut the workers down and reap everything.
     for (server, ring) in work_rings.iter().enumerate() {
-        let sentinel =
-            WorkMsg { batch_id: SHUTDOWN_BATCH, batch_len: 0, service_ns: 0, dispatch_ns: 0 }
-                .encode();
+        let sentinel = WorkMsg { batch_id: SHUTDOWN_BATCH, service_ns: 0, dispatch_ns: 0 }.encode();
         let deadline = Instant::now() + Duration::from_secs(10);
         while !ring.try_push(&sentinel) {
             if Instant::now() > deadline {
-                return Err(abort(
-                    &mut guard,
-                    LiveError::Protocol(format!("cannot deliver shutdown to server {server}")),
-                ));
+                return Err(abort(LiveError::Protocol(format!(
+                    "cannot deliver shutdown to server {server}"
+                ))));
             }
             std::thread::sleep(FULL_RING_BACKOFF);
         }
@@ -691,39 +601,41 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
     }
     let failures = guard.join_all(Instant::now() + Duration::from_secs(30));
     if let Some(failure) = failures.into_iter().next() {
-        return Err(abort(&mut guard, LiveError::ChildFailed(failure)));
+        return Err(abort(LiveError::ChildFailed(failure)));
     }
     let end_ns = monotonic_ns();
     // The authoritative drain: every child has exited, so the pages are
     // quiescent and this snapshot is exact, superseding the mid-run views.
     let telemetry = drain_telemetry(&mut telemetry_drains);
 
-    // ---- Aggregation: the same estimators as the DES summary. ------------
-    let fins: Vec<RobotFin> = fins.into_iter().map(|f| f.expect("all robots finished")).collect();
-    let total_frames: u64 = fins.iter().map(|f| f.frames).sum();
-    let offloaded_plans: u64 = offloaded_e2e_ms.len() as u64;
-    let makespan_ms = fins.iter().map(|f| rel_ms(f.finish_ns, start_ns)).fold(0.0, f64::max);
-    let WarmupSpec::Fixed(warmup_ms) = cfg.warmup_ms else {
-        unreachable!("ensure_live_supported rejects adaptive warm-up")
+    // ---- Aggregation: the DES's estimators, plus the live-only stage
+    // totals and residual. -------------------------------------------------
+    let Some(fins) = fins.into_iter().collect::<Option<Vec<RobotFin>>>() else {
+        return Err(LiveError::Protocol("a robot exited without its summary".into()));
     };
-    let plan_latencies = trim_warmup(&plan_samples, warmup_ms);
-    let queue_waits = trim_warmup(&queue_samples, warmup_ms);
+    let total_frames: u64 = fins.iter().map(|f| f.frames).sum();
+    let offloaded_plans = hops.round_trip.len();
+    let makespan_ms = fins.iter().map(|f| rel_ms(f.finish_ns, start_ns)).fold(0.0, f64::max);
+    let serving = samples.summarize(warmup_ms, cfg.slo_budget_ms);
+    let (server_utilization, _) = pool.utilization(makespan_ms);
     let total_link_wait_ms: f64 = fins.iter().map(|f| f.link_wait_ns as f64 / 1e6).sum();
     let total_upload_ms: f64 = fins.iter().map(|f| f.upload_ns as f64 / 1e6).sum();
-    let inferences: usize = batch_sizes.iter().sum();
+    let throughput_steps_per_s =
+        if makespan_ms > 0.0 { total_frames as f64 / makespan_ms * 1000.0 } else { 0.0 };
 
-    let mean_link_wait_ms =
-        if offloaded_plans > 0 { total_link_wait_ms / offloaded_plans as f64 } else { 0.0 };
+    // The stage totals and the end-to-end mean they are subtracted from
+    // both cover every offloaded plan, warm-up included.
+    let per_plan = |total_ms: f64| total_ms / offloaded_plans.max(1) as f64;
+    let mean_link_wait_ms = per_plan(total_link_wait_ms);
     let mean_stage_total_ms = if offloaded_plans > 0 {
         mean_link_wait_ms
-            + total_upload_ms / offloaded_plans as f64
-            + mean(&queue_samples.iter().map(|(_, v)| *v).collect::<Vec<f64>>())
-            + mean(&service_ms_samples)
+            + per_plan(total_upload_ms)
+            + samples.summarize(0.0, cfg.slo_budget_ms).mean_queue_delay_ms
+            + service_total_ms / serving.inferences as f64
     } else {
         0.0
     };
-    let ipc_overhead_ms =
-        if offloaded_plans > 0 { mean(&offloaded_e2e_ms) - mean_stage_total_ms } else { 0.0 };
+    let ipc_overhead_ms = per_plan(hops.e2e_total_ms) - mean_stage_total_ms;
 
     let row = FleetSweepRow {
         robots,
@@ -732,36 +644,15 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
         scheduler: cell.scheduler_label.clone(),
         routing: cell.routing_label.clone(),
         composition: cell.composition_label.clone(),
-        throughput_steps_per_s: if makespan_ms > 0.0 {
-            total_frames as f64 / makespan_ms * 1000.0
-        } else {
-            0.0
-        },
-        per_robot_rate_hz: if makespan_ms > 0.0 {
-            total_frames as f64 / makespan_ms * 1000.0 / robots as f64
-        } else {
-            0.0
-        },
-        mean_plan_latency_ms: mean(&plan_latencies),
-        p99_plan_latency_ms: percentile(&plan_latencies, 0.99),
-        mean_queue_delay_ms: mean(&queue_waits),
-        p99_queue_delay_ms: percentile(&queue_waits, 0.99),
-        server_utilization: if makespan_ms > 0.0 {
-            busy_ns.iter().map(|&ns| ns as f64 / 1e6).sum::<f64>() / (makespan_ms * servers as f64)
-        } else {
-            0.0
-        },
-        mean_batch_size: if batch_sizes.is_empty() {
-            0.0
-        } else {
-            inferences as f64 / batch_sizes.len() as f64
-        },
-        slo_violation_fraction: if plan_latencies.is_empty() {
-            0.0
-        } else {
-            plan_latencies.iter().filter(|&&latency| latency > cfg.slo_budget_ms).count() as f64
-                / plan_latencies.len() as f64
-        },
+        throughput_steps_per_s,
+        per_robot_rate_hz: throughput_steps_per_s / robots as f64,
+        mean_plan_latency_ms: serving.mean_plan_latency_ms,
+        p99_plan_latency_ms: serving.p99_plan_latency_ms,
+        mean_queue_delay_ms: serving.mean_queue_delay_ms,
+        p99_queue_delay_ms: serving.p99_queue_delay_ms,
+        server_utilization,
+        mean_batch_size: serving.mean_batch_size,
+        slo_violation_fraction: serving.slo_violation_fraction,
         timed_out_requests: 0,
         retries: 0,
         dropped_requests: 0,
@@ -776,18 +667,18 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
         wall_s: end_ns.saturating_sub(start_ns) as f64 / 1e9,
         warmup_ms,
         transit: TransitStats {
-            request: StageStats::of(&transit_request),
-            dispatch: StageStats::of(&transit_dispatch),
-            completion: StageStats::of(&transit_completion),
-            response: StageStats::of(&transit_response),
-            round_trip: StageStats::of(&transit_round_trip),
+            request: StageStats::of(&hops.request),
+            dispatch: StageStats::of(&hops.dispatch),
+            completion: StageStats::of(&hops.completion),
+            response: StageStats::of(&hops.response),
+            round_trip: StageStats::of(&hops.round_trip),
         },
         mean_link_wait_ms,
         mean_stage_total_ms,
         ipc_overhead_ms,
         robots_completed: fins.iter().filter(|f| f.frames > 0).count(),
         total_frames: total_frames as usize,
-        offloaded_plans: offloaded_plans as usize,
+        offloaded_plans,
         telemetry: telemetry.report(),
         telemetry_drains,
     })

@@ -3,15 +3,18 @@
 //!
 //! A live run lowers one committed scenario cell into real processes — one
 //! robot client per robot, one inference worker per server, and a
-//! coordinator hosting the *same* router and batch-scheduler objects the
-//! DES engine drives — all communicating through one mmap'd `/dev/shm`
+//! coordinator that serves from the *same* `ServerPool` (routing, batching,
+//! batch pricing, busy time) and reduces the *same* `ServingSamples` as
+//! the DES engine — all communicating through one mmap'd `/dev/shm`
 //! segment of [`corki_ipc`] SPSC rings and seqlock snapshot slots:
 //!
 //! ```text
 //!            DES (oracle)                       live path
 //!   ScenarioSpec ──► FleetSimulator    ScenarioSpec ──► coordinator
-//!        │   simulated clock, same          │   wall clock, same
-//!        │   scheduler/router/profile       │   scheduler/router/profile
+//!        │   simulated clock                │   wall clock, robots/workers
+//!        │                                  │   as processes
+//!        ├──── ServerPool, ServingSamples ──┤
+//!        │     RobotProfile (shared cores)  │
 //!        ▼                                  ▼
 //!    FleetSummary  ◄── agree within ──► LiveReport (FleetSweepRow-shaped
 //!                      tolerance          + measured IPC transit)

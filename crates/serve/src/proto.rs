@@ -45,8 +45,10 @@ pub const WORK_RING_CAPACITY: usize = 8;
 
 fn words_of(buf: &[u8; MSG_SIZE]) -> [u64; WORDS] {
     let mut words = [0_u64; WORDS];
-    for (index, word) in words.iter_mut().enumerate() {
-        *word = u64::from_le_bytes(buf[index * 8..index * 8 + 8].try_into().unwrap());
+    for (word, chunk) in words.iter_mut().zip(buf.chunks_exact(8)) {
+        let mut bytes = [0_u8; 8];
+        bytes.copy_from_slice(chunk);
+        *word = u64::from_le_bytes(bytes);
     }
     words
 }
@@ -57,6 +59,21 @@ fn bytes_of(words: [u64; WORDS]) -> [u8; MSG_SIZE] {
         buf[index * 8..index * 8 + 8].copy_from_slice(&word.to_le_bytes());
     }
     buf
+}
+
+/// Accepts a decoded `msg` only if its encoding reproduces the frame
+/// exactly: a reserved word carries nothing, so a non-zero one marks a
+/// corrupt or foreign frame.
+fn exact<T>(
+    what: &str,
+    frame: &[u8; MSG_SIZE],
+    msg: T,
+    encoded: [u8; MSG_SIZE],
+) -> Result<T, String> {
+    match frame.chunks_exact(8).zip(encoded.chunks_exact(8)).position(|(a, b)| a != b) {
+        Some(word) => Err(format!("{what}: reserved word {word} is not zero")),
+        None => Ok(msg),
+    }
 }
 
 /// A message a robot client pushes into its request ring.
@@ -92,8 +109,6 @@ pub enum RobotMsg {
     Finished {
         /// Frames actually executed.
         frames: u64,
-        /// Plans obtained (offloaded + local).
-        plans: u64,
         /// Receive timestamp of the final response snapshot, monotonic ns
         /// (0 for a purely local robot).
         last_resp_recv_ns: u64,
@@ -135,7 +150,6 @@ impl RobotMsg {
             }
             RobotMsg::Finished {
                 frames,
-                plans,
                 last_resp_recv_ns,
                 finish_ns,
                 link_wait_ns,
@@ -144,7 +158,7 @@ impl RobotMsg {
                 ROBOT_FINISHED,
                 robot,
                 frames,
-                plans,
+                0,
                 last_resp_recv_ns,
                 finish_ns,
                 link_wait_ns,
@@ -154,7 +168,8 @@ impl RobotMsg {
         bytes_of(words)
     }
 
-    /// Decodes one ring slot into `(robot, message)`.
+    /// Decodes one ring slot into `(robot, message)`; unknown kinds and
+    /// non-zero reserved words are errors.
     pub fn decode(buf: &[u8; MSG_SIZE]) -> Result<(u64, RobotMsg), String> {
         let w = words_of(buf);
         let msg = match w[0] {
@@ -168,7 +183,6 @@ impl RobotMsg {
             ROBOT_LOCAL => RobotMsg::LocalPlan { latency_ns: w[6], done_ns: w[7] },
             ROBOT_FINISHED => RobotMsg::Finished {
                 frames: w[2],
-                plans: w[3],
                 last_resp_recv_ns: w[4],
                 finish_ns: w[5],
                 link_wait_ns: w[6],
@@ -176,7 +190,7 @@ impl RobotMsg {
             },
             kind => return Err(format!("unknown robot message kind {kind}")),
         };
-        Ok((w[1], msg))
+        exact("robot message", buf, (w[1], msg), msg.encode(w[1]))
     }
 }
 
@@ -185,8 +199,6 @@ impl RobotMsg {
 pub struct WorkMsg {
     /// Coordinator-assigned batch id ([`SHUTDOWN_BATCH`] ends the worker).
     pub batch_id: u64,
-    /// Requests in the batch.
-    pub batch_len: u64,
     /// Modelled service time of the whole batch, ns.
     pub service_ns: u64,
     /// When the coordinator pushed the batch, monotonic ns.
@@ -196,13 +208,14 @@ pub struct WorkMsg {
 impl WorkMsg {
     /// Encodes the batch into one ring slot.
     pub fn encode(&self) -> [u8; MSG_SIZE] {
-        bytes_of([self.batch_id, self.batch_len, self.service_ns, self.dispatch_ns, 0, 0, 0, 0])
+        bytes_of([self.batch_id, 0, self.service_ns, self.dispatch_ns, 0, 0, 0, 0])
     }
 
-    /// Decodes one ring slot.
-    pub fn decode(buf: &[u8; MSG_SIZE]) -> WorkMsg {
+    /// Decodes one ring slot; non-zero reserved words are errors.
+    pub fn decode(buf: &[u8; MSG_SIZE]) -> Result<WorkMsg, String> {
         let w = words_of(buf);
-        WorkMsg { batch_id: w[0], batch_len: w[1], service_ns: w[2], dispatch_ns: w[3] }
+        let msg = WorkMsg { batch_id: w[0], service_ns: w[2], dispatch_ns: w[3] };
+        exact("work message", buf, msg, msg.encode())
     }
 }
 
@@ -223,10 +236,11 @@ impl DoneMsg {
         bytes_of([self.batch_id, self.pop_ns, self.done_ns, 0, 0, 0, 0, 0])
     }
 
-    /// Decodes one ring slot.
-    pub fn decode(buf: &[u8; MSG_SIZE]) -> DoneMsg {
+    /// Decodes one ring slot; non-zero reserved words are errors.
+    pub fn decode(buf: &[u8; MSG_SIZE]) -> Result<DoneMsg, String> {
         let w = words_of(buf);
-        DoneMsg { batch_id: w[0], pop_ns: w[1], done_ns: w[2] }
+        let msg = DoneMsg { batch_id: w[0], pop_ns: w[1], done_ns: w[2] };
+        exact("done message", buf, msg, msg.encode())
     }
 }
 
@@ -237,14 +251,8 @@ impl DoneMsg {
 pub struct RespMsg {
     /// The attempt this plan answers.
     pub attempt: u64,
-    /// Control steps the returned plan covers.
-    pub plan_steps: u64,
     /// Time the request queued before dispatch, ns.
     pub queue_wait_ns: u64,
-    /// Batched service time the request's batch paid, ns.
-    pub service_ns: u64,
-    /// Pool index of the serving server.
-    pub server: u64,
     /// When the coordinator published this snapshot, monotonic ns.
     pub publish_ns: u64,
 }
@@ -252,29 +260,14 @@ pub struct RespMsg {
 impl RespMsg {
     /// Encodes the snapshot into one seqlock payload.
     pub fn encode(&self) -> [u8; MSG_SIZE] {
-        bytes_of([
-            self.attempt,
-            self.plan_steps,
-            self.queue_wait_ns,
-            self.service_ns,
-            self.server,
-            self.publish_ns,
-            0,
-            0,
-        ])
+        bytes_of([self.attempt, 0, self.queue_wait_ns, 0, 0, self.publish_ns, 0, 0])
     }
 
-    /// Decodes one seqlock payload.
-    pub fn decode(buf: &[u8; MSG_SIZE]) -> RespMsg {
+    /// Decodes one seqlock payload; non-zero reserved words are errors.
+    pub fn decode(buf: &[u8; MSG_SIZE]) -> Result<RespMsg, String> {
         let w = words_of(buf);
-        RespMsg {
-            attempt: w[0],
-            plan_steps: w[1],
-            queue_wait_ns: w[2],
-            service_ns: w[3],
-            server: w[4],
-            publish_ns: w[5],
-        }
+        let msg = RespMsg { attempt: w[0], queue_wait_ns: w[2], publish_ns: w[5] };
+        exact("response", buf, msg, msg.encode())
     }
 }
 
@@ -348,16 +341,6 @@ impl SegmentLayout {
         }
     }
 
-    /// Robot clients in the run.
-    pub fn robots(&self) -> usize {
-        self.robots
-    }
-
-    /// Inference workers in the run.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
     /// Total bytes the segment needs.
     pub fn total_size(&self) -> usize {
         self.doorbell_base() + (1 + self.robots + self.servers) * DOORBELL_STRIDE
@@ -429,17 +412,12 @@ impl SegmentLayout {
         assert!(server < self.servers, "server {server} out of range");
         self.doorbell_base() + (1 + self.robots + server) * DOORBELL_STRIDE
     }
-
-    #[allow(dead_code)]
-    fn assert_no_overlap(&self) {
-        assert_eq!(self.resp_slot(0) + self.resp_slot_size, self.req_ring(0) + self.robot_region);
-        assert_eq!(self.done_ring(0) + self.work_ring_size, self.work_ring(0) + self.server_region);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn robot_messages_round_trip() {
@@ -454,7 +432,6 @@ mod tests {
             RobotMsg::LocalPlan { latency_ns: 123, done_ns: 456 },
             RobotMsg::Finished {
                 frames: 48,
-                plans: 10,
                 last_resp_recv_ns: 5,
                 finish_ns: 6,
                 link_wait_ns: 7,
@@ -472,19 +449,93 @@ mod tests {
 
     #[test]
     fn work_done_resp_messages_round_trip() {
-        let work = WorkMsg { batch_id: 9, batch_len: 4, service_ns: 30_000_000, dispatch_ns: 77 };
-        assert_eq!(WorkMsg::decode(&work.encode()), work);
+        let work = WorkMsg { batch_id: 9, service_ns: 30_000_000, dispatch_ns: 77 };
+        assert_eq!(WorkMsg::decode(&work.encode()), Ok(work));
         let done = DoneMsg { batch_id: 9, pop_ns: 80, done_ns: 30_000_080 };
-        assert_eq!(DoneMsg::decode(&done.encode()), done);
-        let resp = RespMsg {
-            attempt: 2,
-            plan_steps: 5,
-            queue_wait_ns: 11,
-            service_ns: 22,
-            server: 1,
-            publish_ns: 33,
+        assert_eq!(DoneMsg::decode(&done.encode()), Ok(done));
+        let resp = RespMsg { attempt: 2, queue_wait_ns: 11, publish_ns: 33 };
+        assert_eq!(RespMsg::decode(&resp.encode()), Ok(resp));
+    }
+
+    #[test]
+    fn a_set_reserved_word_is_rejected_by_every_decoder() {
+        let with_word = |frame: [u8; MSG_SIZE], index: usize| {
+            let mut frame = frame;
+            frame[index * 8] = 1;
+            frame
         };
-        assert_eq!(RespMsg::decode(&resp.encode()), resp);
+        let zero = [0_u8; MSG_SIZE];
+        // The deleted fields' words: `WorkMsg.batch_len`, the three
+        // `RespMsg` words, `Finished.plans`.
+        assert!(WorkMsg::decode(&with_word(zero, 1)).is_err());
+        assert!(DoneMsg::decode(&with_word(zero, 3)).is_err());
+        for index in [1, 3, 4] {
+            assert!(RespMsg::decode(&with_word(zero, index)).is_err(), "word {index}");
+        }
+        let finished = RobotMsg::Finished {
+            frames: 1,
+            last_resp_recv_ns: 0,
+            finish_ns: 0,
+            link_wait_ns: 0,
+            upload_ns: 0,
+        };
+        assert!(RobotMsg::decode(&with_word(finished.encode(0), 3)).is_err());
+        assert!(RobotMsg::decode(&with_word(zero, 7)).is_err(), "request word 7");
+    }
+
+    // Untrusted frames: whatever 64 bytes land in a ring slot or a seqlock
+    // payload, every decoder returns instead of panicking; and every
+    // message survives encode → decode with arbitrary field values.  Small
+    // words make valid kinds and zero reserved words common, so the field
+    // checks run, not just the kind check.
+    proptest! {
+        #[test]
+        fn arbitrary_frames_never_panic_a_decoder(
+            bytes in proptest::collection::vec(0u8..=255, MSG_SIZE),
+            small in proptest::collection::vec(0u64..3, WORDS)
+        ) {
+            let mut frames = [[0_u8; MSG_SIZE]; 2];
+            frames[0].copy_from_slice(&bytes);
+            frames[1] = bytes_of(small.as_slice().try_into().expect("eight words"));
+            for frame in &frames {
+                let _ = RobotMsg::decode(frame);
+                let _ = WorkMsg::decode(frame);
+                let _ = DoneMsg::decode(frame);
+                let _ = RespMsg::decode(frame);
+            }
+        }
+
+        #[test]
+        fn every_message_round_trips(
+            v in proptest::collection::vec(0u64..=u64::MAX, WORDS)
+        ) {
+            let robot_msgs = [
+                RobotMsg::Request {
+                    attempt: v[0],
+                    planned_steps: v[1],
+                    capture_ns: v[2],
+                    send_ns: v[3],
+                    prev_resp_recv_ns: v[4],
+                },
+                RobotMsg::LocalPlan { latency_ns: v[5], done_ns: v[6] },
+                RobotMsg::Finished {
+                    frames: v[0],
+                    last_resp_recv_ns: v[1],
+                    finish_ns: v[2],
+                    link_wait_ns: v[3],
+                    upload_ns: v[4],
+                },
+            ];
+            for msg in robot_msgs {
+                prop_assert_eq!(RobotMsg::decode(&msg.encode(v[7])), Ok((v[7], msg)));
+            }
+            let work = WorkMsg { batch_id: v[0], service_ns: v[1], dispatch_ns: v[2] };
+            prop_assert_eq!(WorkMsg::decode(&work.encode()), Ok(work));
+            let done = DoneMsg { batch_id: v[3], pop_ns: v[4], done_ns: v[5] };
+            prop_assert_eq!(DoneMsg::decode(&done.encode()), Ok(done));
+            let resp = RespMsg { attempt: v[6], queue_wait_ns: v[7], publish_ns: v[0] };
+            prop_assert_eq!(RespMsg::decode(&resp.encode()), Ok(resp));
+        }
     }
 
     #[test]

@@ -29,9 +29,6 @@ pub struct StageStats {
 impl StageStats {
     /// Summarises raw nanosecond samples (all-zero when none were taken).
     pub fn of(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return StageStats { samples: 0, mean_ns: 0.0, p50_ns: 0.0, p99_ns: 0.0 };
-        }
         StageStats {
             samples: samples.len(),
             mean_ns: mean(samples),

@@ -78,7 +78,6 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
     let mut attempt = 0_u64;
     let mut link_wait_ns = 0_u64;
     let mut upload_ns_total = 0_u64;
-    let mut last_resp_recv_ns = 0_u64;
     // End-to-end fields of the previous offloaded plan, piggybacked onto
     // the next request so the coordinator can close its latency sample.
     let mut prev_resp_recv_ns = 0_u64;
@@ -107,7 +106,6 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
                     .encode(robot as u64),
                 run_state,
             )?;
-            last_resp_recv_ns = done_ns;
         } else {
             // Foreground upload: reserve the shared link, sleep out the
             // grant (wait + transfer), then hand the request to the pool.
@@ -141,7 +139,6 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
             )?;
             let response = wait_for_response(&resp, bell, attempt, &mut resp_buf, run_state)?;
             prev_resp_recv_ns = monotonic_ns();
-            last_resp_recv_ns = prev_resp_recv_ns;
             // The pool-side waits were measured by the coordinator and the
             // worker; the downlink is the one hop only the robot can close
             // (publish → observed: the wake-up latency of the robot's bell).
@@ -187,8 +184,7 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
         coordinator,
         &RobotMsg::Finished {
             frames: frame_index as u64,
-            plans,
-            last_resp_recv_ns,
+            last_resp_recv_ns: prev_resp_recv_ns,
             finish_ns: monotonic_ns(),
             link_wait_ns,
             upload_ns: upload_ns_total,
@@ -236,7 +232,7 @@ fn wait_for_response(
     loop {
         let seen = bell.seen();
         if resp.try_read(buf).is_some() {
-            let msg = RespMsg::decode(buf);
+            let msg = RespMsg::decode(buf).map_err(LiveError::Protocol)?;
             if msg.attempt == attempt {
                 return Ok(msg);
             }

@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use corki_ipc::{monotonic_ns, Doorbell};
+pub use corki_telemetry::ns_of_ms;
 
 use crate::proto::state;
 use crate::LiveError;
@@ -82,11 +83,6 @@ pub fn sleep_ms(ms: f64) {
     if ms > 0.0 {
         std::thread::sleep(Duration::from_nanos(ns_of_ms(ms)));
     }
-}
-
-/// Converts modelled milliseconds to integer nanoseconds.
-pub fn ns_of_ms(ms: f64) -> u64 {
-    (ms * 1_000_000.0).round().max(0.0) as u64
 }
 
 /// Milliseconds since the run epoch (clamped at zero for the instants just

@@ -1,12 +1,13 @@
 //! The inference-server worker process of a live run.
 //!
-//! A worker owns one server of the pool.  The batching decision stays with
-//! the coordinator (which runs the same [`BatchScheduler`] objects as the
-//! DES engine); the worker's only job is to *be busy* for the modelled
-//! service time of each batch it is handed, so queueing, batching and
+//! A worker owns one server of the pool.  Routing, batching and batch
+//! pricing stay with the coordinator, which drives the DES's own
+//! [`ServerPool`]; the worker's only job is to *be busy* for the modelled
+//! service time of each batch it is handed, and to report when it popped
+//! the batch and when the service ended, so queueing, batching and
 //! utilization emerge from real cross-process timing.
 //!
-//! [`BatchScheduler`]: corki_system::BatchScheduler
+//! [`ServerPool`]: corki_system::fleet::ServerPool
 
 use std::time::Duration;
 
@@ -62,14 +63,13 @@ pub fn run_worker(
             bell.wait(seen, ABORT_CHECK);
             continue;
         }
-        let msg = WorkMsg::decode(&buf);
+        let msg = WorkMsg::decode(&buf).map_err(LiveError::Protocol)?;
         if msg.batch_id == SHUTDOWN_BATCH {
             return Ok(());
         }
         let pop_ns = monotonic_ns();
         // The modelled forward pass: the worker is simply busy for the
-        // batched service time the coordinator computed with the shared
-        // `batch_service_ms` model.
+        // batched service time the server pool priced.
         std::thread::sleep(Duration::from_nanos(msg.service_ns));
         let notice = DoneMsg { batch_id: msg.batch_id, pop_ns, done_ns: monotonic_ns() };
         telemetry.record(Stage::BatchService, notice.done_ns - pop_ns);

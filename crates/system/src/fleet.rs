@@ -44,23 +44,25 @@
 //! max-batch/timeout batcher, which also serves `fifo` as the batcher of
 //! one, and the shortest-trajectory-first heap, both built only through
 //! [`SchedulerKind::build`]), `session` (robot profiles and per-robot
-//! state), `server` (pool configuration and the batch service-time model),
-//! `faults` (injection plans) and `stats` (run outputs and the warm-up
-//! choice, trimming and detection) — whose public items are re-exported
-//! here, so each has the one path `corki_system::fleet::*`.  This module
-//! keeps what is genuinely DES-specific: the event enum, the engine that
-//! lowers session and server transitions onto the event queue, and the
-//! simulator front-end.  The live `corki-serve` path drives the *same*
-//! cores from wall-clock time, which is why a live run can be checked
-//! against the DES as an oracle.
+//! state), `server` (pool configuration and [`ServerPool`], the one
+//! serving core: routing, batching, batch pricing and busy time),
+//! `faults` (injection plans) and `stats` (run outputs, the
+//! [`ServingSamples`] estimators and the warm-up choice, trimming and
+//! detection) — whose public items are re-exported here, so each has the
+//! one path `corki_system::fleet::*`.  This module keeps what is genuinely
+//! DES-specific: the event enum, the engine that lowers session and server
+//! transitions onto the event queue, and the simulator front-end.  The
+//! live `corki-serve` coordinator drives the same [`ServerPool`] and
+//! [`ServingSamples`] from wall-clock time, which is why a live run can be
+//! checked against the DES as an oracle.
 //!
 //! The engine is one sequential loop over one [`crate::des::EventQueue`] in
 //! global `(time, seq)` order; a sweep parallelises across cells, not
 //! within one.  The queue's FIFO lane absorbs the monotone stream of
 //! far-future upload completions that a saturated uplink grants in time
 //! order, so its heap holds only the near-term events; routing reads the
-//! server pool in place through [`Router::route_by`].  Neither allocates in
-//! the steady state (see the `event_arena` allocation-counting test).
+//! server pool in place.  Neither allocates in the steady state (see the
+//! `event_arena` allocation-counting test).
 
 mod faults;
 mod scheduler;
@@ -70,25 +72,26 @@ mod stats;
 
 pub use faults::{ChurnSpec, CrashSpec, FaultPlan, LinkDegradationSpec, TimeoutSpec};
 pub use scheduler::{BatchScheduler, PendingRequest, SchedulerKind};
-pub use server::{batch_service_ms, ServerConfig};
+pub use server::{ServerConfig, ServerPool};
 pub use session::{
     fleet_robot_seed, on_robot_inference_cost, plan_upload_ms, ControlBackend, RobotCompute,
     RobotConfig, RobotProfile, DEFAULT_EXECUTION_STEP_MS,
 };
-pub use stats::{trim_warmup, FleetOutcome, FleetSummary, RobotOutcome, WarmupSpec};
+pub use stats::{
+    FleetOutcome, FleetSummary, RobotOutcome, ServingSamples, ServingStats, WarmupSpec,
+};
 
 use crate::des::{EventQueue, Scheduled};
 use crate::devices::CommunicationModel;
 use crate::pipeline::{mean, percentile, FrameKind, PipelineConfig};
-use crate::routing::{Router, RoutingPolicy, ServerSnapshot};
+use crate::routing::RoutingPolicy;
 use crate::variant::Variant;
 use corki_accel::{AcceleratorModel, Arbiter, CpuControlModel};
 use corki_telemetry::{ns_of_ms, EventKind, Recorder, Stage};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use server::ServerState;
 use session::Session;
-use stats::mser5_warmup;
+use stats::{mser5_warmup, trim_warmup};
 
 /// Configuration of a fleet-serving simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,33 +162,18 @@ impl FleetConfig {
     /// `seed`, served by a single V100 FIFO server.
     pub fn paper_defaults(variant: Variant, robots: usize, seed: u64) -> Self {
         let base = PipelineConfig::paper_defaults(variant);
-        let robots = (0..robots)
-            .map(|r| RobotConfig {
-                variant: base.variant.clone(),
-                seed: fleet_robot_seed(seed, r as u64),
-                compute: RobotCompute::Offloaded,
-            })
-            .collect();
         FleetConfig {
-            robots,
-            servers: vec![ServerConfig::new(base.inference, SchedulerKind::Fifo)],
-            routing: RoutingPolicy::RoundRobin,
-            communication: base.communication,
-            accelerator: base.accelerator,
-            cpu: base.cpu,
-            ace_skip_fraction: base.ace_skip_fraction,
-            adaptive_lengths: base.adaptive_lengths,
-            unhidden_comm_fraction: base.unhidden_comm_fraction,
-            frames_per_robot: base.num_frames,
-            jitter: base.jitter,
-            accelerator_power_w: base.accelerator_power_w,
+            robots: (0..robots)
+                .map(|r| RobotConfig {
+                    variant: base.variant.clone(),
+                    seed: fleet_robot_seed(seed, r as u64),
+                    compute: RobotCompute::Offloaded,
+                })
+                .collect(),
             execution_step_ms: DEFAULT_EXECUTION_STEP_MS,
             start_stagger_ms: DEFAULT_EXECUTION_STEP_MS,
             background_uploads: true,
-            control_backend: ControlBackend::PerRobot,
-            warmup_ms: WarmupSpec::Fixed(0.0),
-            slo_budget_ms: 400.0,
-            faults: None,
+            ..FleetConfig::single_robot(&base)
         }
     }
 
@@ -301,14 +289,13 @@ struct Engine<'a> {
     sessions: Vec<Session>,
     link: Arbiter,
     shared_accelerator: Option<Arbiter>,
-    servers: Vec<ServerState>,
-    router: Router,
-    arrival_seq: u64,
+    pool: ServerPool,
+    /// The pending `SchedulerWake` of each server, so a held-back batch
+    /// schedules one wake-up rather than one per arrival.
+    next_wake_ms: Vec<Option<f64>>,
     // Aggregate metric samples, stamped with their completion time so the
     // warm-up window can be trimmed at aggregation time.
-    batch_sizes: Vec<usize>,
-    queue_waits_ms: Vec<(f64, f64)>,
-    plan_latencies_ms: Vec<(f64, f64)>,
+    samples: ServingSamples,
     link_waits_ms: Vec<(f64, f64)>,
     on_robot_inferences: usize,
     // Fault bookkeeping (all zero / empty on fault-free runs).
@@ -320,11 +307,6 @@ struct Engine<'a> {
     /// `(time, total pool queue depth)` samples for MSER-5 warm-up
     /// detection; only recorded under [`WarmupSpec::Auto`].
     queue_depth_series: Vec<(f64, f64)>,
-    /// Recycled dispatch-batch buffers (at most one per server): the event
-    /// loop's steady state moves batches between this pool and
-    /// [`ServerState::batch`] without allocating (see the `event_arena`
-    /// allocation-counting test).
-    batch_pool: Vec<Vec<PendingRequest>>,
     /// Always-on stage histograms + bounded per-robot timelines, recorded
     /// with the same six-stage taxonomy as the live path.  Records only
     /// already-computed values (no RNG draws, no scheduling), so it cannot
@@ -374,12 +356,9 @@ impl FleetSimulator {
                 ControlBackend::PerRobot => None,
                 ControlBackend::SharedAccelerator => Some(Arbiter::new()),
             },
-            servers: cfg.servers.iter().map(|server| ServerState::new(*server)).collect(),
-            router: Router::new(cfg.routing),
-            arrival_seq: 0,
-            batch_sizes: Vec::new(),
-            queue_waits_ms: Vec::new(),
-            plan_latencies_ms: Vec::new(),
+            pool: ServerPool::new(&cfg.servers, cfg.routing),
+            next_wake_ms: vec![None; cfg.servers.len()],
+            samples: ServingSamples::default(),
             link_waits_ms: Vec::new(),
             on_robot_inferences: 0,
             fallback_inferences: 0,
@@ -388,7 +367,6 @@ impl FleetSimulator {
             dropped_requests: 0,
             recovery: Vec::new(),
             queue_depth_series: Vec::new(),
-            batch_pool: Vec::new(),
             telemetry: Recorder::new(cfg.robots.len()),
         };
         for robot in 0..cfg.robots.len() {
@@ -433,7 +411,7 @@ impl Engine<'_> {
             FleetEvent::Capture { robot } => self.on_capture(robot, now),
             FleetEvent::UploadDone { robot } => self.on_upload_done(robot, now),
             FleetEvent::SchedulerWake { server } => {
-                self.servers[server].next_wake_ms = None;
+                self.next_wake_ms[server] = None;
                 self.try_dispatch(server, now);
             }
             FleetEvent::InferenceDone { server, epoch } => {
@@ -445,8 +423,13 @@ impl Engine<'_> {
                 self.on_request_timeout(robot, attempt, now)
             }
             FleetEvent::RetryUpload { robot, attempt } => self.on_retry_upload(robot, attempt, now),
-            FleetEvent::ServerCrash { server } => self.on_server_crash(server, now),
-            FleetEvent::ServerRecover { server } => self.on_server_recover(server, now),
+            // A crash aborts the batch in service and drops the queue (the
+            // robots recover via their timeouts); the server returns empty.
+            FleetEvent::ServerCrash { server } => self.pool.crash(server, now),
+            FleetEvent::ServerRecover { server } => {
+                self.pool.recover(server);
+                self.try_dispatch(server, now);
+            }
         }
     }
 
@@ -472,11 +455,11 @@ impl Engine<'_> {
         session.plan_steps = full_steps.min(frames - session.frame_index);
         session.step_in_plan = 0;
         session.capture_ms = now;
+        session.upload_ms = 0.0;
+        session.link_wait_ms = 0.0;
         if let Some((local_service_ms, _)) = session.profile.local {
             // On-robot inference: no upload, no routing, no queueing — the
             // robot's own device runs the plan back to back with capture.
-            session.upload_ms = 0.0;
-            session.link_wait_ms = 0.0;
             self.queue.schedule(now + local_service_ms, FleetEvent::LocalInferenceDone { robot });
             return;
         }
@@ -486,29 +469,35 @@ impl Engine<'_> {
             self.cfg.communication.per_frame_ms,
             self.cfg.unhidden_comm_fraction,
         );
-        session.upload_ms = match self.cfg.faults.as_ref() {
-            Some(faults) => session.base_upload_ms * faults.link_factor_at(now),
-            None => session.base_upload_ms,
-        };
         // Each plan opens a fresh attempt; retries claim further ids.
         session.attempt += 1;
         session.active_attempt = Some(session.attempt);
         session.retries_this_plan = 0;
-        let grant = self.link.acquire(now, session.upload_ms);
-        session.link_wait_ms = grant.wait_ms;
+        self.upload(robot, now);
+    }
+
+    /// Puts `robot`'s frame on the shared uplink at `now`: the plan's
+    /// undegraded upload, scaled by any link degradation in force.  A
+    /// retry pays the uplink again, so the plan's totals accumulate.
+    fn upload(&mut self, robot: usize, now: f64) {
+        let session = &mut self.sessions[robot];
+        let upload_ms = match self.cfg.faults.as_ref() {
+            Some(faults) => session.base_upload_ms * faults.link_factor_at(now),
+            None => session.base_upload_ms,
+        };
+        session.upload_ms += upload_ms;
+        let grant = self.link.acquire(now, upload_ms);
+        session.link_wait_ms += grant.wait_ms;
         self.link_waits_ms.push((grant.end_ms, grant.wait_ms));
-        self.telemetry.record_ms(Stage::Encode, session.upload_ms);
+        self.telemetry.record_ms(Stage::Encode, upload_ms);
         self.telemetry.record_ms(Stage::UplinkQueue, grant.wait_ms);
         self.queue.schedule(grant.end_ms, FleetEvent::UploadDone { robot });
     }
 
     fn on_upload_done(&mut self, robot: usize, now: f64) {
-        let cfg = self.cfg;
         // Fault layer: the timeout clock starts the moment the upload
         // completes, and a lossy link window may eat the frame outright.
-        let mut has_crashes = false;
-        if let Some(faults) = cfg.faults.as_ref() {
-            has_crashes = faults.has_crashes();
+        if let Some(faults) = self.cfg.faults.as_ref() {
             let attempt = self.sessions[robot]
                 .active_attempt
                 .expect("an upload in flight always has an active attempt");
@@ -532,43 +521,18 @@ impl Engine<'_> {
             }
         }
         let session = &self.sessions[robot];
-        let wants_trajectory = !session.profile.is_baseline;
-        // Blind routing (round-robin, or any single-server pool) looks at no
-        // server at all.  Everything else routes over an indexed view of the
-        // pool, which allocates nothing; crash plans always take the view so
-        // every policy can route around dead servers.
-        let target =
-            match (!has_crashes).then(|| self.router.try_route_blind(self.servers.len())).flatten()
-            {
-                Some(target) => target,
-                None => {
-                    if has_crashes && !self.servers.iter().any(|s| s.up) {
-                        // The whole pool is down: the request is lost in flight
-                        // and the robot recovers via its timeout.
-                        return;
-                    }
-                    let servers = &self.servers;
-                    self.router.route_by(servers.len(), |i| ServerSnapshot {
-                        queue_depth: servers[i].depth(),
-                        service_ms: servers[i].config.service_ms(wants_trajectory),
-                        up: servers[i].up,
-                    })
-                }
-            };
-        let seq = self.arrival_seq;
-        self.arrival_seq += 1;
-        let request = PendingRequest {
+        let admitted = self.pool.admit(
+            now,
             robot,
-            arrival_ms: now,
-            service_ms: self.servers[target].config.service_ms(wants_trajectory),
-            planned_steps: session.plan_steps,
-            seq,
-            attempt: session.attempt,
-        };
-        self.servers[target].scheduler.push(request);
-        if cfg.warmup_ms == WarmupSpec::Auto {
-            let depth: usize = self.servers.iter().map(ServerState::depth).sum();
-            self.queue_depth_series.push((now, depth as f64));
+            session.attempt,
+            session.plan_steps,
+            !session.profile.is_baseline,
+        );
+        // With the whole pool down the request is lost in flight and the
+        // robot recovers via its timeout.
+        let Some(target) = admitted else { return };
+        if self.cfg.warmup_ms == WarmupSpec::Auto {
+            self.queue_depth_series.push((now, self.pool.depth() as f64));
         }
         self.try_dispatch(target, now);
     }
@@ -618,71 +582,25 @@ impl Engine<'_> {
 
     /// Re-uploads the frame for a fresh attempt after its backoff expired.
     fn on_retry_upload(&mut self, robot: usize, attempt: u64, now: f64) {
-        let session = &mut self.sessions[robot];
-        if session.active_attempt != Some(attempt) {
-            return;
+        if self.sessions[robot].active_attempt == Some(attempt) {
+            self.upload(robot, now);
         }
-        let retry_upload_ms = match self.cfg.faults.as_ref() {
-            Some(faults) => session.base_upload_ms * faults.link_factor_at(now),
-            None => session.base_upload_ms,
-        };
-        // The re-send pays the uplink again: the plan's totals accumulate.
-        session.upload_ms += retry_upload_ms;
-        let grant = self.link.acquire(now, retry_upload_ms);
-        session.link_wait_ms += grant.wait_ms;
-        self.link_waits_ms.push((grant.end_ms, grant.wait_ms));
-        self.telemetry.record_ms(Stage::Encode, retry_upload_ms);
-        self.telemetry.record_ms(Stage::UplinkQueue, grant.wait_ms);
-        self.queue.schedule(grant.end_ms, FleetEvent::UploadDone { robot });
     }
 
-    /// An injected crash: the in-flight batch is aborted, the queue dropped
-    /// and the epoch bumped so stale completions are discarded.  Abandoned
-    /// robots recover via their timeouts.
-    fn on_server_crash(&mut self, server_index: usize, now: f64) {
-        let server = &mut self.servers[server_index];
-        server.up = false;
-        server.epoch += 1;
-        if server.busy() {
-            server.busy_ms += now - server.busy_since_ms;
-            server.busy_until_ms = now;
-            server.batch.clear();
-        }
-        server.scheduler.clear();
-    }
-
-    /// The crashed server comes back empty and healthy.
-    fn on_server_recover(&mut self, server_index: usize, now: f64) {
-        self.servers[server_index].up = true;
-        self.try_dispatch(server_index, now);
-    }
-
-    fn try_dispatch(&mut self, server_index: usize, now: f64) {
-        let server = &mut self.servers[server_index];
-        if server.busy() || !server.up {
-            return;
-        }
-        let mut batch = self.batch_pool.pop().unwrap_or_default();
-        server.scheduler.pop_batch_into(now, &mut batch);
-        if batch.is_empty() {
-            self.batch_pool.push(batch);
-            if server.scheduler.pending() > 0 {
-                if let Some(release) = server.scheduler.next_release_ms() {
-                    let release = if release > now { release } else { now };
-                    let need = server.next_wake_ms.is_none_or(|wake| release < wake);
-                    if need {
-                        self.queue
-                            .schedule(release, FleetEvent::SchedulerWake { server: server_index });
-                        server.next_wake_ms = Some(release);
-                    }
+    fn try_dispatch(&mut self, server: usize, now: f64) {
+        let Some((service, batch)) = self.pool.dispatch(server, now) else {
+            if let Some(release) = self.pool.next_release_ms(server) {
+                let release = if release > now { release } else { now };
+                let wake = &mut self.next_wake_ms[server];
+                if wake.is_none_or(|wake| release < wake) {
+                    self.queue.schedule(release, FleetEvent::SchedulerWake { server });
+                    *wake = Some(release);
                 }
             }
             return;
-        }
-        let base = batch.iter().map(|r| r.service_ms).fold(0.0_f64, f64::max);
-        let service = batch_service_ms(base, batch.len());
-        let inference_done = now + service;
-        for request in &batch {
+        };
+        let config = &self.cfg.servers[server];
+        for request in batch {
             let session = &mut self.sessions[request.robot];
             if session.active_attempt != Some(request.attempt) {
                 // The robot abandoned this attempt: the server still burns
@@ -693,65 +611,47 @@ impl Engine<'_> {
             let wait = now - request.arrival_ms;
             session.queue_wait_ms = wait;
             session.batch_service_ms = service;
-            session.inference_energy_j =
-                server.config.inference_energy_j(!session.profile.is_baseline);
-            self.queue_waits_ms.push((now, wait));
+            session.inference_energy_j = config.inference_energy_j(!session.profile.is_baseline);
+            self.samples.queue_wait(now, wait);
             self.telemetry.record_ms(Stage::PoolQueue, wait);
         }
-        self.batch_sizes.push(batch.len());
+        self.samples.batch(batch.len());
         self.telemetry.record_ms(Stage::BatchService, service);
-        server.batch = batch;
-        server.busy_since_ms = now;
-        self.queue.schedule(
-            inference_done,
-            FleetEvent::InferenceDone { server: server_index, epoch: server.epoch },
-        );
+        let epoch = self.pool.epoch(server);
+        self.queue.schedule(now + service, FleetEvent::InferenceDone { server, epoch });
     }
 
-    fn on_inference_done(&mut self, server_index: usize, epoch: u64, now: f64) {
-        let server = &mut self.servers[server_index];
-        if server.epoch != epoch {
+    fn on_inference_done(&mut self, server: usize, epoch: u64, now: f64) {
+        if self.pool.epoch(server) != epoch {
             // The batch was aborted by a crash between dispatch and
             // completion; its robots recover via their timeouts.
             return;
         }
-        server.busy_ms += now - server.busy_since_ms;
-        server.busy_until_ms = now;
-        let mut batch = std::mem::take(&mut server.batch);
+        let batch = self.pool.complete(server, None, now);
         for request in &batch {
             let session = &mut self.sessions[request.robot];
             if session.active_attempt != Some(request.attempt) {
                 continue; // The robot gave up on this request meanwhile.
             }
             session.active_attempt = None;
-            let plan_latency = now - session.capture_ms;
-            session.plan_latency_sum_ms += plan_latency;
-            self.plan_latencies_ms.push((now, plan_latency));
             // The DES models the plan downlink as instantaneous; recording
             // the zero keeps the stage present so the live path's (small,
             // polling-bound) downlink has an explicit oracle to beat.
             self.telemetry.record(Stage::Downlink, 0);
-            self.telemetry.event(
-                request.robot,
-                ns_of_ms(now),
-                EventKind::Plan,
-                ns_of_ms(plan_latency),
-            );
-            self.start_step(request.robot, now);
+            self.deliver_plan(request.robot, now, EventKind::Plan);
         }
-        batch.clear();
-        self.batch_pool.push(batch);
+        self.pool.recycle(batch);
         // A completion at/after a crash window's recovery instant marks the
         // server as back in service for the recovery-time metric.
         for tracker in &mut self.recovery {
-            if tracker.server == server_index
+            if tracker.server == server
                 && tracker.first_done_ms.is_none()
                 && now >= tracker.recover_at_ms
             {
                 tracker.first_done_ms = Some(now);
             }
         }
-        self.try_dispatch(server_index, now);
+        self.try_dispatch(server, now);
     }
 
     fn on_local_inference_done(&mut self, robot: usize, now: f64) {
@@ -763,15 +663,22 @@ impl Engine<'_> {
         session.queue_wait_ms = 0.0;
         session.batch_service_ms = local_service_ms;
         session.inference_energy_j = local_energy_j;
-        let plan_latency = now - session.capture_ms;
-        session.plan_latency_sum_ms += plan_latency;
-        self.plan_latencies_ms.push((now, plan_latency));
-        self.telemetry.event(robot, ns_of_ms(now), EventKind::LocalPlan, ns_of_ms(plan_latency));
         if fallback.is_some() {
             self.fallback_inferences += 1;
         } else {
             self.on_robot_inferences += 1;
         }
+        self.deliver_plan(robot, now, EventKind::LocalPlan);
+    }
+
+    /// A plan reached `robot` at `now`: a plan-latency sample and a
+    /// timeline event of `kind`, then the robot starts executing it.
+    fn deliver_plan(&mut self, robot: usize, now: f64, kind: EventKind) {
+        let session = &mut self.sessions[robot];
+        let plan_latency = now - session.capture_ms;
+        session.plan_latency_sum_ms += plan_latency;
+        self.samples.plan(now, plan_latency);
+        self.telemetry.event(robot, ns_of_ms(now), kind, ns_of_ms(plan_latency));
         self.start_step(robot, now);
     }
 
@@ -859,23 +766,9 @@ impl Engine<'_> {
         let total_frames: usize = self.sessions.iter().map(|s| s.frame_index).sum();
         let frame_latencies: Vec<f64> =
             self.sessions.iter().flat_map(|s| s.traces.iter().map(|t| t.latency_ms)).collect();
-        let plan_latencies = trim_warmup(&self.plan_latencies_ms, warmup);
-        let queue_waits = trim_warmup(&self.queue_waits_ms, warmup);
+        let serving = self.samples.summarize(warmup, cfg.slo_budget_ms);
         let link_waits = trim_warmup(&self.link_waits_ms, warmup);
-        let mean_p99 = |values: &[f64]| (mean(values), percentile(values, 0.99));
-        let frame_stats = mean_p99(&frame_latencies);
-        let plan_stats = mean_p99(&plan_latencies);
-        let queue_stats = mean_p99(&queue_waits);
-        let link_mean = mean(&link_waits);
-        let inferences: usize = self.batch_sizes.iter().sum();
-        let pool_busy_ms: f64 = self.servers.iter().map(|s| s.busy_ms).sum();
-        // Fault plans let the pool burn abandoned requests after the last
-        // robot finishes; utilization is measured over the longer of the two
-        // horizons so it stays a fraction.  Fault-free runs always complete
-        // their last inference before the last robot finishes, so there this
-        // is exactly the makespan.
-        let busy_horizon_ms =
-            self.servers.iter().map(|s| s.busy_until_ms).fold(makespan_ms, f64::max);
+        let (server_utilization, per_server_utilization) = self.pool.utilization(makespan_ms);
         let summary = FleetSummary {
             robots: cfg.robots.len(),
             servers: cfg.servers.len(),
@@ -889,37 +782,20 @@ impl Engine<'_> {
             } else {
                 0.0
             },
-            mean_frame_latency_ms: frame_stats.0,
-            p99_frame_latency_ms: frame_stats.1,
-            mean_plan_latency_ms: plan_stats.0,
-            p99_plan_latency_ms: plan_stats.1,
-            mean_queue_delay_ms: queue_stats.0,
-            p99_queue_delay_ms: queue_stats.1,
-            mean_link_wait_ms: link_mean,
-            server_utilization: if busy_horizon_ms > 0.0 {
-                pool_busy_ms / (busy_horizon_ms * cfg.servers.len() as f64)
-            } else {
-                0.0
-            },
-            per_server_utilization: self
-                .servers
-                .iter()
-                .map(|s| if busy_horizon_ms > 0.0 { s.busy_ms / busy_horizon_ms } else { 0.0 })
-                .collect(),
+            mean_frame_latency_ms: mean(&frame_latencies),
+            p99_frame_latency_ms: percentile(&frame_latencies, 0.99),
+            mean_plan_latency_ms: serving.mean_plan_latency_ms,
+            p99_plan_latency_ms: serving.p99_plan_latency_ms,
+            mean_queue_delay_ms: serving.mean_queue_delay_ms,
+            p99_queue_delay_ms: serving.p99_queue_delay_ms,
+            mean_link_wait_ms: mean(&link_waits),
+            server_utilization,
+            per_server_utilization,
             link_utilization: self.link.utilization(makespan_ms),
-            inferences,
+            inferences: serving.inferences,
             on_robot_inferences: self.on_robot_inferences,
-            mean_batch_size: if self.batch_sizes.is_empty() {
-                0.0
-            } else {
-                inferences as f64 / self.batch_sizes.len() as f64
-            },
-            slo_violation_fraction: if plan_latencies.is_empty() {
-                0.0
-            } else {
-                plan_latencies.iter().filter(|&&latency| latency > cfg.slo_budget_ms).count() as f64
-                    / plan_latencies.len() as f64
-            },
+            mean_batch_size: serving.mean_batch_size,
+            slo_violation_fraction: serving.slo_violation_fraction,
             timed_out_requests: self.timed_out_requests,
             retries: self.retries,
             dropped_requests: self.dropped_requests,

@@ -3,12 +3,12 @@
 //! A [`BatchScheduler`] is a pure `event in → actions out` core: requests go
 //! in via [`push`](BatchScheduler::push), batches come out via
 //! [`pop_batch_into`](BatchScheduler::pop_batch_into), and the *caller* owns
-//! the clock (`now_ms` is a parameter, never read from a timer).  The same
-//! scheduler objects therefore serve two drivers: the deterministic DES
-//! engine of [`crate::fleet::FleetSimulator`], which feeds simulated
-//! milliseconds, and the live `corki-serve` coordinator, which feeds
-//! wall-clock milliseconds measured since the run epoch.  Both obtain their
-//! queues from [`SchedulerKind::build`] alone.
+//! the clock (`now_ms` is a parameter, never read from a timer).  The
+//! server pool ([`crate::fleet::ServerPool`]) builds one queue per server
+//! from [`SchedulerKind::build`], and both fleet drivers reach the queues
+//! only through it: the deterministic DES engine feeding simulated
+//! milliseconds, and the live `corki-serve` coordinator feeding wall-clock
+//! milliseconds measured since the run epoch.
 //!
 //! There are two queues behind the three disciplines: the max-batch/timeout
 //! batcher (Clipper-style dynamic batching), which also serves `fifo` as the

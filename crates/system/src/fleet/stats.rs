@@ -1,13 +1,15 @@
 //! Run outputs and statistics: per-robot outcomes, the aggregate
-//! [`FleetSummary`], the warm-up choice ([`WarmupSpec`]) and the warm-up
-//! trimming/detection helpers.
+//! [`FleetSummary`], the serving samples and their estimators
+//! ([`ServingSamples`]), the warm-up choice ([`WarmupSpec`]) and the
+//! warm-up trimming/detection helpers.
 //!
-//! These types are driver-independent: the DES engine fills them from
-//! simulated timestamps, the live `corki-serve` coordinator from wall-clock
-//! samples — both trim their warm-up windows with the same
-//! [`trim_warmup`], so the oracle comparison compares like with like.
+//! The serving statistics are driver-independent: the DES engine stamps
+//! its samples with simulated time, the live `corki-serve` coordinator
+//! with wall-clock time, and both reduce them with the one
+//! [`ServingSamples::summarize`], so the oracle comparison compares like
+//! with like.
 
-use crate::pipeline::FrameTrace;
+use crate::pipeline::{mean, percentile, FrameTrace};
 use corki_telemetry::TelemetryReport;
 use serde::{Deserialize, Serialize};
 
@@ -158,10 +160,74 @@ impl Deserialize for WarmupSpec {
     }
 }
 
-/// Keeps the samples completed at or after the warm-up window: each sample
-/// is a `(completion timestamp, value)` pair, and the returned vector holds
-/// the values whose timestamps reach `warmup_ms`.
-pub fn trim_warmup(samples: &[(f64, f64)], warmup_ms: f64) -> Vec<f64> {
+/// The serving samples both fleet drivers record: plan latencies stamped
+/// with their delivery, queue waits stamped with their batch's dispatch,
+/// and the size of every dispatched batch.
+#[derive(Debug, Default)]
+pub struct ServingSamples {
+    plan_latencies_ms: Vec<(f64, f64)>,
+    queue_waits_ms: Vec<(f64, f64)>,
+    batch_sizes: Vec<usize>,
+}
+
+/// The serving statistics of one run, after warm-up trimming.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ServingStats {
+    /// Mean end-to-end plan latency, ms.
+    pub mean_plan_latency_ms: f64,
+    /// 99th-percentile end-to-end plan latency, ms.
+    pub p99_plan_latency_ms: f64,
+    /// Mean server queueing delay, ms.
+    pub mean_queue_delay_ms: f64,
+    /// 99th-percentile server queueing delay, ms.
+    pub p99_queue_delay_ms: f64,
+    /// Fraction of plan latencies strictly above the budget (0 if none).
+    pub slo_violation_fraction: f64,
+    /// Requests served by the pool (every batch, warm-up included).
+    pub inferences: usize,
+    /// Mean formed batch size (0 when no batch ran).
+    pub mean_batch_size: f64,
+}
+
+impl ServingSamples {
+    /// Records a plan that reached its robot at `done_ms`.
+    pub fn plan(&mut self, done_ms: f64, latency_ms: f64) {
+        self.plan_latencies_ms.push((done_ms, latency_ms));
+    }
+
+    /// Records a request that waited `wait_ms` for a dispatch at `dispatch_ms`.
+    pub fn queue_wait(&mut self, dispatch_ms: f64, wait_ms: f64) {
+        self.queue_waits_ms.push((dispatch_ms, wait_ms));
+    }
+
+    /// Records a dispatched batch of `len` requests.
+    pub fn batch(&mut self, len: usize) {
+        self.batch_sizes.push(len);
+    }
+
+    /// Reduces the samples stamped at or after `warmup_ms` to the run's
+    /// serving statistics; a plan violates the SLO when its latency is
+    /// strictly above `slo_budget_ms`.  Empty sample sets yield zeros.
+    pub fn summarize(&self, warmup_ms: f64, slo_budget_ms: f64) -> ServingStats {
+        let plans = trim_warmup(&self.plan_latencies_ms, warmup_ms);
+        let waits = trim_warmup(&self.queue_waits_ms, warmup_ms);
+        let inferences: usize = self.batch_sizes.iter().sum();
+        ServingStats {
+            mean_plan_latency_ms: mean(&plans),
+            p99_plan_latency_ms: percentile(&plans, 0.99),
+            mean_queue_delay_ms: mean(&waits),
+            p99_queue_delay_ms: percentile(&waits, 0.99),
+            slo_violation_fraction: plans.iter().filter(|&&ms| ms > slo_budget_ms).count() as f64
+                / plans.len().max(1) as f64,
+            inferences,
+            mean_batch_size: inferences as f64 / self.batch_sizes.len().max(1) as f64,
+        }
+    }
+}
+
+/// The values of the `(completion timestamp, value)` samples whose
+/// timestamps reach the end of the warm-up window, `warmup_ms`.
+pub(crate) fn trim_warmup(samples: &[(f64, f64)], warmup_ms: f64) -> Vec<f64> {
     samples.iter().filter(|(t, _)| *t >= warmup_ms).map(|(_, v)| *v).collect()
 }
 
@@ -195,4 +261,60 @@ pub(crate) fn mser5_warmup(series: &[(f64, f64)]) -> f64 {
         }
     }
     series[best.0 * BATCH].0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn warmup_trims_by_completion_stamp() {
+        let mut samples = ServingSamples::default();
+        samples.plan(5.0, 1000.0);
+        samples.plan(10.0, 1.0);
+        samples.plan(20.0, 3.0);
+        samples.queue_wait(9.0, 50.0);
+        samples.queue_wait(12.0, 4.0);
+        samples.batch(2);
+        samples.batch(1);
+        let stats = samples.summarize(10.0, 400.0);
+        assert_eq!((stats.mean_plan_latency_ms, stats.p99_plan_latency_ms), (2.0, 3.0));
+        assert_eq!((stats.mean_queue_delay_ms, stats.p99_queue_delay_ms), (4.0, 4.0));
+        // Batches are counted whole, warm-up included.
+        assert_eq!((stats.inferences, stats.mean_batch_size), (3, 1.5));
+        assert_eq!(samples.summarize(0.0, 400.0).mean_plan_latency_ms, 1004.0 / 3.0);
+    }
+
+    #[test]
+    fn the_slo_check_is_strictly_above_the_budget() {
+        let mut samples = ServingSamples::default();
+        samples.plan(1.0, 400.0);
+        samples.plan(2.0, 400.5);
+        assert_eq!(samples.summarize(0.0, 400.0).slo_violation_fraction, 0.5);
+        assert_eq!(samples.summarize(0.0, 400.5).slo_violation_fraction, 0.0);
+    }
+
+    #[test]
+    fn empty_samples_give_finite_zeros_that_survive_json() {
+        let mut samples = ServingSamples::default();
+        samples.plan(1.0, 5.0);
+        for stats in
+            [ServingSamples::default().summarize(0.0, 400.0), samples.summarize(2.0, 400.0)]
+        {
+            assert_eq!(
+                stats,
+                ServingStats {
+                    mean_plan_latency_ms: 0.0,
+                    p99_plan_latency_ms: 0.0,
+                    mean_queue_delay_ms: 0.0,
+                    p99_queue_delay_ms: 0.0,
+                    slo_violation_fraction: 0.0,
+                    inferences: 0,
+                    mean_batch_size: 0.0,
+                }
+            );
+            let json = serde_json::to_string(&stats).expect("serialises");
+            assert_eq!(serde_json::from_str::<ServingStats>(&json).expect("parses"), stats);
+        }
+    }
 }

@@ -34,7 +34,7 @@ pub mod des;
 mod devices;
 pub mod fleet;
 mod pipeline;
-pub mod routing;
+mod routing;
 pub mod scenario;
 mod variant;
 
@@ -51,7 +51,7 @@ pub use pipeline::{
     mean, percentile, ExecutionStats, FrameKind, FrameTrace, PipelineConfig, PipelineSimulator,
     PipelineSummary, StepsTakenModel,
 };
-pub use routing::{ParseRoutingPolicyError, Router, RoutingPolicy, ServerSnapshot};
+pub use routing::{ParseRoutingPolicyError, RoutingPolicy};
 pub use scenario::{
     scenario_fingerprint, CompositionLabel, CompositionSpec, ConcreteScenario, ScenarioAxes,
     ScenarioBuilder, ScenarioError, ScenarioSpec, WarmupSpec,

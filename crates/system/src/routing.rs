@@ -4,7 +4,7 @@
 //! offloaded request must be placed on exactly one server the moment its
 //! upload completes.  The [`Router`] makes that decision from an indexed
 //! view of the pool (a [`ServerSnapshot`] per server index, produced on
-//! demand by the caller) under one of three policies:
+//! demand by [`crate::fleet::ServerPool`]) under one of three policies:
 //!
 //! * [`RoutingPolicy::RoundRobin`] — cycle through the servers in arrival
 //!   order.  Stateless with respect to the pool (the decision depends only
@@ -25,7 +25,7 @@
 //! Routing is fully deterministic: no randomness, ties broken by server
 //! index, so fleet runs stay byte-identical across repeats and worker
 //! counts.  It is also allocation-free: [`Router::route_by`] scans the view
-//! in place, and both the DES engine and the live coordinator route every
+//! in place, and the server pool both fleet drivers share routes every
 //! request through it (after [`Router::try_route_blind`], which needs no
 //! view at all).
 
@@ -118,17 +118,17 @@ impl Deserialize for RoutingPolicy {
 
 /// What the router sees of one server when placing a request.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerSnapshot {
+pub(crate) struct ServerSnapshot {
     /// Requests queued at the scheduler plus those in the batch currently
     /// being served.
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Unbatched service time of the request being routed on *this* server's
     /// device (ms).
-    pub service_ms: f64,
+    pub(crate) service_ms: f64,
     /// Whether the server is currently up.  Crashed servers (injected by a
     /// [`crate::fleet::FaultPlan`]) advertise `up: false` and every policy
     /// routes around them as long as at least one healthy server remains.
-    pub up: bool,
+    pub(crate) up: bool,
 }
 
 /// The routing decision engine: a policy plus the small amount of state the
@@ -138,20 +138,15 @@ pub struct ServerSnapshot {
 /// without looking at the pool when the policy allows it, and
 /// [`Router::route_by`] decides over an indexed view of the pool.
 #[derive(Debug, Clone)]
-pub struct Router {
+pub(crate) struct Router {
     policy: RoutingPolicy,
     round_robin_next: usize,
 }
 
 impl Router {
     /// Creates a router for the given policy.
-    pub fn new(policy: RoutingPolicy) -> Self {
+    pub(crate) fn new(policy: RoutingPolicy) -> Self {
         Router { policy, round_robin_next: 0 }
-    }
-
-    /// The policy this router applies.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.policy
     }
 
     /// Routes without looking at the pool, when the policy allows it:
@@ -163,7 +158,7 @@ impl Router {
     /// # Panics
     ///
     /// Panics if `pool_size` is zero.
-    pub fn try_route_blind(&mut self, pool_size: usize) -> Option<usize> {
+    pub(crate) fn try_route_blind(&mut self, pool_size: usize) -> Option<usize> {
         assert!(pool_size > 0, "cannot route across an empty server pool");
         match self.policy {
             RoutingPolicy::RoundRobin => {
@@ -195,7 +190,7 @@ impl Router {
     ///
     /// Panics if `pool_size` is zero — a fleet always has at least one
     /// server.
-    pub fn route_by(
+    pub(crate) fn route_by(
         &mut self,
         pool_size: usize,
         snapshot: impl Fn(usize) -> ServerSnapshot,
