@@ -40,13 +40,15 @@ impl JointImpactFactors {
     pub fn measure(robot: &RobotModel, q: &[f64], delta: f64) -> Self {
         assert!(delta > 0.0, "delta must be positive");
         assert_eq!(q.len(), robot.dof(), "configuration size mismatch");
+        let entries = robot.dof() * robot.dof();
         let reference = robot.mass_matrix(q);
         let factors = (0..robot.dof())
             .map(|j| {
                 let mut perturbed = q.to_vec();
                 perturbed[j] += delta;
                 let m = robot.mass_matrix(&perturbed);
-                m.max_abs_diff(&reference) / delta
+                let pairs = m[..entries].iter().zip(&reference[..entries]);
+                pairs.fold(0.0_f64, |acc, (a, b)| acc.max((a - b).abs())) / delta
             })
             .collect();
         JointImpactFactors { factors }
@@ -55,11 +57,6 @@ impl JointImpactFactors {
     /// The per-joint factors.
     pub fn factors(&self) -> &[f64] {
         &self.factors
-    }
-
-    /// Number of joints covered.
-    pub fn dof(&self) -> usize {
-        self.factors.len()
     }
 
     /// The update "probability" (a normalised urgency score in `[0, 1]`) for
@@ -131,11 +128,6 @@ impl AceState {
         AceState { config, last_update: None, stats: AceStatistics::default() }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AceConfig {
-        &self.config
-    }
-
     /// Accumulated statistics.
     pub fn statistics(&self) -> AceStatistics {
         self.stats
@@ -199,6 +191,7 @@ pub fn mass_matrix_sensitivity(
     q: &[f64],
     deltas: &[f64],
 ) -> Vec<MassMatrixSensitivity> {
+    let entries = robot.dof() * robot.dof();
     let reference = robot.mass_matrix(q);
     let mut rows = Vec::new();
     for joint in 0..robot.dof() {
@@ -208,13 +201,11 @@ pub fn mass_matrix_sensitivity(
             let m = robot.mass_matrix(&perturbed);
             let mut max_abs: f64 = 0.0;
             let mut max_rel: f64 = 0.0;
-            for i in 0..m.rows() {
-                for j in 0..m.cols() {
-                    let diff = (m[(i, j)] - reference[(i, j)]).abs();
-                    max_abs = max_abs.max(diff);
-                    if reference[(i, j)].abs() > 0.05 {
-                        max_rel = max_rel.max(100.0 * diff / reference[(i, j)].abs());
-                    }
+            for (m_ij, ref_ij) in m[..entries].iter().zip(&reference[..entries]) {
+                let diff = (m_ij - ref_ij).abs();
+                max_abs = max_abs.max(diff);
+                if ref_ij.abs() > 0.05 {
+                    max_rel = max_rel.max(100.0 * diff / ref_ij.abs());
                 }
             }
             rows.push(MassMatrixSensitivity {

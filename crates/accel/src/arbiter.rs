@@ -54,11 +54,6 @@ impl Arbiter {
         Grant { start_ms, end_ms, wait_ms: start_ms - now_ms }
     }
 
-    /// The earliest time at which a new request would start service.
-    pub fn free_at_ms(&self) -> f64 {
-        self.free_at_ms
-    }
-
     /// Total time the resource has been granted for (ms).
     pub fn busy_ms(&self) -> f64 {
         self.busy_ms

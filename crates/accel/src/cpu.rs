@@ -9,9 +9,6 @@ pub enum CpuKind {
     /// The Intel Core i7-6770HQ that ships inside the Franka control box —
     /// the processor used by the baseline and by Corki-SW.
     IntelI7_6770HQ,
-    /// A desktop Intel Core i7-13700, which the paper notes still cannot meet
-    /// the real-time control requirement.
-    IntelI7_13700,
 }
 
 /// An analytical latency/energy model of the control computation on a CPU,
@@ -38,18 +35,6 @@ impl CpuControlModel {
             kind: CpuKind::IntelI7_6770HQ,
             control_latency_ms: (1000.0 / 22.1) * 0.397,
             power_w: 35.0,
-        }
-    }
-
-    /// A modern desktop Intel i7-13700: roughly twice the single-thread
-    /// throughput, yet the paper notes the resulting control loop still
-    /// cannot meet the real-time requirement once sensing and communication
-    /// are included.
-    pub fn i7_13700() -> Self {
-        CpuControlModel {
-            kind: CpuKind::IntelI7_13700,
-            control_latency_ms: (1000.0 / 22.1) * 0.397 / 2.0,
-            power_w: 65.0,
         }
     }
 
@@ -93,15 +78,6 @@ mod tests {
         assert!((cpu.control_loop_frequency_hz() - 22.1).abs() < 0.1);
         // The bare control computation cannot reach the preferred 100 Hz.
         assert!(!cpu.meets_rate(100.0));
-    }
-
-    #[test]
-    fn even_a_modern_desktop_cpu_misses_the_real_time_target() {
-        // §2.2: "we also tried ... an Intel Core i7-13700 CPU and the
-        // corresponding frequency still can not meet real-time requirements."
-        let cpu = CpuControlModel::i7_13700();
-        assert!(cpu.control_frequency_hz() > CpuControlModel::i7_6770hq().control_frequency_hz());
-        assert!(cpu.control_loop_frequency_hz() < 30.0);
     }
 
     #[test]

@@ -86,16 +86,6 @@ impl AcceleratorModel {
         AcceleratorModel { config, ops }
     }
 
-    /// The configuration of this model.
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
-    }
-
-    /// The operation counts of this model.
-    pub fn ops(&self) -> &OpCounts {
-        &self.ops
-    }
-
     /// Latency of one control computation with every matrix recomputed.
     pub fn control_latency(&self) -> ControlLatencyBreakdown {
         self.control_latency_with_skips(0.0)

@@ -37,9 +37,12 @@ fn bench_control_kernels(c: &mut Criterion) {
     group.bench_function("full_ts_ctc_cycle", |b| {
         let controller = TaskSpaceController::new(ControllerGains::default());
         let state = JointState::new(q.clone(), qd.clone());
-        let fk = robot.forward_kinematics(&q);
-        let reference = TaskReference::hold(fk.end_effector);
-        b.iter(|| black_box(controller.compute_torque(&robot, black_box(&state), &reference)))
+        let reference = TaskReference::hold(robot.forward_kinematics(&q));
+        let mut tau = [0.0; 7];
+        b.iter(|| {
+            controller.compute_torque(&robot, black_box(&state), &reference, &mut tau);
+            black_box(tau)
+        })
     });
     group.finish();
 }

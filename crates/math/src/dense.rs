@@ -1,18 +1,46 @@
-//! Row-major dense kernels over plain slices: the one implementation of the
-//! matrix products and of the Cholesky and LU factorisations behind
-//! [`DMat`](crate::DMat), usable on stack buffers by callers that must not
-//! allocate (the rigid-body dynamics of `corki-robot` run them on every
-//! physics substep).
+//! Row-major dense kernels over plain slices: the matrix products and the
+//! Cholesky and LU factorisations, usable on stack buffers by callers that
+//! must not allocate (the rigid-body dynamics of `corki-robot` run them on
+//! every physics substep and every control cycle).
 //!
 //! An `r×c` matrix is the first `r·c` entries of its slice, row `i` at
-//! `[i·c, (i+1)·c)`. Each `DMat` method is a thin wrapper over the kernel
-//! here, so results are bit-identical whichever storage holds the numbers.
+//! `[i·c, (i+1)·c)`.
 //!
 //! # Panics
 //!
 //! Every kernel panics if a slice is shorter than the dimensions it is given.
 
-use crate::{CholeskyError, LuError};
+use std::fmt;
+
+/// Error returned when an LU factorisation fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LuError {
+    /// The matrix is singular (a pivot was numerically zero).
+    Singular,
+}
+
+impl fmt::Display for LuError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "matrix is singular")
+    }
+}
+
+impl std::error::Error for LuError {}
+
+/// Error returned when a Cholesky factorisation fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CholeskyError {
+    /// The matrix is not positive definite.
+    NotPositiveDefinite,
+}
+
+impl fmt::Display for CholeskyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "matrix is not positive definite")
+    }
+}
+
+impl std::error::Error for CholeskyError {}
 
 /// `out = A x` for an `rows×cols` matrix `A`.
 pub fn mul_vec(a: &[f64], rows: usize, cols: usize, x: &[f64], out: &mut [f64]) {
@@ -187,5 +215,147 @@ fn lu_solve_strided(
             acc -= lu[pi * n + j] * x[j * stride];
         }
         x[i * stride] = acc / lu[pi * n + i];
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Solves `A x = b` by LU factorisation of a copy of `a`.
+    fn solve_lu(a: &[f64], n: usize, b: &[f64]) -> Result<Vec<f64>, LuError> {
+        let mut lu = a.to_vec();
+        let mut perm = vec![0; n];
+        lu_factor(&mut lu, &mut perm, n)?;
+        let mut x = vec![0.0; n];
+        lu_solve(&lu, &perm, n, b, &mut x);
+        Ok(x)
+    }
+
+    /// Solves `A x = b` by Cholesky factorisation of `a`.
+    fn solve_cholesky(a: &[f64], n: usize, b: &[f64]) -> Result<Vec<f64>, CholeskyError> {
+        let mut l = vec![0.0; n * n];
+        cholesky_factor(a, n, &mut l)?;
+        let mut x = vec![0.0; n];
+        cholesky_solve(&l, n, b, &mut x);
+        Ok(x)
+    }
+
+    fn transpose(a: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+        (0..rows * cols).map(|idx| a[(idx % rows) * cols + idx / rows]).collect()
+    }
+
+    fn identity(n: usize) -> Vec<f64> {
+        (0..n * n).map(|idx| if idx / n == idx % n { 1.0 } else { 0.0 }).collect()
+    }
+
+    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).fold(0.0_f64, |acc, (x, y)| acc.max((x - y).abs()))
+    }
+
+    #[test]
+    fn identity_solve() {
+        let b = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(solve_lu(&identity(4), 4, &b).unwrap(), b);
+    }
+
+    #[test]
+    fn lu_solve_known_system() {
+        let m = [2.0, 1.0, -1.0, -3.0, -1.0, 2.0, -2.0, 1.0, 2.0];
+        let x = solve_lu(&m, 3, &[8.0, -11.0, -3.0]).unwrap();
+        assert!((x[0] - 2.0).abs() < 1e-10);
+        assert!((x[1] - 3.0).abs() < 1e-10);
+        assert!((x[2] - -1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn singular_matrix_is_detected() {
+        assert_eq!(solve_lu(&[1.0, 2.0, 2.0, 4.0], 2, &[1.0, 2.0]), Err(LuError::Singular));
+    }
+
+    #[test]
+    fn cholesky_solve_spd() {
+        let m = [4.0, 12.0, -16.0, 12.0, 37.0, -43.0, -16.0, -43.0, 98.0];
+        let b = [1.0, 2.0, 3.0];
+        let x = solve_cholesky(&m, 3, &b).unwrap();
+        let mut back = [0.0; 3];
+        mul_vec(&m, 3, 3, &x, &mut back);
+        for i in 0..3 {
+            assert!((back[i] - b[i]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn cholesky_rejects_indefinite() {
+        let mut l = [0.0; 4];
+        assert_eq!(
+            cholesky_factor(&[1.0, 2.0, 2.0, 1.0], 2, &mut l),
+            Err(CholeskyError::NotPositiveDefinite)
+        );
+    }
+
+    #[test]
+    fn inverse_roundtrip() {
+        let m = [3.0, 0.5, 1.0, 0.5, 2.0, 0.0, 1.0, 0.0, 4.0];
+        let mut lu = m;
+        let mut perm = [0; 3];
+        lu_factor(&mut lu, &mut perm, 3).unwrap();
+        let mut inv = [0.0; 9];
+        lu_inverse(&lu, &perm, 3, &mut inv);
+        let mut eye = [0.0; 9];
+        mul_mat(&m, 3, 3, &inv, 3, &mut eye);
+        assert!(max_abs_diff(&eye, &identity(3)) < 1e-10);
+    }
+
+    #[test]
+    fn matmul_against_known_result() {
+        let mut c = [0.0; 4];
+        mul_mat(&[1.0, 2.0, 3.0, 4.0], 2, 2, &[5.0, 6.0, 7.0, 8.0], 2, &mut c);
+        assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
+    }
+
+    fn arb_spd(n: usize) -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(-1.0..1.0f64, n * n).prop_map(move |b| {
+            // A = B Bᵀ + n·I is symmetric positive definite.
+            let mut a = vec![0.0; n * n];
+            mul_mat(&b, n, n, &transpose(&b, n, n), n, &mut a);
+            for i in 0..n {
+                a[i * n + i] += n as f64;
+            }
+            a
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn lu_and_cholesky_agree_on_spd(m in arb_spd(5),
+                                        b in proptest::collection::vec(-10.0..10.0f64, 5)) {
+            let x1 = solve_lu(&m, 5, &b).unwrap();
+            let x2 = solve_cholesky(&m, 5, &b).unwrap();
+            for i in 0..5 {
+                prop_assert!((x1[i] - x2[i]).abs() < 1e-6);
+            }
+        }
+
+        #[test]
+        fn solve_then_multiply_recovers_rhs(m in arb_spd(4),
+                                            b in proptest::collection::vec(-5.0..5.0f64, 4)) {
+            let x = solve_lu(&m, 4, &b).unwrap();
+            let mut back = [0.0; 4];
+            mul_vec(&m, 4, 4, &x, &mut back);
+            for i in 0..4 {
+                prop_assert!((back[i] - b[i]).abs() < 1e-7);
+            }
+        }
+
+        #[test]
+        fn cholesky_factor_reconstructs(m in arb_spd(4)) {
+            let mut l = [0.0; 16];
+            cholesky_factor(&m, 4, &mut l).unwrap();
+            let mut reconstructed = [0.0; 16];
+            mul_mat(&l, 4, 4, &transpose(&l, 4, 4), 4, &mut reconstructed);
+            prop_assert!(max_abs_diff(&reconstructed, &m) < 1e-9);
+        }
     }
 }

@@ -7,10 +7,9 @@
 //! * 3-vectors, 3×3 matrices, unit quaternions and SE(3) rigid transforms,
 //! * 6-D spatial (Plücker) vectors and 6×6 spatial matrices in the style of
 //!   Featherstone's *Rigid Body Dynamics Algorithms*,
-//! * small dynamically-sized matrices with LU and Cholesky solvers (used for
-//!   the 7×7 joint-space mass matrix and the 6×6 task-space mass matrix),
-//!   built on row-major slice kernels ([`dense`]) that also run on stack
-//!   buffers,
+//! * row-major slice kernels ([`dense`]): matrix products and LU and
+//!   Cholesky solvers that run on stack buffers (used for the 7×7
+//!   joint-space mass matrix and the 6×6 task-space mass matrix),
 //! * cubic polynomials, the trajectory primitive of the Corki algorithm.
 //!
 //! # Example
@@ -29,7 +28,6 @@
 
 mod cubic;
 pub mod dense;
-mod dmat;
 mod mat3;
 mod quat;
 mod se3;
@@ -37,7 +35,6 @@ mod spatial;
 mod vec3;
 
 pub use cubic::CubicPoly;
-pub use dmat::{CholeskyError, DMat, DVec, LuError, LuFactors};
 pub use mat3::Mat3;
 pub use quat::UnitQuaternion;
 pub use se3::SE3;

@@ -143,34 +143,6 @@ impl Mat3 {
         self.m[0][0] + self.m[1][1] + self.m[2][2]
     }
 
-    /// Inverse, or `None` when the matrix is singular.
-    pub fn try_inverse(&self) -> Option<Mat3> {
-        let det = self.determinant();
-        if det.abs() < 1e-14 {
-            return None;
-        }
-        let m = &self.m;
-        let inv_det = 1.0 / det;
-        let cof = |a: f64, b: f64, c: f64, d: f64| a * d - b * c;
-        Some(Mat3::from_rows(
-            [
-                cof(m[1][1], m[1][2], m[2][1], m[2][2]) * inv_det,
-                -cof(m[0][1], m[0][2], m[2][1], m[2][2]) * inv_det,
-                cof(m[0][1], m[0][2], m[1][1], m[1][2]) * inv_det,
-            ],
-            [
-                -cof(m[1][0], m[1][2], m[2][0], m[2][2]) * inv_det,
-                cof(m[0][0], m[0][2], m[2][0], m[2][2]) * inv_det,
-                -cof(m[0][0], m[0][2], m[1][0], m[1][2]) * inv_det,
-            ],
-            [
-                cof(m[1][0], m[1][1], m[2][0], m[2][1]) * inv_det,
-                -cof(m[0][0], m[0][1], m[2][0], m[2][1]) * inv_det,
-                cof(m[0][0], m[0][1], m[1][0], m[1][1]) * inv_det,
-            ],
-        ))
-    }
-
     /// Returns row `i` as a vector.
     pub fn row(&self, i: usize) -> Vec3 {
         Vec3::new(self.m[i][0], self.m[i][1], self.m[i][2])
@@ -179,11 +151,6 @@ impl Mat3 {
     /// Returns column `j` as a vector.
     pub fn col(&self, j: usize) -> Vec3 {
         Vec3::new(self.m[0][j], self.m[1][j], self.m[2][j])
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.m.iter().flat_map(|r| r.iter()).map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry.
@@ -339,19 +306,6 @@ mod tests {
         let a = Vec3::new(1.0, -2.0, 0.5);
         let b = Vec3::new(0.3, 4.0, -1.0);
         assert!((Mat3::skew(a) * b - a.cross(b)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_of_rotation_is_transpose() {
-        let r = Mat3::from_euler_xyz(0.2, -0.4, 1.1);
-        let inv = r.try_inverse().unwrap();
-        assert!((inv - r.transpose()).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn singular_matrix_has_no_inverse() {
-        let m = Mat3::from_rows([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]);
-        assert!(m.try_inverse().is_none());
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl UnitQuaternion {
         )
     }
 
-    /// Extracts XYZ (roll, pitch, yaw) Euler angles.
-    pub fn to_euler_xyz(&self) -> (f64, f64, f64) {
-        self.to_rotation_matrix().to_euler_xyz()
-    }
-
     /// The conjugate (inverse rotation for a unit quaternion).
     pub fn conjugate(&self) -> UnitQuaternion {
         UnitQuaternion { w: self.w, x: -self.x, y: -self.y, z: -self.z }

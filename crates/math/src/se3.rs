@@ -42,11 +42,6 @@ impl SE3 {
         SE3 { rotation, translation }
     }
 
-    /// A pure translation.
-    pub fn from_translation(t: Vec3) -> Self {
-        SE3::new(Mat3::identity(), t)
-    }
-
     /// A pure rotation.
     pub fn from_rotation(r: Mat3) -> Self {
         SE3::new(r, Vec3::ZERO)
@@ -80,11 +75,6 @@ impl SE3 {
         self.rotation * p + self.translation
     }
 
-    /// Rotates a direction (ignores translation).
-    pub fn transform_vector(&self, v: Vec3) -> Vec3 {
-        self.rotation * v
-    }
-
     /// The orientation as a unit quaternion.
     pub fn quaternion(&self) -> UnitQuaternion {
         UnitQuaternion::from_rotation_matrix(&self.rotation)
@@ -109,11 +99,6 @@ impl SE3 {
         let dt = self.translation.distance(other.translation);
         let dr = self.quaternion().angle_to(&other.quaternion());
         dt + rotation_weight * dr
-    }
-
-    /// Re-orthonormalises the rotation part (to combat floating-point drift).
-    pub fn renormalize(&self) -> SE3 {
-        SE3::new(self.rotation.orthonormalize(), self.translation)
     }
 }
 

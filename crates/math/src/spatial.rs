@@ -10,7 +10,7 @@
 
 use crate::{Mat3, Vec3, SE3};
 use serde::{Deserialize, Serialize};
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 /// A spatial *motion* vector: angular part on top, linear part below.
 ///
@@ -92,16 +92,6 @@ impl SpatialForce {
     /// Creates a force vector from moment and linear force parts.
     pub const fn new(moment: Vec3, force: Vec3) -> Self {
         SpatialForce { moment, force }
-    }
-
-    /// Euclidean norm of the stacked 6-vector.
-    pub fn norm(&self) -> f64 {
-        (self.moment.norm_squared() + self.force.norm_squared()).sqrt()
-    }
-
-    /// Returns the stacked `[nx, ny, nz, fx, fy, fz]` array.
-    pub fn to_array(&self) -> [f64; 6] {
-        [self.moment.x, self.moment.y, self.moment.z, self.force.x, self.force.y, self.force.z]
     }
 }
 
@@ -335,15 +325,6 @@ impl SpatialMat {
         SpatialMat { m: [[0.0; 6]; 6] }
     }
 
-    /// The identity matrix.
-    pub fn identity() -> Self {
-        let mut out = SpatialMat::zero();
-        for i in 0..6 {
-            out.m[i][i] = 1.0;
-        }
-        out
-    }
-
     /// Builds a 6×6 matrix from four 3×3 blocks.
     pub fn from_blocks(ul: Mat3, ur: Mat3, ll: Mat3, lr: Mat3) -> Self {
         let mut out = SpatialMat::zero();
@@ -378,50 +359,6 @@ impl SpatialMat {
             *yi = row.iter().zip(&x).map(|(mij, xj)| mij * xj).sum();
         }
         SpatialForce::new(Vec3::new(y[0], y[1], y[2]), Vec3::new(y[3], y[4], y[5]))
-    }
-
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.m.iter().flat_map(|r| r.iter()).fold(0.0_f64, |acc, x| acc.max(x.abs()))
-    }
-}
-
-impl Add for SpatialMat {
-    type Output = SpatialMat;
-    fn add(self, rhs: SpatialMat) -> SpatialMat {
-        let mut out = SpatialMat::zero();
-        for i in 0..6 {
-            for j in 0..6 {
-                out.m[i][j] = self.m[i][j] + rhs.m[i][j];
-            }
-        }
-        out
-    }
-}
-
-impl Mul for SpatialMat {
-    type Output = SpatialMat;
-    fn mul(self, rhs: SpatialMat) -> SpatialMat {
-        let mut out = SpatialMat::zero();
-        for i in 0..6 {
-            for j in 0..6 {
-                out.m[i][j] = (0..6).map(|k| self.m[i][k] * rhs.m[k][j]).sum();
-            }
-        }
-        out
-    }
-}
-
-impl Index<(usize, usize)> for SpatialMat {
-    type Output = f64;
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        &self.m[i][j]
-    }
-}
-
-impl IndexMut<(usize, usize)> for SpatialMat {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        &mut self.m[i][j]
     }
 }
 

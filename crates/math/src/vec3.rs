@@ -45,16 +45,6 @@ impl Vec3 {
         Vec3 { x: v, y: v, z: v }
     }
 
-    /// Creates a vector from a 3-element slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s.len() != 3`.
-    pub fn from_slice(s: &[f64]) -> Self {
-        assert_eq!(s.len(), 3, "Vec3::from_slice expects exactly 3 elements");
-        Vec3::new(s[0], s[1], s[2])
-    }
-
     /// Returns the components as an array `[x, y, z]`.
     pub fn to_array(self) -> [f64; 3] {
         [self.x, self.y, self.z]
@@ -104,11 +94,6 @@ impl Vec3 {
         self.try_normalize().expect("cannot normalize a zero-length Vec3")
     }
 
-    /// Component-wise multiplication.
-    pub fn component_mul(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
-    }
-
     /// Linear interpolation: `self * (1 - t) + other * t`.
     pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
         self * (1.0 - t) + other * t
@@ -117,16 +102,6 @@ impl Vec3 {
     /// Euclidean distance to `other`.
     pub fn distance(self, other: Vec3) -> f64 {
         (self - other).norm()
-    }
-
-    /// Maximum absolute component.
-    pub fn max_abs(self) -> f64 {
-        self.x.abs().max(self.y.abs()).max(self.z.abs())
-    }
-
-    /// Returns `true` if all components are finite.
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
 }
 
@@ -288,7 +263,6 @@ mod tests {
         let v = Vec3::from([1.0, 2.0, 3.0]);
         let a: [f64; 3] = v.into();
         assert_eq!(a, [1.0, 2.0, 3.0]);
-        assert_eq!(Vec3::from_slice(&a), v);
     }
 
     fn arb_vec3() -> impl Strategy<Value = Vec3> {

@@ -96,16 +96,6 @@ impl Linear {
         (self.forward(x), LinearCache { input: x.to_vec() })
     }
 
-    /// Forward pass storing the cache into an existing [`LinearCache`],
-    /// reusing both the output and cache buffers (zero allocations once the
-    /// buffers have reached their steady-state sizes).
-    pub fn forward_cached_reuse(&self, x: &[f64], y: &mut Vec<f64>, cache: &mut LinearCache) {
-        y.clear();
-        y.resize(self.output_dim(), 0.0);
-        self.forward_into(x, y);
-        cache.store_input(x);
-    }
-
     /// Backward pass: accumulates parameter gradients and returns the gradient
     /// with respect to the input.
     ///
@@ -135,11 +125,6 @@ impl Linear {
     /// Immutable access to the weight tensor.
     pub fn weight(&self) -> &Tensor {
         &self.weight
-    }
-
-    /// Immutable access to the bias tensor.
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
     }
 }
 

@@ -42,25 +42,6 @@ pub fn bce_with_logits(logit: f64, target: f64) -> (f64, f64) {
     (loss, sigmoid - target)
 }
 
-/// The combined Corki/RoboFlamingo training loss (Equation 3):
-/// `MSE(pose) + λ · BCE(gripper)`, returning
-/// `(total_loss, pose_gradient, gripper_logit_gradient)`.
-///
-/// # Panics
-///
-/// Panics if the pose slices have different lengths.
-pub fn pose_and_gripper_loss(
-    pose_pred: &[f64],
-    pose_target: &[f64],
-    gripper_logit: f64,
-    gripper_target: f64,
-    lambda: f64,
-) -> (f64, Vec<f64>, f64) {
-    let (pose_loss, pose_grad) = mse(pose_pred, pose_target);
-    let (grip_loss, grip_grad) = bce_with_logits(gripper_logit, gripper_target);
-    (pose_loss + lambda * grip_loss, pose_grad, lambda * grip_grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,16 +99,5 @@ mod tests {
         assert!(loss.is_finite() && grad.is_finite());
         let (loss, grad) = bce_with_logits(-500.0, 1.0);
         assert!(loss.is_finite() && grad.is_finite());
-    }
-
-    #[test]
-    fn combined_loss_weights_gripper_with_lambda() {
-        let pose_pred = [0.1, 0.2];
-        let pose_target = [0.0, 0.0];
-        let (total_0, _, ggrad_0) = pose_and_gripper_loss(&pose_pred, &pose_target, 1.0, 0.0, 0.0);
-        let (total_1, _, ggrad_1) = pose_and_gripper_loss(&pose_pred, &pose_target, 1.0, 0.0, 2.0);
-        assert!(total_1 > total_0);
-        assert_eq!(ggrad_0, 0.0);
-        assert!(ggrad_1 > 0.0);
     }
 }

@@ -71,12 +71,6 @@ impl Adam {
         }
     }
 
-    /// Sets (or disables) gradient clipping.
-    pub fn with_clip_norm(mut self, clip_norm: Option<f64>) -> Self {
-        self.clip_norm = clip_norm;
-        self
-    }
-
     /// Number of update steps taken so far.
     pub fn steps_taken(&self) -> u64 {
         self.step_count

@@ -85,14 +85,9 @@ impl CloseLoopEncoder {
         }
     }
 
-    /// Encodes a mid-trajectory observation; when no observation was sent
-    /// back, callers should use [`CloseLoopEncoder::empty_feature`].
-    pub fn encode(&self, observation: &Observation) -> Vec<f64> {
-        self.projection.forward(&observation.to_features())
-    }
-
-    /// Allocation-free variant of [`CloseLoopEncoder::encode`], bit-identical
-    /// to it.
+    /// Encodes a mid-trajectory observation into `out` without allocating;
+    /// when no observation was sent back, callers should use
+    /// [`CloseLoopEncoder::empty_feature`].
     pub fn encode_into(
         &self,
         observation: &Observation,
@@ -100,24 +95,6 @@ impl CloseLoopEncoder {
         out: &mut Vec<f64>,
     ) {
         self.projection.forward_into(&observation.to_features(), scratch, out);
-    }
-
-    /// Averages the features of several mid-trajectory observations, or
-    /// returns the empty feature when none were sent.
-    pub fn encode_all(&self, observations: &[Observation]) -> Vec<f64> {
-        if observations.is_empty() {
-            return self.empty_feature();
-        }
-        let mut acc = vec![0.0; self.feature_dim];
-        for obs in observations {
-            for (a, v) in acc.iter_mut().zip(self.encode(obs)) {
-                *a += v;
-            }
-        }
-        for a in acc.iter_mut() {
-            *a /= observations.len() as f64;
-        }
-        acc
     }
 
     /// The all-zeros feature used when no close-loop image was available.
@@ -162,19 +139,5 @@ mod tests {
         let tb = enc.encode(&b);
         let diff: f64 = ta.iter().zip(&tb).map(|(x, y)| (x - y).abs()).sum();
         assert!(diff > 1e-6);
-    }
-
-    #[test]
-    fn close_loop_encoder_handles_empty_and_multiple() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let enc = CloseLoopEncoder::new(8, &mut rng);
-        assert_eq!(enc.encode_all(&[]), vec![0.0; 8]);
-        let obs = Observation::default();
-        let single = enc.encode_all(std::slice::from_ref(&obs));
-        assert_eq!(single, enc.encode(&obs));
-        let double = enc.encode_all(&[obs, obs]);
-        for (a, b) in double.iter().zip(&single) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 }

@@ -5,13 +5,12 @@
 //! e = xd − x,   ė = ẋd − ẋ
 //! ```
 //!
-//! plus a joint-space computed-torque controller used as a cross-check in
-//! tests and by the CPU-baseline latency model.
+//! with the torque clamped to the robot's effort limits.
 
-use crate::dynamics::TaskSpaceDynamics;
+use crate::dynamics::{TaskSpaceDynamics, TaskSpaceModel};
 use crate::model::RobotModel;
-use crate::state::{EndEffectorState, JointState};
-use corki_math::{dense, UnitQuaternion, Vec3, SE3};
+use crate::state::JointState;
+use corki_math::{dense, Vec3, SE3};
 use serde::{Deserialize, Serialize};
 
 /// Proportional/derivative gains of the TS-CTC controller, split between the
@@ -45,20 +44,6 @@ impl Default for ControllerGains {
     }
 }
 
-impl ControllerGains {
-    /// Gains with the derivative terms set for critical damping
-    /// (`kv = 2·sqrt(kp)`).
-    pub fn critically_damped(kp_linear: f64, kp_angular: f64, null_space_damping: f64) -> Self {
-        ControllerGains {
-            kp_linear,
-            kv_linear: 2.0 * kp_linear.sqrt(),
-            kp_angular,
-            kv_angular: 2.0 * kp_angular.sqrt(),
-            null_space_damping,
-        }
-    }
-}
-
 /// The task-space reference handed to the controller for one control cycle:
 /// desired pose, velocity and feed-forward acceleration of the end-effector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,17 +67,6 @@ impl TaskReference {
             pose,
             linear_velocity: Vec3::ZERO,
             angular_velocity: Vec3::ZERO,
-            linear_acceleration: Vec3::ZERO,
-            angular_acceleration: Vec3::ZERO,
-        }
-    }
-
-    /// Convenience constructor from pose and velocities.
-    pub fn moving(pose: SE3, linear_velocity: Vec3, angular_velocity: Vec3) -> Self {
-        TaskReference {
-            pose,
-            linear_velocity,
-            angular_velocity,
             linear_acceleration: Vec3::ZERO,
             angular_acceleration: Vec3::ZERO,
         }
@@ -121,7 +95,6 @@ pub(crate) fn orientation_error(desired: &SE3, actual: &SE3) -> Vec3 {
 pub struct TaskSpaceController {
     gains: ControllerGains,
     dynamics: TaskSpaceDynamics,
-    clamp_to_effort_limits: bool,
 }
 
 impl Default for TaskSpaceController {
@@ -134,52 +107,45 @@ impl TaskSpaceController {
     /// Creates a controller with the given gains and default singularity
     /// damping.
     pub fn new(gains: ControllerGains) -> Self {
-        TaskSpaceController {
-            gains,
-            dynamics: TaskSpaceDynamics::default(),
-            clamp_to_effort_limits: true,
-        }
+        TaskSpaceController { gains, dynamics: TaskSpaceDynamics::default() }
     }
 
-    /// The controller gains.
-    pub fn gains(&self) -> &ControllerGains {
-        &self.gains
-    }
-
-    /// Disables clamping of the output to the robot's effort limits (useful
-    /// for analysing the unconstrained control law).
-    pub fn without_effort_clamping(mut self) -> Self {
-        self.clamp_to_effort_limits = false;
-        self
-    }
-
-    /// Runs one TS-CTC cycle, returning the joint torques.
+    /// Runs one TS-CTC cycle, writing the joint torques into `tau`. The
+    /// cycle runs on the stack and never touches the heap.
     ///
     /// # Panics
     ///
-    /// Panics if the joint state does not match the robot's DoF.
+    /// Panics if the joint state or `tau` does not match the robot's DoF.
     pub fn compute_torque(
         &self,
         robot: &RobotModel,
         state: &JointState,
         reference: &TaskReference,
-    ) -> Vec<f64> {
+        tau: &mut [f64],
+    ) {
         let model = self.dynamics.compute(robot, &state.positions, &state.velocities);
-        self.compute_torque_with_model(robot, state, reference, &model.end_effector, &model)
+        self.compute_torque_with_model(robot, state, reference, &model, tau);
     }
 
-    /// Runs one TS-CTC cycle reusing an already-computed [`crate::TaskSpaceModel`]
-    /// (the accelerator model uses this entry point so that the functional
-    /// result and the timing model share the same inputs).
+    /// The control law of [`TaskSpaceController::compute_torque`] on a given
+    /// [`TaskSpaceModel`] instead of one computed from `state`. Its caller is
+    /// the bit-identity test of the dynamics, where a model built by a
+    /// reference implementation drives this live control law.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau` or the state's velocities do not match the model's
+    /// DoF.
     pub fn compute_torque_with_model(
         &self,
         robot: &RobotModel,
         state: &JointState,
         reference: &TaskReference,
-        end_effector: &EndEffectorState,
-        model: &crate::TaskSpaceModel,
-    ) -> Vec<f64> {
+        model: &TaskSpaceModel,
+        tau: &mut [f64],
+    ) {
         let g = &self.gains;
+        let end_effector = &model.end_effector;
         // Errors (Equation 6): e = xd − x, ė = ẋd − ẋ.
         let e_pos = reference.pose.translation - end_effector.pose.translation;
         let e_rot = orientation_error(&reference.pose, &end_effector.pose);
@@ -194,90 +160,20 @@ impl TaskSpaceController {
 
         // F = Mx·acc_ref + hx
         let mut wrench = [0.0; 6];
-        dense::mul_vec(model.task_mass_matrix.as_slice(), 6, 6, &acc_ref, &mut wrench);
+        dense::mul_vec(&model.task_mass_matrix, 6, 6, &acc_ref, &mut wrench);
         for (w, hx) in wrench.iter_mut().zip(&model.task_bias) {
             *w += hx;
         }
 
-        // τ = Jᵀ F, plus null-space damping.
-        let mut tau = model.jacobian.transpose_mul_wrench(&wrench);
+        // τ = Jᵀ F, plus null-space damping, clamped to the effort limits.
+        model.jacobian.transpose_mul_wrench(&wrench, tau);
         for (t, qd) in tau.iter_mut().zip(&state.velocities) {
             *t -= g.null_space_damping * qd;
         }
-
-        if self.clamp_to_effort_limits {
-            for (t, joint) in tau.iter_mut().zip(robot.actuated_joints()) {
-                *t = t.clamp(-joint.effort_limit, joint.effort_limit);
-            }
+        for (t, joint) in tau.iter_mut().zip(robot.actuated_joints()) {
+            *t = t.clamp(-joint.effort_limit, joint.effort_limit);
         }
-        tau
     }
-}
-
-/// A joint-space computed-torque controller:
-/// `τ = M(θ)(q̈d + Kp e + Kv ė) + h(θ, θ̇)`.
-///
-/// Used by tests as an independent cross-check of the dynamics and by the
-/// baseline CPU-control latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct JointSpaceController {
-    /// Proportional gain (1/s²).
-    pub kp: f64,
-    /// Derivative gain (1/s).
-    pub kv: f64,
-}
-
-impl Default for JointSpaceController {
-    fn default() -> Self {
-        JointSpaceController { kp: 100.0, kv: 20.0 }
-    }
-}
-
-impl JointSpaceController {
-    /// Creates a joint-space computed-torque controller.
-    pub fn new(kp: f64, kv: f64) -> Self {
-        JointSpaceController { kp, kv }
-    }
-
-    /// Computes the joint torques tracking the desired joint trajectory point
-    /// `(qd, qdotd, qddotd)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector lengths do not match the robot's DoF.
-    pub fn compute_torque(
-        &self,
-        robot: &RobotModel,
-        state: &JointState,
-        q_desired: &[f64],
-        qd_desired: &[f64],
-        qdd_desired: &[f64],
-    ) -> Vec<f64> {
-        assert_eq!(q_desired.len(), robot.dof(), "q_desired length");
-        assert_eq!(qd_desired.len(), robot.dof(), "qd_desired length");
-        assert_eq!(qdd_desired.len(), robot.dof(), "qdd_desired length");
-        let n = robot.dof();
-        let mut acc_cmd = vec![0.0; n];
-        for i in 0..n {
-            acc_cmd[i] = qdd_desired[i]
-                + self.kp * (q_desired[i] - state.positions[i])
-                + self.kv * (qd_desired[i] - state.velocities[i]);
-        }
-        robot.inverse_dynamics(&state.positions, &state.velocities, &acc_cmd)
-    }
-}
-
-/// Helper exposing the orientation error for other crates (the trajectory
-/// metrics use it to compare rotational tracking).
-pub fn rotation_error_vector(desired: &SE3, actual: &SE3) -> Vec3 {
-    orientation_error(desired, actual)
-}
-
-/// Returns the quaternion geodesic distance between two poses' orientations.
-pub fn rotation_angle_between(a: &SE3, b: &SE3) -> f64 {
-    let qa: UnitQuaternion = a.quaternion();
-    let qb: UnitQuaternion = b.quaternion();
-    qa.angle_to(&qb)
 }
 
 #[cfg(test)]
@@ -292,8 +188,9 @@ mod tests {
         let state = JointState::at_rest(PANDA_HOME.to_vec());
         let fk = robot.forward_kinematics(&state.positions);
         let controller = TaskSpaceController::new(ControllerGains::default());
-        let reference = TaskReference::hold(fk.end_effector);
-        let tau = controller.compute_torque(&robot, &state, &reference);
+        let reference = TaskReference::hold(fk);
+        let mut tau = [0.0; 7];
+        controller.compute_torque(&robot, &state, &reference, &mut tau);
         // With zero error, τ = Jᵀ hx ≈ gravity compensation projected through
         // the task space; it should be close to the gravity torques for the
         // wrist joints and certainly bounded by the effort limits.
@@ -311,10 +208,11 @@ mod tests {
         let robot = panda_model();
         let state = JointState::at_rest(PANDA_HOME.to_vec());
         let fk = robot.forward_kinematics(&state.positions);
-        let mut target = fk.end_effector;
+        let mut target = fk;
         target.translation.x += 0.05;
         let controller = TaskSpaceController::new(ControllerGains::default());
-        let tau = controller.compute_torque(&robot, &state, &TaskReference::hold(target));
+        let mut tau = [0.0; 7];
+        controller.compute_torque(&robot, &state, &TaskReference::hold(target), &mut tau);
         let qdd = robot.forward_dynamics(&state.positions, &state.velocities, &tau);
         // Map the joint acceleration to task space: ẍ = J q̈ + J̇ q̇ (q̇ = 0).
         let j = robot.jacobian(&state.positions);
@@ -342,47 +240,23 @@ mod tests {
         let robot = panda_model();
         let state = JointState::at_rest(PANDA_HOME.to_vec());
         let fk = robot.forward_kinematics(&state.positions);
-        let mut target = fk.end_effector;
+        let mut target = fk;
         target.translation.x += 10.0; // absurdly far target
         let controller = TaskSpaceController::new(ControllerGains::default());
-        let tau = controller.compute_torque(&robot, &state, &TaskReference::hold(target));
+        let mut tau = [0.0; 7];
+        controller.compute_torque(&robot, &state, &TaskReference::hold(target), &mut tau);
         for (t, l) in tau.iter().zip(robot.effort_limits()) {
             assert!(t.abs() <= l + 1e-9);
         }
-        let unclamped = TaskSpaceController::new(ControllerGains::default())
-            .without_effort_clamping()
-            .compute_torque(&robot, &state, &TaskReference::hold(target));
-        assert!(unclamped.iter().zip(robot.effort_limits()).any(|(t, l)| t.abs() > l));
-    }
-
-    #[test]
-    fn joint_space_controller_tracks_reference_acceleration() {
-        let robot = panda_model();
-        let state = JointState::at_rest(PANDA_HOME.to_vec());
-        let ctrl = JointSpaceController::new(0.0, 0.0);
-        let qdd_desired: Vec<f64> = (0..7).map(|i| 0.1 * i as f64).collect();
-        let tau =
-            ctrl.compute_torque(&robot, &state, &state.positions, &state.velocities, &qdd_desired);
-        let qdd = robot.forward_dynamics(&state.positions, &state.velocities, &tau);
-        for i in 0..7 {
-            assert!((qdd[i] - qdd_desired[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn critically_damped_gains() {
-        let g = ControllerGains::critically_damped(400.0, 100.0, 0.5);
-        assert!((g.kv_linear - 40.0).abs() < 1e-12);
-        assert!((g.kv_angular - 20.0).abs() < 1e-12);
-        assert_eq!(g.null_space_damping, 0.5);
     }
 
     #[test]
     fn rotation_helpers_are_consistent() {
+        // The norm of the orientation error is the geodesic angle.
         let a = SE3::from_rotation(Mat3::rotation_y(0.4));
         let b = SE3::from_rotation(Mat3::rotation_y(-0.1));
-        let v = rotation_error_vector(&a, &b);
-        let angle = rotation_angle_between(&a, &b);
+        let v = orientation_error(&a, &b);
+        let angle = a.quaternion().angle_to(&b.quaternion());
         assert!((v.norm() - angle).abs() < 1e-9);
     }
 }

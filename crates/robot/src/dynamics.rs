@@ -4,31 +4,28 @@
 //! The five "key computing blocks" of the paper (Fig. 6/7) map onto this
 //! module as follows:
 //!
-//! | Paper block              | Function                                   |
-//! |--------------------------|--------------------------------------------|
-//! | Forward kinematics       | [`crate::RobotModel::forward_kinematics`]  |
-//! | Jacobian (and transpose) | [`crate::RobotModel::jacobian`]            |
-//! | Task-space mass matrix   | [`TaskSpaceDynamics::compute`] (`Mx`)      |
-//! | Task-space bias force    | [`TaskSpaceDynamics::compute`] (`hx`)      |
-//! | Joint torque             | [`crate::TaskSpaceController`]             |
+//! | Paper block              | Function                                          |
+//! |--------------------------|---------------------------------------------------|
+//! | Forward kinematics       | [`crate::RobotModel::forward_kinematics`]         |
+//! | Jacobian (and transpose) | [`crate::RobotModel::jacobian`]                   |
+//! | Task-space mass matrix   | [`TaskSpaceDynamics::compute`] (`Mx`)             |
+//! | Task-space bias force    | [`TaskSpaceDynamics::compute`] (`hx`)             |
+//! | Joint torque             | [`crate::TaskSpaceController::compute_torque`]    |
 //!
 //! As in the accelerator, link poses are computed once and reused: each call
 //! runs one frame pass whose per-body transforms feed forward kinematics, the
-//! Jacobian, CRBA and RNEA, and every intermediate lives in stack buffers of
-//! [`MAX_BODIES`] entries, so the physics loop never touches the heap.
+//! Jacobian, CRBA and RNEA, and every intermediate and every result lives in
+//! fixed-size buffers of [`MAX_BODIES`] entries, so neither the physics loop
+//! nor a control cycle touches the heap.
 
 use crate::kinematics::Jacobian;
 use crate::model::{JointKind, RobotModel, MAX_BODIES};
 use crate::state::EndEffectorState;
-use corki_math::{
-    dense, DMat, SpatialForce, SpatialInertia, SpatialMotion, SpatialTransform, Vec3, SE3,
-};
+use corki_math::{dense, SpatialForce, SpatialInertia, SpatialMotion, SpatialTransform, Vec3, SE3};
 use serde::{Deserialize, Serialize};
 
 /// A row-major `dof × dof` joint-space matrix (stride `dof`), on the stack.
 type JointMatrix = [f64; MAX_BODIES * MAX_BODIES];
-/// A row-major `6 × dof` Jacobian (stride `dof`), on the stack.
-pub(crate) type JacobianBuffer = [f64; 6 * MAX_BODIES];
 
 /// What one body contributes to the frame pass: everything CRBA, RNEA and
 /// forward kinematics need from its joint variable.
@@ -239,12 +236,6 @@ impl RobotModel {
         tau
     }
 
-    /// Bias forces `h(θ, θ̇)` (Coriolis, centrifugal and gravity): the torque
-    /// required to produce zero joint acceleration.
-    pub fn bias_forces(&self, q: &[f64], qd: &[f64]) -> Vec<f64> {
-        self.inverse_dynamics(q, qd, &[0.0; MAX_BODIES][..self.dof()])
-    }
-
     /// Gravity torques `g(θ)`.
     pub fn gravity_torques(&self, q: &[f64]) -> Vec<f64> {
         let zeros = &[0.0; MAX_BODIES][..self.dof()];
@@ -252,17 +243,17 @@ impl RobotModel {
     }
 
     /// Joint-space mass matrix `M(θ)` via the composite rigid-body algorithm
-    /// (CRBA).
+    /// (CRBA), row-major `dof × dof` (stride `dof`) in the first `dof²`
+    /// entries; the rest are zero.
     ///
     /// # Panics
     ///
     /// Panics if `q.len()` differs from the robot's DoF.
-    pub fn mass_matrix(&self, q: &[f64]) -> DMat {
-        let dof = self.dof();
-        assert_eq!(q.len(), dof, "mass_matrix: wrong q length");
+    pub fn mass_matrix(&self, q: &[f64]) -> [f64; MAX_BODIES * MAX_BODIES] {
+        assert_eq!(q.len(), self.dof(), "mass_matrix: wrong q length");
         let mut m: JointMatrix = [0.0; MAX_BODIES * MAX_BODIES];
         self.crba(&self.frames(q), &mut m);
-        DMat::from_row_slice(dof, dof, &m)
+        m
     }
 
     /// Forward dynamics: the joint accelerations produced by torques `tau` at
@@ -280,17 +271,19 @@ impl RobotModel {
 
 /// All task-space quantities needed by one TS-CTC control cycle (paper Equ. 6
 /// and Fig. 6): the Jacobian, the task-space mass matrix `Mx`, the task-space
-/// bias force `hx`, and the current end-effector state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// bias force `hx`, and the current end-effector state. Every matrix is
+/// row-major in a fixed-size buffer; `n` is `jacobian.dof` and the entries
+/// past the first `n²` (or `n`) are zero.
+#[derive(Debug, Clone)]
 pub struct TaskSpaceModel {
     /// Geometric Jacobian `J(θ)` (6×n, linear rows first).
     pub jacobian: Jacobian,
-    /// Joint-space mass matrix `M(θ)` (n×n).
-    pub joint_mass_matrix: DMat,
+    /// Joint-space mass matrix `M(θ)` (n×n, stride n).
+    pub joint_mass_matrix: [f64; MAX_BODIES * MAX_BODIES],
     /// Joint-space bias forces `h(θ, θ̇)` (length n).
-    pub joint_bias: Vec<f64>,
+    pub joint_bias: [f64; MAX_BODIES],
     /// Task-space mass matrix `Mx(θ)` (6×6).
-    pub task_mass_matrix: DMat,
+    pub task_mass_matrix: [f64; 36],
     /// Task-space bias force `hx(θ, θ̇)` (length 6, linear rows first).
     pub task_bias: [f64; 6],
     /// The acceleration bias `J̇ θ̇` (length 6).
@@ -315,17 +308,12 @@ impl Default for TaskSpaceDynamics {
 }
 
 impl TaskSpaceDynamics {
-    /// Creates a computer with the given singularity damping.
-    pub fn new(damping: f64) -> Self {
-        TaskSpaceDynamics { damping }
-    }
-
     /// Computes every task-space quantity required by one control cycle.
     ///
     /// One frame pass at `q` feeds forward kinematics, the Jacobian, CRBA and
-    /// RNEA (the finite-difference `J̇ θ̇` runs its own two at `q ± ε q̇`);
-    /// every intermediate lives on the stack, and the heap is touched only
-    /// for the returned model's own matrices.
+    /// RNEA (the finite-difference `J̇ θ̇` runs its own two at `q ± ε q̇`).
+    /// Every intermediate and the returned model live on the stack: the call
+    /// never touches the heap.
     ///
     /// # Panics
     ///
@@ -335,8 +323,8 @@ impl TaskSpaceDynamics {
         assert_eq!(q.len(), n, "compute: wrong q length");
         assert_eq!(qd.len(), n, "compute: wrong qd length");
         let frames = robot.frames(q);
-        let mut jacobian: JacobianBuffer = [0.0; 6 * MAX_BODIES];
-        let end_effector = robot.jacobian_from_frames(&frames, &mut jacobian);
+        let mut jacobian = Jacobian { matrix: [0.0; 6 * MAX_BODIES], dof: n };
+        let end_effector = robot.jacobian_from_frames(&frames, &mut jacobian.matrix);
         let mut mass: JointMatrix = [0.0; MAX_BODIES * MAX_BODIES];
         robot.crba(&frames, &mut mass);
         let mut bias = [0.0; MAX_BODIES];
@@ -352,7 +340,7 @@ impl TaskSpaceDynamics {
         let mut rhs = [0.0; MAX_BODIES];
         let mut x = [0.0; MAX_BODIES];
         for col in 0..6 {
-            rhs[..n].copy_from_slice(&jacobian[col * n..(col + 1) * n]);
+            rhs[..n].copy_from_slice(&jacobian.matrix[col * n..(col + 1) * n]);
             dense::cholesky_solve(&factor, n, &rhs, &mut x);
             for row in 0..n {
                 minv_jt[row * 6 + col] = x[row];
@@ -360,7 +348,7 @@ impl TaskSpaceDynamics {
         }
         // Λ⁻¹ = J M⁻¹ Jᵀ  (6×6), then damped inversion.
         let mut lu = [0.0; 36];
-        dense::mul_mat(&jacobian, 6, n, &minv_jt, 6, &mut lu);
+        dense::mul_mat(&jacobian.matrix, 6, n, &minv_jt, 6, &mut lu);
         for i in 0..6 {
             lu[i * 6 + i] += self.damping;
         }
@@ -373,7 +361,7 @@ impl TaskSpaceDynamics {
         let mut minv_h = [0.0; MAX_BODIES];
         dense::cholesky_solve(&factor, n, &bias, &mut minv_h);
         let mut residual = [0.0; 6];
-        dense::mul_vec(&jacobian, 6, n, &minv_h, &mut residual);
+        dense::mul_vec(&jacobian.matrix, 6, n, &minv_h, &mut residual);
         for (r, jd) in residual.iter_mut().zip(&jdot_qdot) {
             *r -= jd;
         }
@@ -381,12 +369,12 @@ impl TaskSpaceDynamics {
         dense::mul_vec(&task_mass, 6, 6, &residual, &mut task_bias);
 
         let mut twist = [0.0; 6];
-        dense::mul_vec(&jacobian, 6, n, qd, &mut twist);
+        dense::mul_vec(&jacobian.matrix, 6, n, qd, &mut twist);
         TaskSpaceModel {
-            jacobian: Jacobian::from_matrix(DMat::from_row_slice(6, n, &jacobian)),
-            joint_mass_matrix: DMat::from_row_slice(n, n, &mass),
-            joint_bias: bias[..n].to_vec(),
-            task_mass_matrix: DMat::from_row_slice(6, 6, &task_mass),
+            jacobian,
+            joint_mass_matrix: mass,
+            joint_bias: bias,
+            task_mass_matrix: task_mass,
             task_bias,
             jdot_qdot,
             end_effector: EndEffectorState {
@@ -402,8 +390,21 @@ impl TaskSpaceDynamics {
 mod tests {
     use super::*;
     use crate::panda::{panda_model, PANDA_HOME};
-    use corki_math::DVec;
     use proptest::prelude::*;
+
+    fn is_symmetric(m: &[f64], n: usize, tol: f64) -> bool {
+        (0..n).all(|i| (0..i).all(|j| (m[i * n + j] - m[j * n + i]).abs() <= tol))
+    }
+
+    fn is_positive_definite(m: &[f64], n: usize) -> bool {
+        dense::cholesky_factor(m, n, &mut [0.0; MAX_BODIES * MAX_BODIES]).is_ok()
+    }
+
+    fn mul_vec(m: &[f64], n: usize, x: &[f64]) -> [f64; MAX_BODIES] {
+        let mut out = [0.0; MAX_BODIES];
+        dense::mul_vec(m, n, n, x, &mut out);
+        out
+    }
 
     fn random_like_config(seed: usize) -> Vec<f64> {
         // Deterministic, limit-respecting configurations for tests.
@@ -417,8 +418,8 @@ mod tests {
         for seed in 0..5 {
             let q = random_like_config(seed);
             let m = robot.mass_matrix(&q);
-            assert!(m.is_symmetric(1e-9), "mass matrix not symmetric");
-            assert!(m.cholesky_factor().is_ok(), "mass matrix not positive definite");
+            assert!(is_symmetric(&m, 7, 1e-9), "mass matrix not symmetric");
+            assert!(is_positive_definite(&m, 7), "mass matrix not positive definite");
         }
     }
 
@@ -431,8 +432,8 @@ mod tests {
         let qdd: Vec<f64> = (0..7).map(|i| 0.2 * (i as f64 - 3.0)).collect();
         let tau_rnea = robot.inverse_dynamics(&q, &qd, &qdd);
         let m = robot.mass_matrix(&q);
-        let h = robot.bias_forces(&q, &qd);
-        let m_qdd = m.mul_vec(&DVec::from_slice(&qdd));
+        let h = robot.inverse_dynamics(&q, &qd, &[0.0; 7]);
+        let m_qdd = mul_vec(&m, 7, &qdd);
         for i in 0..7 {
             let tau_crba = m_qdd[i] + h[i];
             assert!(
@@ -473,25 +474,14 @@ mod tests {
     }
 
     #[test]
-    fn bias_reduces_to_gravity_at_rest() {
-        let robot = panda_model();
-        let q = PANDA_HOME.to_vec();
-        let h = robot.bias_forces(&q, &[0.0; 7]);
-        let g = robot.gravity_torques(&q);
-        for i in 0..7 {
-            assert!((h[i] - g[i]).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn task_space_mass_matrix_is_symmetric_positive_definite() {
         let robot = panda_model();
         let tsd = TaskSpaceDynamics::default();
         let q = random_like_config(3);
         let qd = vec![0.05; 7];
         let model = tsd.compute(&robot, &q, &qd);
-        assert!(model.task_mass_matrix.is_symmetric(1e-6));
-        assert!(model.task_mass_matrix.cholesky_factor().is_ok());
+        assert!(is_symmetric(&model.task_mass_matrix, 6, 1e-6));
+        assert!(is_positive_definite(&model.task_mass_matrix, 6));
     }
 
     #[test]
@@ -503,11 +493,15 @@ mod tests {
         let qd = vec![0.0; 7];
         let model = tsd.compute(&robot, &q, &qd);
         let g = robot.gravity_torques(&q);
-        let minv_g = model.joint_mass_matrix.solve_cholesky(&DVec::from_slice(&g)).unwrap();
-        let j_minv_g = model.jacobian.matrix().mul_vec(&minv_g);
-        let expected = model.task_mass_matrix.mul_vec(&j_minv_g);
-        for i in 0..6 {
-            assert!((model.task_bias[i] - expected[i]).abs() < 1e-6);
+        let mut factor = [0.0; MAX_BODIES * MAX_BODIES];
+        dense::cholesky_factor(&model.joint_mass_matrix, 7, &mut factor).unwrap();
+        let mut minv_g = [0.0; 7];
+        dense::cholesky_solve(&factor, 7, &g, &mut minv_g);
+        let mut j_minv_g = [0.0; 6];
+        dense::mul_vec(&model.jacobian.matrix, 6, 7, &minv_g, &mut j_minv_g);
+        let expected = mul_vec(&model.task_mass_matrix, 6, &j_minv_g);
+        for (hx, e) in model.task_bias.iter().zip(&expected) {
+            assert!((hx - e).abs() < 1e-6);
         }
     }
 
@@ -517,8 +511,8 @@ mod tests {
         let q = random_like_config(5);
         let qd: Vec<f64> = (0..7).map(|i| 0.4 * ((i * 7 % 3) as f64 - 1.0)).collect();
         let m = robot.mass_matrix(&q);
-        let m_qd = m.mul_vec(&DVec::from_slice(&qd));
-        let ke: f64 = 0.5 * qd.iter().zip(m_qd.as_slice()).map(|(a, b)| a * b).sum::<f64>();
+        let m_qd = mul_vec(&m, 7, &qd);
+        let ke: f64 = 0.5 * qd.iter().zip(&m_qd).map(|(a, b)| a * b).sum::<f64>();
         assert!(ke >= 0.0);
     }
 
@@ -530,8 +524,8 @@ mod tests {
             q in proptest::collection::vec(-1.5..1.5f64, 7)) {
             let robot = panda_model();
             let m = robot.mass_matrix(&q);
-            prop_assert!(m.is_symmetric(1e-9));
-            prop_assert!(m.cholesky_factor().is_ok());
+            prop_assert!(is_symmetric(&m, 7, 1e-9));
+            prop_assert!(is_positive_definite(&m, 7));
         }
 
         #[test]
@@ -544,7 +538,7 @@ mod tests {
             let tau_a = robot.inverse_dynamics(&q, &qd, &qdd);
             let tau_0 = robot.inverse_dynamics(&q, &qd, &[0.0; 7]);
             let m = robot.mass_matrix(&q);
-            let m_qdd = m.mul_vec(&DVec::from_slice(&qdd));
+            let m_qdd = mul_vec(&m, 7, &qdd);
             for i in 0..7 {
                 prop_assert!((tau_a[i] - tau_0[i] - m_qdd[i]).abs() < 1e-7);
             }

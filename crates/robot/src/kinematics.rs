@@ -5,95 +5,62 @@
 //! the Jacobian block reuses the link poses computed by the pose block — the
 //! data-reuse opportunity that the Corki accelerator exploits.
 
-use crate::dynamics::{Frames, JacobianBuffer};
+use crate::dynamics::Frames;
 use crate::model::{JointKind, RobotModel, MAX_BODIES};
-use corki_math::{dense, DMat, DVec, Vec3, SE3};
-use serde::{Deserialize, Serialize};
-
-/// The result of a forward-kinematics pass: the pose of every body frame and
-/// of the end-effector, all expressed in the robot base frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ForwardKinematics {
-    /// Pose of each body frame (actuated and fixed) in the base frame, in
-    /// chain order.
-    pub link_poses: Vec<SE3>,
-    /// Pose of the final frame in the chain (the end-effector / TCP).
-    pub end_effector: SE3,
-}
+use corki_math::{dense, Vec3, SE3};
 
 /// The 6×n geometric Jacobian of the end-effector, with the **linear** rows
 /// on top and the **angular** rows below, expressed in the base frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Jacobian {
-    matrix: DMat,
+    /// The matrix, row-major `6 × dof` (stride `dof`) in the first `6·dof`
+    /// entries; the rest are zero.
+    pub matrix: [f64; 6 * MAX_BODIES],
+    /// Number of joint columns.
+    pub dof: usize,
 }
 
 impl Jacobian {
-    /// Wraps a 6×n matrix as a Jacobian.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix does not have exactly six rows.
-    pub fn from_matrix(matrix: DMat) -> Self {
-        assert_eq!(matrix.rows(), 6, "a geometric Jacobian must have 6 rows");
-        Jacobian { matrix }
-    }
-
-    /// The underlying 6×n matrix.
-    pub fn matrix(&self) -> &DMat {
-        &self.matrix
-    }
-
-    /// Number of joint columns.
-    pub fn dof(&self) -> usize {
-        self.matrix.cols()
-    }
-
     /// Maps joint velocities to the end-effector spatial velocity
     /// `(linear, angular)`.
     ///
     /// # Panics
     ///
-    /// Panics if `qd.len()` differs from the number of columns.
+    /// Panics if `qd` is shorter than the number of columns.
     pub fn mul_qdot(&self, qd: &[f64]) -> (Vec3, Vec3) {
-        let v = self.matrix.mul_vec(&DVec::from_slice(qd));
+        let mut v = [0.0; 6];
+        dense::mul_vec(&self.matrix, 6, self.dof, qd, &mut v);
         (Vec3::new(v[0], v[1], v[2]), Vec3::new(v[3], v[4], v[5]))
     }
 
-    /// Maps a task-space wrench `[f; n]` (linear force on top, moment below,
-    /// matching the row layout) to joint torques: `τ = Jᵀ F`.
-    pub fn transpose_mul_wrench(&self, wrench: &[f64; 6]) -> Vec<f64> {
-        let mut tau = vec![0.0; self.matrix.cols()];
+    /// Maps a task-space wrench (linear force on top, moment below, matching
+    /// the row layout) to joint torques `τ = Jᵀ F`, written into `tau`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau.len()` differs from the number of columns.
+    pub fn transpose_mul_wrench(&self, wrench: &[f64; 6], tau: &mut [f64]) {
+        assert_eq!(tau.len(), self.dof, "transpose_mul_wrench: wrong tau length");
         for (j, tau_j) in tau.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (i, w) in wrench.iter().enumerate() {
-                acc += self.matrix[(i, j)] * w;
+                acc += self.matrix[i * self.dof + j] * w;
             }
             *tau_j = acc;
         }
-        tau
-    }
-
-    /// The transpose as a plain matrix (n×6).
-    pub fn transpose(&self) -> DMat {
-        self.matrix.transpose()
     }
 }
 
 impl RobotModel {
-    /// Computes the pose of every body frame and the end-effector for joint
-    /// positions `q`.
+    /// The base-frame pose of the end-effector (the final frame in the
+    /// chain) at joint positions `q`.
     ///
     /// # Panics
     ///
     /// Panics if `q.len()` does not equal [`RobotModel::dof`].
-    pub fn forward_kinematics(&self, q: &[f64]) -> ForwardKinematics {
+    pub fn forward_kinematics(&self, q: &[f64]) -> SE3 {
         assert_eq!(q.len(), self.dof(), "forward_kinematics: wrong DoF");
-        let link_poses: Vec<SE3> = self.frames(q).link_poses().collect();
-        ForwardKinematics {
-            end_effector: *link_poses.last().expect("model has at least one body"),
-            link_poses,
-        }
+        self.frames(q).link_poses().last().expect("model has at least one body")
     }
 
     /// Computes the geometric Jacobian of the end-effector at configuration
@@ -103,22 +70,23 @@ impl RobotModel {
     ///
     /// Panics if `q.len()` does not equal [`RobotModel::dof`].
     pub fn jacobian(&self, q: &[f64]) -> Jacobian {
-        let fk = self.forward_kinematics(q);
-        self.jacobian_from_fk(&fk)
+        assert_eq!(q.len(), self.dof(), "jacobian: wrong DoF");
+        let mut jacobian = Jacobian { matrix: [0.0; 6 * MAX_BODIES], dof: self.dof() };
+        self.jacobian_from_frames(&self.frames(q), &mut jacobian.matrix);
+        jacobian
     }
 
-    /// Computes the geometric Jacobian reusing an existing forward-kinematics
-    /// result — the data-reuse path highlighted in the paper (Fig. 7).
-    pub fn jacobian_from_fk(&self, fk: &ForwardKinematics) -> Jacobian {
-        let mut matrix: JacobianBuffer = [0.0; 6 * MAX_BODIES];
-        self.jacobian_into(&fk.link_poses, fk.end_effector.translation, &mut matrix);
-        Jacobian::from_matrix(DMat::from_row_slice(6, self.dof(), &matrix))
-    }
-
-    /// Writes the geometric Jacobian at the end-effector position `p_ee` into
-    /// `matrix` (row-major `6 × dof`, stride `dof`), from the base-frame
-    /// poses of the bodies.
-    fn jacobian_into(&self, link_poses: &[SE3], p_ee: Vec3, matrix: &mut [f64]) {
+    /// Forward kinematics and the Jacobian from one frame pass, on the
+    /// stack: writes `J` into `jacobian` (row-major `6 × dof`, stride `dof`)
+    /// and returns the end-effector pose.
+    pub(crate) fn jacobian_from_frames(&self, frames: &Frames, jacobian: &mut [f64]) -> SE3 {
+        let mut link_poses = [SE3::identity(); MAX_BODIES];
+        let mut end_effector = SE3::identity();
+        for (slot, pose) in link_poses.iter_mut().zip(frames.link_poses()) {
+            *slot = pose;
+            end_effector = pose;
+        }
+        let p_ee = end_effector.translation;
         let dof = self.dof();
         let columns = self.joints().iter().zip(link_poses).filter(|(j, _)| j.kind.is_actuated());
         for (col, (joint, pose)) in columns.enumerate() {
@@ -129,44 +97,18 @@ impl RobotModel {
                 JointKind::Fixed => unreachable!("filtered above"),
             };
             for i in 0..3 {
-                matrix[i * dof + col] = linear[i];
-                matrix[(i + 3) * dof + col] = angular[i];
+                jacobian[i * dof + col] = linear[i];
+                jacobian[(i + 3) * dof + col] = angular[i];
             }
         }
-    }
-
-    /// Forward kinematics and the Jacobian from one frame pass, on the
-    /// stack: writes `J` into `jacobian` (row-major `6 × dof`) and returns
-    /// the end-effector pose.
-    pub(crate) fn jacobian_from_frames(&self, frames: &Frames, jacobian: &mut [f64]) -> SE3 {
-        let mut link_poses = [SE3::identity(); MAX_BODIES];
-        let mut end_effector = SE3::identity();
-        for (slot, pose) in link_poses.iter_mut().zip(frames.link_poses()) {
-            *slot = pose;
-            end_effector = pose;
-        }
-        let bodies = &link_poses[..self.num_bodies()];
-        self.jacobian_into(bodies, end_effector.translation, jacobian);
         end_effector
     }
 
     /// The end-effector twist `J(q) q̇` (linear rows first), on the stack.
     fn end_effector_twist(&self, q: &[f64], qd: &[f64]) -> [f64; 6] {
-        let mut jacobian: JacobianBuffer = [0.0; 6 * MAX_BODIES];
-        self.jacobian_from_frames(&self.frames(q), &mut jacobian);
         let mut twist = [0.0; 6];
-        dense::mul_vec(&jacobian, 6, self.dof(), qd, &mut twist);
+        dense::mul_vec(&self.jacobian(q).matrix, 6, self.dof(), qd, &mut twist);
         twist
-    }
-
-    /// End-effector linear and angular velocity for the given joint state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` or `qd` have the wrong length.
-    pub fn end_effector_velocity(&self, q: &[f64], qd: &[f64]) -> (Vec3, Vec3) {
-        assert_eq!(qd.len(), self.dof(), "end_effector_velocity: wrong DoF");
-        self.jacobian(q).mul_qdot(qd)
     }
 
     /// The product `J̇(θ, θ̇)·θ̇` — the acceleration bias of the end-effector —
@@ -240,7 +182,7 @@ mod tests {
             let fk = robot.forward_kinematics(&[q1, q2]);
             let expected_x = q1.cos() + (q1 + q2).cos();
             let expected_y = q1.sin() + (q1 + q2).sin();
-            let p = fk.end_effector.translation;
+            let p = fk.translation;
             assert!((p.x - expected_x).abs() < 1e-12, "x mismatch at ({q1},{q2})");
             assert!((p.y - expected_y).abs() < 1e-12, "y mismatch at ({q1},{q2})");
             assert!(p.z.abs() < 1e-12);
@@ -252,16 +194,16 @@ mod tests {
         let robot = planar_two_link();
         let (q1, q2) = (0.4, -0.9);
         let j = robot.jacobian(&[q1, q2]);
-        let m = j.matrix();
+        let m = |row: usize, col: usize| j.matrix[row * j.dof + col];
         // dx/dq1 = -sin(q1) - sin(q1+q2), dx/dq2 = -sin(q1+q2)
-        assert!((m[(0, 0)] - (-q1.sin() - (q1 + q2).sin())).abs() < 1e-12);
-        assert!((m[(0, 1)] - (-(q1 + q2).sin())).abs() < 1e-12);
+        assert!((m(0, 0) - (-q1.sin() - (q1 + q2).sin())).abs() < 1e-12);
+        assert!((m(0, 1) - (-(q1 + q2).sin())).abs() < 1e-12);
         // dy/dq1 = cos(q1) + cos(q1+q2), dy/dq2 = cos(q1+q2)
-        assert!((m[(1, 0)] - (q1.cos() + (q1 + q2).cos())).abs() < 1e-12);
-        assert!((m[(1, 1)] - (q1 + q2).cos()).abs() < 1e-12);
+        assert!((m(1, 0) - (q1.cos() + (q1 + q2).cos())).abs() < 1e-12);
+        assert!((m(1, 1) - (q1 + q2).cos()).abs() < 1e-12);
         // Angular rows: both joints rotate about base Z.
-        assert!((m[(5, 0)] - 1.0).abs() < 1e-12);
-        assert!((m[(5, 1)] - 1.0).abs() < 1e-12);
+        assert!((m(5, 0) - 1.0).abs() < 1e-12);
+        assert!((m(5, 1) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -275,12 +217,12 @@ mod tests {
             qp[col] += eps;
             let mut qm = q;
             qm[col] -= eps;
-            let fp = robot.forward_kinematics(&qp).end_effector.translation;
-            let fm = robot.forward_kinematics(&qm).end_effector.translation;
+            let fp = robot.forward_kinematics(&qp).translation;
+            let fm = robot.forward_kinematics(&qm).translation;
             let numeric = (fp - fm) / (2.0 * eps);
             for row in 0..3 {
                 assert!(
-                    (j.matrix()[(row, col)] - numeric[row]).abs() < 1e-5,
+                    (j.matrix[row * j.dof + col] - numeric[row]).abs() < 1e-5,
                     "jacobian mismatch at ({row},{col})"
                 );
             }
@@ -292,11 +234,11 @@ mod tests {
         let robot = panda::panda_model();
         let q = [0.1, -0.4, 0.3, -2.0, 0.0, 1.6, 0.2];
         let qd = [0.2, -0.1, 0.3, 0.1, -0.2, 0.15, 0.05];
-        let (lin, _ang) = robot.end_effector_velocity(&q, &qd);
+        let (lin, _ang) = robot.jacobian(&q).mul_qdot(&qd);
         let dt = 1e-7;
         let q_next: Vec<f64> = q.iter().zip(&qd).map(|(a, b)| a + b * dt).collect();
-        let p0 = robot.forward_kinematics(&q).end_effector.translation;
-        let p1 = robot.forward_kinematics(&q_next).end_effector.translation;
+        let p0 = robot.forward_kinematics(&q).translation;
+        let p1 = robot.forward_kinematics(&q_next).translation;
         let lin_fd = (p1 - p0) / dt;
         assert!((lin - lin_fd).norm() < 1e-5);
     }
@@ -306,11 +248,12 @@ mod tests {
         let robot = planar_two_link();
         let j = robot.jacobian(&[0.2, 0.3]);
         let wrench = [1.0, -2.0, 0.5, 0.1, 0.0, -0.3];
-        let tau = j.transpose_mul_wrench(&wrench);
+        let mut tau = [0.0; 2];
+        j.transpose_mul_wrench(&wrench, &mut tau);
         for (col, tau_c) in tau.iter().enumerate() {
             let mut expected = 0.0;
             for (row, w) in wrench.iter().enumerate() {
-                expected += j.matrix()[(row, col)] * w;
+                expected += j.matrix[row * 2 + col] * w;
             }
             assert!((tau_c - expected).abs() < 1e-12);
         }
@@ -339,8 +282,8 @@ mod tests {
             let robot = panda::panda_model();
             let fk = robot.forward_kinematics(&q);
             // The Panda's reach is roughly 0.855 m plus flange/gripper length.
-            prop_assert!(fk.end_effector.translation.norm() < 1.4);
-            prop_assert!(fk.end_effector.rotation.is_rotation(1e-9));
+            prop_assert!(fk.translation.norm() < 1.4);
+            prop_assert!(fk.rotation.is_rotation(1e-9));
         }
 
         #[test]
@@ -348,11 +291,11 @@ mod tests {
             q in proptest::collection::vec(-1.2..1.2f64, 7),
             qd in proptest::collection::vec(-0.5..0.5f64, 7)) {
             let robot = panda::panda_model();
-            let (lin, _) = robot.end_effector_velocity(&q, &qd);
+            let (lin, _) = robot.jacobian(&q).mul_qdot(&qd);
             let dt = 1e-7;
             let q_next: Vec<f64> = q.iter().zip(&qd).map(|(a, b)| a + b * dt).collect();
-            let p0 = robot.forward_kinematics(&q).end_effector.translation;
-            let p1 = robot.forward_kinematics(&q_next).end_effector.translation;
+            let p0 = robot.forward_kinematics(&q).translation;
+            let p1 = robot.forward_kinematics(&q_next).translation;
             let fd = (p1 - p0) / dt;
             prop_assert!((lin - fd).norm() < 1e-4);
         }

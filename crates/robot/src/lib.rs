@@ -22,11 +22,12 @@
 //!
 //! let robot = panda::panda_model();
 //! let state = JointState::zeros(robot.dof());
-//! let fk = robot.forward_kinematics(&state.positions);
+//! let end_effector = robot.forward_kinematics(&state.positions);
 //! let controller = TaskSpaceController::new(ControllerGains::default());
-//! let reference = TaskReference::hold(fk.end_effector);
-//! let torque = controller.compute_torque(&robot, &state, &reference);
-//! assert_eq!(torque.len(), robot.dof());
+//! let reference = TaskReference::hold(end_effector);
+//! let mut torque = [0.0; 7];
+//! controller.compute_torque(&robot, &state, &reference, &mut torque);
+//! assert!(torque.iter().zip(robot.effort_limits()).all(|(t, limit)| t.abs() <= limit));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,11 +42,8 @@ mod simulate;
 mod state;
 
 pub use self::simulate::{ArmSimulator, SimulatorConfig};
-pub use control::{
-    rotation_angle_between, rotation_error_vector, ControllerGains, JointSpaceController,
-    TaskReference, TaskSpaceController,
-};
+pub use control::{ControllerGains, TaskReference, TaskSpaceController};
 pub use dynamics::{TaskSpaceDynamics, TaskSpaceModel};
-pub use kinematics::{ForwardKinematics, Jacobian};
+pub use kinematics::Jacobian;
 pub use model::{JointKind, JointModel, Link, RobotError, RobotModel, MAX_BODIES};
 pub use state::{EndEffectorState, JointState};

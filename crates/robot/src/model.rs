@@ -252,16 +252,6 @@ impl RobotModel {
         self.joints.iter().filter(|j| j.kind.is_actuated())
     }
 
-    /// Indices (into [`RobotModel::joints`]) of the actuated joints, in order.
-    pub fn actuated_indices(&self) -> Vec<usize> {
-        self.joints
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.kind.is_actuated())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Validates that a joint-position (or velocity/torque) vector matches the
     /// robot's DoF.
     ///
@@ -348,7 +338,6 @@ mod tests {
         let robot = RobotModel::new("with-flange", joints, links).unwrap();
         assert_eq!(robot.dof(), 2);
         assert_eq!(robot.num_bodies(), 3);
-        assert_eq!(robot.actuated_indices(), vec![0, 1]);
     }
 
     #[test]

@@ -157,7 +157,7 @@ mod tests {
     fn home_end_effector_pose_is_in_front_of_robot() {
         let robot = panda_model();
         let fk = robot.forward_kinematics(&PANDA_HOME);
-        let p = fk.end_effector.translation;
+        let p = fk.translation;
         // At the home configuration the TCP sits in front of the base (+x),
         // roughly half a metre up.
         assert!(p.x > 0.2, "x = {}", p.x);
@@ -174,9 +174,9 @@ mod tests {
         let robot = panda_model();
         let fk = robot.forward_kinematics(&[0.0; 7]);
         let expected_z = 0.333 + 0.316 + 0.384 - 0.107 - 0.1034;
-        assert!((fk.end_effector.translation.z - expected_z).abs() < 1e-9);
-        assert!((fk.end_effector.translation.x - 0.088).abs() < 1e-9);
-        assert!(fk.end_effector.translation.y.abs() < 1e-9);
+        assert!((fk.translation.z - expected_z).abs() < 1e-9);
+        assert!((fk.translation.x - 0.088).abs() < 1e-9);
+        assert!(fk.translation.y.abs() < 1e-9);
     }
 
     #[test]
@@ -194,7 +194,7 @@ mod tests {
             std::f64::consts::FRAC_PI_4,
         ];
         let fk = robot.forward_kinematics(&ready);
-        let p = fk.end_effector.translation;
+        let p = fk.translation;
         assert!(p.x > 0.2 && p.x < 0.45, "x = {}", p.x);
         assert!(p.y.abs() < 0.05, "y = {}", p.y);
         assert!(p.z > 0.35 && p.z < 0.75, "z = {}", p.z);

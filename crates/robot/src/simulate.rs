@@ -74,11 +74,6 @@ impl ArmSimulator {
         self.elapsed
     }
 
-    /// The simulator configuration.
-    pub fn config(&self) -> &SimulatorConfig {
-        &self.config
-    }
-
     /// Resets the simulator to the given joint state and zero elapsed time.
     ///
     /// # Panics
@@ -196,18 +191,19 @@ mod tests {
         let robot = panda_model();
         let mut sim = ArmSimulator::new(robot, SimulatorConfig::default());
         sim.reset(JointState::at_rest(PANDA_HOME.to_vec()));
-        let start = sim.robot().forward_kinematics(&sim.state().positions).end_effector;
+        let start = sim.robot().forward_kinematics(&sim.state().positions);
         let mut target = start;
         target.translation.x += 0.05;
         target.translation.z -= 0.03;
         let controller = TaskSpaceController::new(ControllerGains::default());
         let reference = TaskReference::hold(target);
         // 1 s of closed-loop control at 100 Hz.
+        let mut tau = [0.0; 7];
         for _ in 0..100 {
-            let tau = controller.compute_torque(sim.robot(), sim.state(), &reference);
+            controller.compute_torque(sim.robot(), sim.state(), &reference, &mut tau);
             sim.step(&tau, 0.01);
         }
-        let reached = sim.robot().forward_kinematics(&sim.state().positions).end_effector;
+        let reached = sim.robot().forward_kinematics(&sim.state().positions);
         let err = (reached.translation - target.translation).norm();
         assert!(err < 0.01, "closed-loop position error too large: {err}");
     }

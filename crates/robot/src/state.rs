@@ -71,32 +71,9 @@ impl Default for EndEffectorState {
     }
 }
 
-impl EndEffectorState {
-    /// A stationary end-effector at the given pose.
-    pub fn at_pose(pose: SE3) -> Self {
-        EndEffectorState { pose, linear_velocity: Vec3::ZERO, angular_velocity: Vec3::ZERO }
-    }
-
-    /// Position part of the pose.
-    pub fn position(&self) -> Vec3 {
-        self.pose.translation
-    }
-
-    /// XYZ Euler angles of the orientation.
-    pub fn euler_xyz(&self) -> (f64, f64, f64) {
-        self.pose.euler_xyz()
-    }
-
-    /// Speed (norm of the linear velocity).
-    pub fn speed(&self) -> f64 {
-        self.linear_velocity.norm()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corki_math::Mat3;
 
     #[test]
     fn zeros_has_matching_lengths() {
@@ -124,15 +101,5 @@ mod tests {
         s.velocities[1] = 1e-3;
         assert!(!s.is_at_rest(1e-6));
         assert!(s.is_at_rest(1e-2));
-    }
-
-    #[test]
-    fn end_effector_accessors() {
-        let pose = SE3::new(Mat3::rotation_z(0.4), Vec3::new(0.3, 0.1, 0.5));
-        let ee = EndEffectorState::at_pose(pose);
-        assert_eq!(ee.position(), Vec3::new(0.3, 0.1, 0.5));
-        assert_eq!(ee.speed(), 0.0);
-        let (_, _, yaw) = ee.euler_xyz();
-        assert!((yaw - 0.4).abs() < 1e-12);
     }
 }

@@ -4,12 +4,12 @@
 //! `frozen` below is the earlier implementation, kept verbatim in structure:
 //! a separate transform pass inside each of forward kinematics, CRBA and RNEA,
 //! dense motion subspaces (`S·q̇`, `Sᵀ f` and `v × S q̇` evaluated in full),
-//! heap-allocated `DMat`/`DVec` temporaries, and its own copies of the
+//! heap-allocated matrix and vector temporaries, and its own copies of the
 //! Cholesky, LU and matrix-product loops. The live kernels may only drop
 //! products with structural zeros, so every output must match to the bit.
 //! Both sides call the same libm, so the comparison holds on any host.
 
-use corki_math::{DMat, DVec, SpatialInertia, Vec3};
+use corki_math::{SpatialInertia, Vec3};
 use corki_robot::{
     panda, ArmSimulator, ControllerGains, EndEffectorState, JointKind, JointModel, JointState,
     Link, RobotModel, SimulatorConfig, TaskReference, TaskSpaceController, TaskSpaceDynamics,
@@ -18,13 +18,45 @@ use corki_robot::{
 use proptest::prelude::*;
 
 mod frozen {
-    use corki_math::{
-        DMat, DVec, SpatialForce, SpatialInertia, SpatialMotion, SpatialTransform, Vec3, SE3,
-    };
+    use corki_math::{SpatialForce, SpatialInertia, SpatialMotion, SpatialTransform, Vec3, SE3};
     use corki_robot::{
         EndEffectorState, Jacobian, JointKind, JointState, RobotModel, SimulatorConfig,
-        TaskSpaceModel,
+        TaskSpaceModel, MAX_BODIES,
     };
+    use std::ops::{Index, IndexMut};
+
+    /// A heap-allocated row-major matrix, the storage of the frozen kernels.
+    pub struct DMat {
+        rows: usize,
+        cols: usize,
+        pub data: Vec<f64>,
+    }
+
+    impl DMat {
+        fn zeros(rows: usize, cols: usize) -> Self {
+            DMat { rows, cols, data: vec![0.0; rows * cols] }
+        }
+    }
+
+    impl Index<(usize, usize)> for DMat {
+        type Output = f64;
+        fn index(&self, (i, j): (usize, usize)) -> &f64 {
+            &self.data[i * self.cols + j]
+        }
+    }
+
+    impl IndexMut<(usize, usize)> for DMat {
+        fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
+            &mut self.data[i * self.cols + j]
+        }
+    }
+
+    /// `values` in a zero-padded fixed-size buffer.
+    fn padded<const N: usize>(values: &[f64]) -> [f64; N] {
+        let mut out = [0.0; N];
+        out[..values.len()].copy_from_slice(values);
+        out
+    }
 
     fn subspace(kind: JointKind) -> SpatialMotion {
         match kind {
@@ -34,11 +66,11 @@ mod frozen {
         }
     }
 
-    fn mul_vec(m: &DMat, v: &DVec) -> DVec {
-        let mut out = DVec::zeros(m.rows());
-        for i in 0..m.rows() {
+    pub fn mul_vec(m: &DMat, v: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; m.rows];
+        for i in 0..m.rows {
             let mut acc = 0.0;
-            for j in 0..m.cols() {
+            for j in 0..m.cols {
                 acc += m[(i, j)] * v[j];
             }
             out[i] = acc;
@@ -47,14 +79,14 @@ mod frozen {
     }
 
     fn mul_mat(a: &DMat, b: &DMat) -> DMat {
-        let mut out = DMat::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for k in 0..a.cols() {
+        let mut out = DMat::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for k in 0..a.cols {
                 let aik = a[(i, k)];
                 if aik == 0.0 {
                     continue;
                 }
-                for j in 0..b.cols() {
+                for j in 0..b.cols {
                     out[(i, j)] += aik * b[(k, j)];
                 }
             }
@@ -63,7 +95,7 @@ mod frozen {
     }
 
     fn cholesky_factor(m: &DMat) -> DMat {
-        let n = m.rows();
+        let n = m.rows;
         let mut l = DMat::zeros(n, n);
         for i in 0..n {
             for j in 0..=i {
@@ -82,9 +114,9 @@ mod frozen {
         l
     }
 
-    fn cholesky_solve(l: &DMat, b: &DVec) -> DVec {
-        let n = l.rows();
-        let mut x = DVec::zeros(n);
+    fn cholesky_solve(l: &DMat, b: &[f64]) -> Vec<f64> {
+        let n = l.rows;
+        let mut x = vec![0.0; n];
         for i in 0..n {
             let mut acc = b[i];
             for j in 0..i {
@@ -103,7 +135,7 @@ mod frozen {
     }
 
     fn inverse(m: &DMat) -> DMat {
-        let n = m.rows();
+        let n = m.rows;
         let mut a: Vec<f64> = (0..n * n).map(|idx| m[(idx / n, idx % n)]).collect();
         let mut perm: Vec<usize> = (0..n).collect();
         for k in 0..n {
@@ -203,9 +235,8 @@ mod frozen {
         let eps = 1e-6;
         let q_plus: Vec<f64> = q.iter().zip(qd).map(|(qi, di)| qi + eps * di).collect();
         let q_minus: Vec<f64> = q.iter().zip(qd).map(|(qi, di)| qi - eps * di).collect();
-        let qd_vec = DVec::from_slice(qd);
-        let v_plus = mul_vec(&jacobian(robot, &q_plus), &qd_vec);
-        let v_minus = mul_vec(&jacobian(robot, &q_minus), &qd_vec);
+        let v_plus = mul_vec(&jacobian(robot, &q_plus), qd);
+        let v_minus = mul_vec(&jacobian(robot, &q_minus), qd);
         let mut out = [0.0; 6];
         for (i, o) in out.iter_mut().enumerate() {
             *o = (v_plus[i] - v_minus[i]) / (2.0 * eps);
@@ -310,8 +341,8 @@ mod frozen {
     pub fn forward_dynamics(robot: &RobotModel, q: &[f64], qd: &[f64], tau: &[f64]) -> Vec<f64> {
         let m = mass_matrix(robot, q);
         let h = inverse_dynamics(robot, q, qd, &vec![0.0; robot.dof()]);
-        let rhs: DVec = tau.iter().zip(&h).map(|(t, hi)| t - hi).collect();
-        cholesky_solve(&cholesky_factor(&m), &rhs).into_vec()
+        let rhs: Vec<f64> = tau.iter().zip(&h).map(|(t, hi)| t - hi).collect();
+        cholesky_solve(&cholesky_factor(&m), &rhs)
     }
 
     pub fn compute(damping: f64, robot: &RobotModel, q: &[f64], qd: &[f64]) -> TaskSpaceModel {
@@ -323,11 +354,10 @@ mod frozen {
         let jdot_qdot = jacobian_dot_qdot(robot, q, qd);
 
         let factor = cholesky_factor(&joint_mass_matrix);
-        let jt = jac.transpose();
         let n = robot.dof();
         let mut minv_jt = DMat::zeros(n, 6);
         for col in 0..6 {
-            let rhs: DVec = (0..n).map(|row| jt[(row, col)]).collect();
+            let rhs: Vec<f64> = (0..n).map(|row| jac[(col, row)]).collect();
             let x = cholesky_solve(&factor, &rhs);
             for row in 0..n {
                 minv_jt[(row, col)] = x[row];
@@ -339,20 +369,22 @@ mod frozen {
         }
         let task_mass_matrix = inverse(&lambda_inv);
 
-        let minv_h = cholesky_solve(&factor, &DVec::from_slice(&joint_bias));
+        let minv_h = cholesky_solve(&factor, &joint_bias);
         let mut residual = mul_vec(&jac, &minv_h);
-        residual -= &DVec::from_slice(&jdot_qdot);
+        for (r, jd) in residual.iter_mut().zip(&jdot_qdot) {
+            *r -= jd;
+        }
         let hx = mul_vec(&task_mass_matrix, &residual);
         let mut task_bias = [0.0; 6];
         for (i, t) in task_bias.iter_mut().enumerate() {
             *t = hx[i];
         }
-        let v = mul_vec(&jac, &DVec::from_slice(qd));
+        let v = mul_vec(&jac, qd);
         TaskSpaceModel {
-            jacobian: Jacobian::from_matrix(jac),
-            joint_mass_matrix,
-            joint_bias,
-            task_mass_matrix,
+            jacobian: Jacobian { matrix: padded(&jac.data), dof: n },
+            joint_mass_matrix: padded(&joint_mass_matrix.data),
+            joint_bias: padded::<MAX_BODIES>(&joint_bias),
+            task_mass_matrix: padded(&task_mass_matrix.data),
             task_bias,
             jdot_qdot,
             end_effector: EndEffectorState {
@@ -466,22 +498,11 @@ fn end_effector_bits(e: &EndEffectorState) -> Vec<f64> {
 }
 
 fn assert_models_match(live: &TaskSpaceModel, frozen: &TaskSpaceModel) {
-    let dims = |m: &DMat| (m.rows(), m.cols());
-    assert_eq!(dims(live.jacobian.matrix()), dims(frozen.jacobian.matrix()));
-    assert_eq!(dims(&live.joint_mass_matrix), dims(&frozen.joint_mass_matrix));
-    assert_eq!(dims(&live.task_mass_matrix), dims(&frozen.task_mass_matrix));
-    assert_bits("jacobian", live.jacobian.matrix().as_slice(), frozen.jacobian.matrix().as_slice());
-    assert_bits(
-        "joint_mass_matrix",
-        live.joint_mass_matrix.as_slice(),
-        frozen.joint_mass_matrix.as_slice(),
-    );
+    assert_eq!(live.jacobian.dof, frozen.jacobian.dof);
+    assert_bits("jacobian", &live.jacobian.matrix, &frozen.jacobian.matrix);
+    assert_bits("joint_mass_matrix", &live.joint_mass_matrix, &frozen.joint_mass_matrix);
     assert_bits("joint_bias", &live.joint_bias, &frozen.joint_bias);
-    assert_bits(
-        "task_mass_matrix",
-        live.task_mass_matrix.as_slice(),
-        frozen.task_mass_matrix.as_slice(),
-    );
+    assert_bits("task_mass_matrix", &live.task_mass_matrix, &frozen.task_mass_matrix);
     assert_bits("task_bias", &live.task_bias, &frozen.task_bias);
     assert_bits("jdot_qdot", &live.jdot_qdot, &frozen.jdot_qdot);
     assert_bits(
@@ -497,10 +518,11 @@ fn check_state(robot: &RobotModel, q: &[f64], qd: &[f64], tau: &[f64]) {
         &robot.forward_dynamics(q, qd, tau),
         &frozen::forward_dynamics(robot, q, qd, tau),
     );
+    let dof = robot.dof();
     assert_bits(
         "mass_matrix",
-        robot.mass_matrix(q).as_slice(),
-        frozen::mass_matrix(robot, q).as_slice(),
+        &robot.mass_matrix(q)[..dof * dof],
+        &frozen::mass_matrix(robot, q).data,
     );
     assert_bits(
         "inverse_dynamics",
@@ -553,21 +575,23 @@ fn closed_loop_matches(robot: RobotModel, start: Vec<f64>, offset: Vec3) {
     live.reset(JointState::at_rest(start.clone()));
     let frozen_start = start.clone();
     let mut frozen_state = JointState::at_rest(start);
-    let mut target = robot.forward_kinematics(live.state().positions.as_slice()).end_effector;
+    let mut target = robot.forward_kinematics(live.state().positions.as_slice());
     target.translation += offset;
     let reference = TaskReference::hold(target);
+    let mut tau = vec![0.0; robot.dof()];
+    let mut frozen_tau = vec![0.0; robot.dof()];
     for cycle in 0..100 {
-        let tau = controller.compute_torque(live.robot(), live.state(), &reference);
+        controller.compute_torque(live.robot(), live.state(), &reference, &mut tau);
         live.step(&tau, 0.01);
 
         let model =
             frozen::compute(1e-6, &robot, &frozen_state.positions, &frozen_state.velocities);
-        let frozen_tau = controller.compute_torque_with_model(
+        controller.compute_torque_with_model(
             &robot,
             &frozen_state,
             &reference,
-            &model.end_effector,
             &model,
+            &mut frozen_tau,
         );
         assert_bits(&format!("tau at cycle {cycle}"), &tau, &frozen_tau);
         frozen::step(&robot, &config, &mut frozen_state, &frozen_tau, 0.01);
@@ -612,7 +636,7 @@ fn frozen_forward_dynamics_inverts_frozen_rnea() {
     let robot = panda::panda_model();
     let (q, qd, tau) = (panda::PANDA_HOME, [0.1; 7], [2.0; 7]);
     let qdd = frozen::forward_dynamics(&robot, &q, &qd, &tau);
-    let m_qdd = frozen::mass_matrix(&robot, &q).mul_vec(&DVec::from_slice(&qdd));
+    let m_qdd = frozen::mul_vec(&frozen::mass_matrix(&robot, &q), &qdd);
     let h = frozen::inverse_dynamics(&robot, &q, &qd, &[0.0; 7]);
     for i in 0..7 {
         assert!((m_qdd[i] + h[i] - tau[i]).abs() < 1e-9, "joint {i}");

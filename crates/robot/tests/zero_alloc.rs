@@ -1,9 +1,14 @@
-//! Proof that a warm physics step performs **zero heap allocations**: the
-//! frame pass, CRBA, RNEA and the Cholesky solve of every substep run on
-//! stack buffers, and the effort, velocity and position limits are applied
-//! in place.
+//! Proof that a warm physics step and a warm TS-CTC control cycle perform
+//! **zero heap allocations**: the frame pass, CRBA, RNEA and the Cholesky
+//! solve of every substep run on stack buffers, the effort, velocity and
+//! position limits are applied in place, and the task-space model and the
+//! torque live in fixed-size buffers.
 
-use corki_robot::{panda, ArmSimulator, JointState, SimulatorConfig};
+use corki_math::Vec3;
+use corki_robot::{
+    panda, ArmSimulator, ControllerGains, JointState, SimulatorConfig, TaskReference,
+    TaskSpaceController,
+};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -27,4 +32,39 @@ fn warm_simulator_step_performs_zero_allocations() {
     assert_eq!(after - before, 0, "a warm ArmSimulator::step must not touch the allocator");
     let lower_limit = sim.robot().joints()[1].position_min;
     assert_eq!(sim.state().positions[1], lower_limit, "joint 2 should end on its limit");
+}
+
+#[test]
+fn warm_ts_ctc_cycle_performs_zero_allocations() {
+    let robot = panda::panda_model();
+    let controller = TaskSpaceController::new(ControllerGains::default());
+    let state =
+        JointState::new(panda::PANDA_HOME.to_vec(), vec![0.3, -0.2, 0.1, 0.4, -0.1, 0.2, 0.5]);
+    let mut target = robot.forward_kinematics(&state.positions);
+    target.translation += Vec3::new(0.05, -0.03, 0.02);
+    let reference = TaskReference::hold(target);
+    let mut tau = [0.0; 7];
+    controller.compute_torque(&robot, &state, &reference, &mut tau);
+
+    let before = allocation_count();
+    for _ in 0..100 {
+        controller.compute_torque(&robot, &state, &reference, &mut tau);
+    }
+    let after = allocation_count();
+    assert_eq!(after - before, 0, "a warm TS-CTC cycle must not touch the allocator");
+    assert!(tau.iter().any(|t| t.abs() > 0.1), "the off-target reference should need torque");
+}
+
+#[test]
+fn warm_forward_kinematics_performs_zero_allocations() {
+    let robot = panda::panda_model();
+    let q = panda::PANDA_HOME;
+    let home = robot.forward_kinematics(&q);
+
+    let before = allocation_count();
+    for _ in 0..100 {
+        assert_eq!(robot.forward_kinematics(&q), home);
+    }
+    let after = allocation_count();
+    assert_eq!(after - before, 0, "a warm forward_kinematics must not touch the allocator");
 }

@@ -9,7 +9,7 @@ use crate::tasks::TaskInstance;
 use corki_policy::{ManipulationPolicy, Observation, PlanRequest, PolicyPlan, TaskDescriptor};
 use corki_robot::{
     panda, ArmSimulator, ControllerGains, JointState, SimulatorConfig, TaskReference,
-    TaskSpaceController,
+    TaskSpaceController, MAX_BODIES,
 };
 use corki_trajectory::waypoints::{adaptive_length_for_trajectory, AdaptiveLengthConfig};
 use corki_trajectory::{EePose, GripperState, Trajectory, CONTROL_STEP};
@@ -330,8 +330,17 @@ impl DynamicBackend {
     }
 
     fn end_effector(&self) -> EePose {
-        let fk = self.sim.robot().forward_kinematics(&self.sim.state().positions);
-        EePose::from_se3(&fk.end_effector, GripperState::Open)
+        let pose = self.sim.robot().forward_kinematics(&self.sim.state().positions);
+        EePose::from_se3(&pose, GripperState::Open)
+    }
+
+    /// One TS-CTC cycle towards `reference`, then `dt` of simulated physics;
+    /// the torque lives on the stack.
+    fn control_cycle(&mut self, reference: &TaskReference, dt: f64) {
+        let mut tau = [0.0; MAX_BODIES];
+        let tau = &mut tau[..self.sim.robot().dof()];
+        self.controller.compute_torque(self.sim.robot(), self.sim.state(), reference, tau);
+        self.sim.step(tau, dt);
     }
 
     /// Tracks one control step (33 ms) of a trajectory with 100 Hz TS-CTC.
@@ -346,8 +355,7 @@ impl DynamicBackend {
         let mut t = 0.0;
         while t < CONTROL_STEP - 1e-9 {
             let sample = trajectory.sample_full(t_start + t);
-            let fk = self.sim.robot().forward_kinematics(&self.sim.state().positions);
-            let mut target = fk.end_effector;
+            let mut target = self.sim.robot().forward_kinematics(&self.sim.state().positions);
             target.translation = sample.pose.position;
             let reference = TaskReference {
                 pose: target,
@@ -356,9 +364,7 @@ impl DynamicBackend {
                 linear_acceleration: sample.linear_acceleration,
                 angular_acceleration: corki_math::Vec3::ZERO,
             };
-            let tau =
-                self.controller.compute_torque(self.sim.robot(), self.sim.state(), &reference);
-            self.sim.step(&tau, control_dt);
+            self.control_cycle(&reference, control_dt);
             t += control_dt;
         }
         let mut achieved = self.end_effector();
@@ -369,14 +375,12 @@ impl DynamicBackend {
     /// Tracks a single target pose for one control step (baseline execution).
     fn track_pose(&mut self, reference: &EePose) -> EePose {
         let control_dt = 0.01;
-        let fk = self.sim.robot().forward_kinematics(&self.sim.state().positions);
-        let mut target = fk.end_effector;
+        let mut target = self.sim.robot().forward_kinematics(&self.sim.state().positions);
         target.translation = reference.position;
         let task_ref = TaskReference::hold(target);
         let mut t = 0.0;
         while t < CONTROL_STEP - 1e-9 {
-            let tau = self.controller.compute_torque(self.sim.robot(), self.sim.state(), &task_ref);
-            self.sim.step(&tau, control_dt);
+            self.control_cycle(&task_ref, control_dt);
             t += control_dt;
         }
         let mut achieved = self.end_effector();

@@ -221,11 +221,6 @@ impl Scene {
         }
     }
 
-    /// Whether the light bulb is lit (driven by the lever switch).
-    pub fn lightbulb_on(&self) -> bool {
-        self.switch_on
-    }
-
     /// Advances the scene by one control step given the end-effector pose at
     /// the *end* of the step and the commanded gripper state.
     ///
@@ -454,7 +449,6 @@ mod tests {
         let above = pose(lever + Vec3::new(0.0, 0.0, 0.02), GripperState::Open);
         scene.step(&above, &below); // push up → on
         assert!(scene.switch_on);
-        assert!(scene.lightbulb_on());
         scene.step(&below, &above); // push down → off
         assert!(!scene.switch_on);
     }

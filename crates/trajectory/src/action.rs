@@ -139,20 +139,6 @@ impl DeltaAction {
         DeltaAction { delta_position, delta_euler, gripper }
     }
 
-    /// The seven continuous training targets
-    /// `[Δx, Δy, Δz, Δα, Δβ, Δγ, g]`.
-    pub fn to_array7(&self) -> [f64; 7] {
-        [
-            self.delta_position.x,
-            self.delta_position.y,
-            self.delta_position.z,
-            self.delta_euler.x,
-            self.delta_euler.y,
-            self.delta_euler.z,
-            self.gripper.to_target(),
-        ]
-    }
-
     /// Builds a delta action from the seven raw policy outputs.
     pub fn from_array7(values: [f64; 7]) -> Self {
         DeltaAction {
@@ -222,8 +208,7 @@ mod tests {
             Vec3::new(0.1, 0.0, -0.2),
             GripperState::Closed,
         );
-        let arr = delta.to_array7();
-        let back = DeltaAction::from_array7(arr);
+        let back = DeltaAction::from_array7([0.01, 0.02, -0.03, 0.1, 0.0, -0.2, 0.9]);
         assert_eq!(back, delta);
         assert!(
             (delta.position_norm() - (0.01f64.powi(2) + 0.02f64.powi(2) + 0.03f64.powi(2)).sqrt())

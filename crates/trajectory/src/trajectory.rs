@@ -62,25 +62,6 @@ pub struct Trajectory {
 }
 
 impl Trajectory {
-    /// Builds a trajectory directly from its cubic coefficients, a gripper
-    /// schedule and the waypoint spacing (`step`, seconds).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrajectoryError::InvalidDuration`] if `step` is not positive
-    /// or the gripper schedule is empty.
-    pub fn from_parts(
-        dims: [CubicPoly; 6],
-        gripper_schedule: Vec<GripperState>,
-        step: f64,
-    ) -> Result<Self, TrajectoryError> {
-        if step <= 0.0 || gripper_schedule.is_empty() {
-            return Err(TrajectoryError::InvalidDuration);
-        }
-        let duration = step * gripper_schedule.len() as f64;
-        Ok(Trajectory { dims, gripper_schedule, step, duration })
-    }
-
     /// Fits a trajectory to a sequence of waypoints spaced `step` seconds
     /// apart, starting at `waypoints[0]` (time 0).
     ///
@@ -171,11 +152,6 @@ impl Trajectory {
     /// The per-dimension cubic polynomials, ordered `[x, y, z, α, β, γ]`.
     pub fn coefficients(&self) -> &[CubicPoly; 6] {
         &self.dims
-    }
-
-    /// The waypoint spacing (seconds).
-    pub fn step(&self) -> f64 {
-        self.step
     }
 
     /// Total trajectory duration (seconds).

@@ -23,9 +23,9 @@ fn main() {
     sim.reset(JointState::at_rest(panda::PANDA_HOME.to_vec()));
     let controller = TaskSpaceController::new(ControllerGains::default());
 
-    let start_fk = sim.robot().forward_kinematics(&sim.state().positions);
-    let start = EePose::from_se3(&start_fk.end_effector, GripperState::Open);
-    println!("start pose: {}", start_fk.end_effector.translation);
+    let start_pose = sim.robot().forward_kinematics(&sim.state().positions);
+    let start = EePose::from_se3(&start_pose, GripperState::Open);
+    println!("start pose: {}", start_pose.translation);
 
     // 2. A Corki-style policy predicts a 9-step trajectory towards a target.
     //    (The oracle policy stands in for the fine-tuned VLM head; see
@@ -55,11 +55,11 @@ fn main() {
 
     // 3. Track the trajectory with 100 Hz TS-CTC on the rigid-body arm.
     let control_dt = 0.01;
+    let mut torque = [0.0; 7];
     let mut t = 0.0;
     while t < trajectory.duration() {
         let sample = trajectory.sample_full(t);
-        let fk = sim.robot().forward_kinematics(&sim.state().positions);
-        let mut desired = fk.end_effector;
+        let mut desired = sim.robot().forward_kinematics(&sim.state().positions);
         desired.translation = sample.pose.position;
         let reference = TaskReference {
             pose: desired,
@@ -68,14 +68,14 @@ fn main() {
             linear_acceleration: sample.linear_acceleration,
             angular_acceleration: Vec3::ZERO,
         };
-        let torque = controller.compute_torque(sim.robot(), sim.state(), &reference);
+        controller.compute_torque(sim.robot(), sim.state(), &reference, &mut torque);
         sim.step(&torque, control_dt);
         t += control_dt;
     }
 
-    let final_fk = sim.robot().forward_kinematics(&sim.state().positions);
-    let error = (final_fk.end_effector.translation - target).norm();
-    println!("reached pose: {}", final_fk.end_effector.translation);
+    let reached = sim.robot().forward_kinematics(&sim.state().positions).translation;
+    let error = (reached - target).norm();
+    println!("reached pose: {reached}");
     println!(
         "target error after {:.0} ms of execution: {:.1} mm",
         trajectory.duration() * 1000.0,

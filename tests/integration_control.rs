@@ -22,7 +22,7 @@ fn ts_ctc_tracks_a_corki_trajectory_on_the_dynamic_arm() {
     let controller = TaskSpaceController::new(ControllerGains::default());
 
     let start_fk = sim.robot().forward_kinematics(&sim.state().positions);
-    let start = EePose::from_se3(&start_fk.end_effector, GripperState::Open);
+    let start = EePose::from_se3(&start_fk, GripperState::Open);
     let mut goal = start;
     goal.position += Vec3::new(0.05, -0.06, -0.04);
     let trajectory = Trajectory::point_to_point(&start, &goal, 9, CONTROL_STEP).unwrap();
@@ -33,7 +33,7 @@ fn ts_ctc_tracks_a_corki_trajectory_on_the_dynamic_arm() {
     while t < trajectory.duration() {
         let sample = trajectory.sample_full(t);
         let fk = sim.robot().forward_kinematics(&sim.state().positions);
-        let mut desired = fk.end_effector;
+        let mut desired = fk;
         desired.translation = sample.pose.position;
         let reference = TaskReference {
             pose: desired,
@@ -42,15 +42,15 @@ fn ts_ctc_tracks_a_corki_trajectory_on_the_dynamic_arm() {
             linear_acceleration: sample.linear_acceleration,
             angular_acceleration: Vec3::ZERO,
         };
-        let tau = controller.compute_torque(sim.robot(), sim.state(), &reference);
+        let mut tau = [0.0; 7];
+        controller.compute_torque(sim.robot(), sim.state(), &reference, &mut tau);
         sim.step(&tau, control_dt);
         t += control_dt;
         let achieved = sim.robot().forward_kinematics(&sim.state().positions);
-        worst_error =
-            worst_error.max((achieved.end_effector.translation - sample.pose.position).norm());
+        worst_error = worst_error.max((achieved.translation - sample.pose.position).norm());
     }
     let final_fk = sim.robot().forward_kinematics(&sim.state().positions);
-    let final_error = (final_fk.end_effector.translation - goal.position).norm();
+    let final_error = (final_fk.translation - goal.position).norm();
     assert!(final_error < 0.01, "final tracking error {final_error:.4} m");
     assert!(worst_error < 0.03, "worst tracking error {worst_error:.4} m");
 }
@@ -65,13 +65,14 @@ fn ace_on_a_real_control_trace_matches_the_papers_savings() {
     sim.reset(JointState::at_rest(panda::PANDA_HOME.to_vec()));
     let controller = TaskSpaceController::new(ControllerGains::default());
     let start_fk = sim.robot().forward_kinematics(&sim.state().positions);
-    let mut goal = start_fk.end_effector;
+    let mut goal = start_fk;
     goal.translation += Vec3::new(0.06, 0.05, -0.03);
     let reference = TaskReference::hold(goal);
 
     let mut trace = Vec::new();
+    let mut tau = [0.0; 7];
     for _ in 0..120 {
-        let tau = controller.compute_torque(sim.robot(), sim.state(), &reference);
+        controller.compute_torque(sim.robot(), sim.state(), &reference, &mut tau);
         sim.step(&tau, 0.01);
         trace.push(sim.state().positions.clone());
     }
