@@ -3,7 +3,7 @@
 
 use corki::VariantSetup;
 use corki_sim::evaluation::{run_job, EvalConfig};
-use corki_system::{PipelineConfig, PipelineSimulator, Variant};
+use corki_system::{simulate_pipeline, FleetConfig, Variant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -12,11 +12,10 @@ fn bench_pipeline(c: &mut Criterion) {
 
     for variant in [Variant::RoboFlamingo, Variant::CorkiFixed(5), Variant::CorkiAdaptive] {
         let name = variant.name();
-        let mut config = PipelineConfig::paper_defaults(variant);
-        config.num_frames = 300;
-        let sim = PipelineSimulator::new(config);
+        let mut config = FleetConfig::single_robot(variant);
+        config.frames_per_robot = 300;
         group.bench_function(format!("simulate_300_frames/{name}"), |b| {
-            b.iter(|| black_box(sim.simulate()))
+            b.iter(|| black_box(simulate_pipeline(&config)))
         });
     }
 

@@ -15,7 +15,7 @@ use corki_sim::evaluation::{
     evaluate_parallel, run_job, session_seed, EpisodeTraces, EvalConfig, EvaluationSummary,
 };
 use corki_system::{
-    DataRepresentation, InferenceDevice, InferenceModel, PipelineConfig, PipelineSimulator,
+    simulate_pipeline, DataRepresentation, FleetConfig, InferenceDevice, InferenceModel,
     PipelineSummary, Variant,
 };
 use serde::Serialize;
@@ -160,11 +160,22 @@ pub fn pipeline_comparison(scale: &ExperimentScale) -> Vec<PipelineSummary> {
     Variant::paper_lineup()
         .into_iter()
         .map(|variant| {
-            let mut config = PipelineConfig::paper_defaults(variant);
-            config.num_frames = scale.frames;
-            PipelineSimulator::new(config).simulate()
+            let mut config = FleetConfig::single_robot(variant);
+            config.frames_per_robot = scale.frames;
+            simulate_pipeline(&config)
         })
         .collect()
+}
+
+/// Speed-up of Corki-ADAP over the RoboFlamingo baseline when both run
+/// `scale.frames` frames on the same `inference` device (Tables 3 and 4).
+fn adaptive_speedup(inference: InferenceModel, scale: &ExperimentScale) -> f64 {
+    let mut config = FleetConfig::single_robot(Variant::CorkiAdaptive);
+    config.servers[0].inference = inference;
+    config.frames_per_robot = scale.frames;
+    let corki = simulate_pipeline(&config);
+    config.robots[0].variant = Variant::RoboFlamingo;
+    corki.speedup_over(&simulate_pipeline(&config))
 }
 
 /// Table 3: end-to-end speed-up of Corki-ADAP under different inference
@@ -173,13 +184,12 @@ pub fn device_table(scale: &ExperimentScale) -> Vec<(String, f64, f64)> {
     InferenceDevice::ALL
         .iter()
         .map(|device| {
-            let mut config = PipelineConfig::paper_defaults(Variant::CorkiAdaptive);
-            config.inference = InferenceModel::new(*device, DataRepresentation::Float32);
-            config.num_frames = scale.frames;
-            let sim = PipelineSimulator::new(config);
-            let corki = sim.simulate();
-            let baseline = sim.simulate_baseline_reference();
-            (device.name().to_owned(), device.normalized_latency(), corki.speedup_over(&baseline))
+            let inference = InferenceModel::new(*device, DataRepresentation::Float32);
+            (
+                device.name().to_owned(),
+                device.normalized_latency(),
+                adaptive_speedup(inference, scale),
+            )
         })
         .collect()
 }
@@ -190,16 +200,11 @@ pub fn precision_table(scale: &ExperimentScale) -> Vec<(String, f64, f64)> {
     DataRepresentation::ALL
         .iter()
         .map(|representation| {
-            let mut config = PipelineConfig::paper_defaults(Variant::CorkiAdaptive);
-            config.inference = InferenceModel::new(InferenceDevice::V100, *representation);
-            config.num_frames = scale.frames;
-            let sim = PipelineSimulator::new(config);
-            let corki = sim.simulate();
-            let baseline = sim.simulate_baseline_reference();
+            let inference = InferenceModel::new(InferenceDevice::V100, *representation);
             (
                 representation.name().to_owned(),
                 representation.latency_scale(),
-                corki.speedup_over(&baseline),
+                adaptive_speedup(inference, scale),
             )
         })
         .collect()

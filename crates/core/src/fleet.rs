@@ -274,7 +274,7 @@ pub fn measured_adaptive_lengths(jobs: usize, seed: u64) -> Vec<usize> {
         }
     }
     if lengths.is_empty() {
-        corki_system::PipelineConfig::paper_defaults(Variant::CorkiAdaptive).adaptive_lengths
+        corki_system::fleet::DEFAULT_ADAPTIVE_LENGTHS.to_vec()
     } else {
         lengths
     }
@@ -297,10 +297,10 @@ mod tests {
     fn paper_sweep_expands_to_the_pinned_cells() {
         let smoke = paper_sweep(true).expand().expect("smoke shape expands");
         assert_eq!(smoke.len(), 16);
-        assert_eq!(scenario_fingerprint(&smoke), "700c4520d6e77681");
+        assert_eq!(scenario_fingerprint(&smoke), "89f60a08ae43ba95");
         let full = paper_sweep(false).expand().expect("full shape expands");
         assert_eq!(full.len(), 256);
-        assert_eq!(scenario_fingerprint(&full), "04a8d36e4cf09b3d");
+        assert_eq!(scenario_fingerprint(&full), "45d1b86fa02536dd");
     }
 
     #[test]

@@ -25,12 +25,6 @@ impl VariantSetup {
         VariantSetup { variant, noise: NoiseModel::default(), max_steps: 100 }
     }
 
-    /// Overrides the noise model.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Builds the oracle policy implementing this variant.
     pub fn build_policy(&self, seed: u64) -> Box<dyn ManipulationPolicy> {
         match self.variant {

@@ -144,16 +144,6 @@ impl CubicPoly {
             }
         }
     }
-
-    /// Integral of the squared second derivative over `[0, duration]`; a
-    /// standard smoothness (bending-energy) measure used in tests and in the
-    /// adaptive-length heuristics.
-    pub fn bending_energy(&self, duration: f64) -> f64 {
-        // ∫ (6a t + 2b)^2 dt = 12 a² t³ + 12 a b t² + 4 b² t
-        12.0 * self.a * self.a * duration.powi(3)
-            + 12.0 * self.a * self.b * duration.powi(2)
-            + 4.0 * self.b * self.b * duration
-    }
 }
 
 /// Solves a 4×4 linear system with Gaussian elimination and partial pivoting.
@@ -265,14 +255,6 @@ mod tests {
         let two = CubicPoly::fit_least_squares(&[(0.0, 1.0), (1.0, 3.0)]);
         assert!((two.eval(0.0) - 1.0).abs() < 1e-3);
         assert!((two.eval(1.0) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn bending_energy_zero_for_linear() {
-        let p = CubicPoly::new(0.0, 0.0, 2.0, 1.0);
-        assert_eq!(p.bending_energy(1.0), 0.0);
-        let q = CubicPoly::new(1.0, 0.0, 0.0, 0.0);
-        assert!(q.bending_energy(1.0) > 0.0);
     }
 
     proptest! {

@@ -41,38 +41,6 @@ pub use se3::SE3;
 pub use spatial::{SpatialForce, SpatialInertia, SpatialMat, SpatialMotion, SpatialTransform};
 pub use vec3::Vec3;
 
-/// Returns `true` when `a` and `b` are within `tol` of each other.
-///
-/// Uses a mixed absolute/relative criterion so that both values close to zero
-/// and large values compare sensibly.
-///
-/// ```
-/// assert!(corki_math::approx_eq(1.0, 1.0 + 1e-13, 1e-9));
-/// assert!(!corki_math::approx_eq(1.0, 1.1, 1e-9));
-/// ```
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    if diff <= tol {
-        return true;
-    }
-    let largest = a.abs().max(b.abs());
-    diff <= tol * largest
-}
-
-/// Clamps `x` into the inclusive range `[lo, hi]`.
-///
-/// # Panics
-///
-/// Panics if `lo > hi`.
-///
-/// ```
-/// assert_eq!(corki_math::clamp(3.0, 0.0, 1.0), 1.0);
-/// ```
-pub fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
-    assert!(lo <= hi, "clamp: lo must not exceed hi");
-    x.max(lo).min(hi)
-}
-
 /// Wraps an angle in radians into `(-pi, pi]`.
 ///
 /// ```
@@ -95,26 +63,6 @@ pub fn wrap_angle(theta: f64) -> f64 {
 mod tests {
     use super::*;
     use std::f64::consts::PI;
-
-    #[test]
-    fn approx_eq_absolute_and_relative() {
-        assert!(approx_eq(0.0, 1e-12, 1e-9));
-        assert!(approx_eq(1e9, 1e9 + 1.0, 1e-6));
-        assert!(!approx_eq(1.0, 2.0, 1e-3));
-    }
-
-    #[test]
-    fn clamp_bounds() {
-        assert_eq!(clamp(-1.0, 0.0, 1.0), 0.0);
-        assert_eq!(clamp(0.5, 0.0, 1.0), 0.5);
-        assert_eq!(clamp(2.0, 0.0, 1.0), 1.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn clamp_invalid_range_panics() {
-        clamp(0.0, 1.0, 0.0);
-    }
 
     #[test]
     fn wrap_angle_range() {

@@ -42,11 +42,6 @@ impl Mat3 {
         Mat3 { m: [r0, r1, r2] }
     }
 
-    /// Builds a matrix from three column vectors.
-    pub fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
-        Mat3 { m: [[c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z]] }
-    }
-
     /// Builds a diagonal matrix.
     pub fn diagonal(d: Vec3) -> Self {
         Mat3 { m: [[d.x, 0.0, 0.0], [0.0, d.y, 0.0], [0.0, 0.0, d.z]] }
@@ -68,18 +63,6 @@ impl Mat3 {
     pub fn rotation_z(theta: f64) -> Self {
         let (s, c) = theta.sin_cos();
         Mat3::from_rows([c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0])
-    }
-
-    /// Rotation about an arbitrary unit axis by `theta` radians (Rodrigues).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis` is (nearly) zero.
-    pub fn rotation_axis_angle(axis: Vec3, theta: f64) -> Self {
-        let a = axis.normalize();
-        let k = Mat3::skew(a);
-        let (s, c) = theta.sin_cos();
-        Mat3::identity() + k * s + (k * k) * (1.0 - c)
     }
 
     /// Rotation from intrinsic roll-pitch-yaw (XYZ) Euler angles, matching the
@@ -170,17 +153,6 @@ impl Mat3 {
             }
         }
         err < tol && (self.determinant() - 1.0).abs() < tol
-    }
-
-    /// Re-orthonormalises a near-rotation matrix using Gram-Schmidt.
-    ///
-    /// Useful after long chains of floating-point rotation compositions.
-    pub fn orthonormalize(&self) -> Mat3 {
-        let c0 = self.col(0).normalize();
-        let c1_raw = self.col(1);
-        let c1 = (c1_raw - c0 * c0.dot(c1_raw)).normalize();
-        let c2 = c0.cross(c1);
-        Mat3::from_cols(c0, c1, c2)
     }
 }
 
@@ -295,13 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn axis_angle_matches_basic_rotations() {
-        let theta = 0.83;
-        let diff = Mat3::rotation_axis_angle(Vec3::Z, theta) - Mat3::rotation_z(theta);
-        assert!(diff.max_abs() < 1e-12);
-    }
-
-    #[test]
     fn skew_reproduces_cross_product() {
         let a = Vec3::new(1.0, -2.0, 0.5);
         let b = Vec3::new(0.3, 4.0, -1.0);
@@ -317,15 +282,6 @@ mod tests {
             let m2 = Mat3::from_euler_xyz(r2, p2, y2);
             assert!((m - m2).max_abs() < 1e-9, "roundtrip failed for {r} {p} {y}");
         }
-    }
-
-    #[test]
-    fn orthonormalize_fixes_drift() {
-        let mut r = Mat3::rotation_x(0.3);
-        // Introduce drift.
-        r.m[0][0] += 1e-4;
-        let fixed = r.orthonormalize();
-        assert!(fixed.is_rotation(1e-9));
     }
 
     fn arb_angle() -> impl Strategy<Value = f64> {

@@ -207,7 +207,10 @@ mod tests {
     #[test]
     fn axis_angle_matches_matrix() {
         let q = UnitQuaternion::from_axis_angle(Vec3::new(1.0, 1.0, 0.0), 0.9);
-        let m = Mat3::rotation_axis_angle(Vec3::new(1.0, 1.0, 0.0), 0.9);
+        // Rodrigues: R = I + sin θ K + (1 − cos θ) K², K = skew(axis).
+        let k = Mat3::skew(Vec3::new(1.0, 1.0, 0.0).normalize());
+        let (s, c) = 0.9_f64.sin_cos();
+        let m = Mat3::identity() + k * s + (k * k) * (1.0 - c);
         assert!((q.to_rotation_matrix() - m).max_abs() < 1e-12);
     }
 

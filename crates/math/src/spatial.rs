@@ -195,20 +195,6 @@ impl SpatialTransform {
         let moment = self.rot.transpose() * f.moment + self.trans.cross(force);
         SpatialForce::new(moment, force)
     }
-
-    /// The inverse transform `^A X_B`.
-    pub fn inverse(&self) -> SpatialTransform {
-        SpatialTransform { rot: self.rot.transpose(), trans: -(self.rot * self.trans) }
-    }
-
-    /// Composition: if `self` is `^C X_B` and `rhs` is `^B X_A`, the result is
-    /// `^C X_A`.
-    pub fn compose(&self, rhs: &SpatialTransform) -> SpatialTransform {
-        SpatialTransform {
-            rot: self.rot * rhs.rot,
-            trans: rhs.trans + rhs.rot.transpose() * self.trans,
-        }
-    }
 }
 
 /// A rigid-body spatial inertia expressed in a particular frame, parameterised
@@ -392,16 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_equals_inv_apply() {
-        let x = example_transform();
-        let m = SpatialMotion::new(Vec3::new(1.0, 2.0, 3.0), Vec3::new(-0.2, 0.1, 0.4));
-        let a = x.inverse().apply_motion(&m);
-        let b = x.inv_apply_motion(&m);
-        assert!((a.ang - b.ang).norm() < 1e-12);
-        assert!((a.lin - b.lin).norm() < 1e-12);
-    }
-
-    #[test]
     fn power_is_invariant_under_change_of_frame() {
         // mᵀ f is a physical scalar (power) and must not depend on the frame.
         let x = example_transform();
@@ -420,7 +396,8 @@ mod tests {
         let x2 = SpatialTransform::from_pose(&pose2); // frame2 <- frame1
         let m = SpatialMotion::new(Vec3::new(0.3, 0.6, -0.2), Vec3::new(1.0, -1.0, 0.5));
         let sequential = x2.apply_motion(&x1.apply_motion(&m));
-        let composed = x2.compose(&x1).apply_motion(&m);
+        // Frame 2's pose in frame 0 is pose1 · pose2.
+        let composed = SpatialTransform::from_pose(&(pose1 * pose2)).apply_motion(&m);
         assert!((sequential.ang - composed.ang).norm() < 1e-12);
         assert!((sequential.lin - composed.lin).norm() < 1e-12);
     }

@@ -45,12 +45,6 @@ impl Activation {
             Activation::Identity => 1.0,
         }
     }
-
-    /// Applies the activation to every element of a slice, returning a new
-    /// vector.
-    pub fn apply_slice(self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.apply(x)).collect()
-    }
 }
 
 /// Branch-free exponential for the activation sweeps: range reduction to
@@ -165,12 +159,6 @@ mod tests {
                 (Activation::Relu.apply(x + eps) - Activation::Relu.apply(x - eps)) / (2.0 * eps);
             assert!((Activation::Relu.derivative_from_output(y) - fd).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn apply_slice_maps_elementwise() {
-        let out = Activation::Relu.apply_slice(&[-1.0, 0.5, 2.0]);
-        assert_eq!(out, vec![0.0, 0.5, 2.0]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   forward-with-cache / backward passes (no autograd, no hidden state),
 //! * [`losses`] — MSE (pose supervision) and binary cross-entropy with logits
 //!   (gripper supervision), matching Equation 3/5,
-//! * [`Adam`] / [`Sgd`] — optimisers over a model's parameter tensors.
+//! * [`Adam`] — the optimiser over a model's parameter tensors.
 //!
 //! # Example
 //!
@@ -50,6 +50,6 @@ pub use activation::{sigmoid, sigmoid_slice, tanh, tanh_slice, Activation};
 pub use linear::{Linear, LinearCache};
 pub use lstm::{LstmCache, LstmCell, LstmState};
 pub use mlp::{Mlp, MlpCache};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use scratch::InferenceScratch;
 pub use tensor::{matvec_colmajor, Tensor};

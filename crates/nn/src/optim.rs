@@ -3,36 +3,6 @@
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Plain stochastic gradient descent with optional gradient clipping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Global gradient-norm clip (disabled when `None`).
-    pub clip_norm: Option<f64>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(learning_rate: f64) -> Self {
-        Sgd { learning_rate, clip_norm: None }
-    }
-
-    /// Enables global gradient-norm clipping.
-    pub fn with_clip_norm(mut self, clip_norm: f64) -> Self {
-        self.clip_norm = Some(clip_norm);
-        self
-    }
-
-    /// Applies one update step to the given parameter tensors.
-    pub fn step(&self, params: &mut [&mut Tensor]) {
-        clip_global_norm(params, self.clip_norm);
-        for p in params.iter_mut() {
-            p.apply_sgd(self.learning_rate);
-        }
-    }
-}
-
 /// The Adam optimiser (Kingma & Ba), the standard choice for training the
 /// LSTM policy head.
 ///
@@ -145,17 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_minimises_quadratic() {
-        let mut t = Tensor::from_vec(1, 3, vec![1.0, -2.0, 0.5]);
-        let sgd = Sgd::new(0.1);
-        for _ in 0..100 {
-            quadratic_grad(&mut t);
-            sgd.step(&mut [&mut t]);
-        }
-        assert!(t.data().iter().all(|v| v.abs() < 1e-6));
-    }
-
-    #[test]
     fn adam_minimises_quadratic_faster_than_tiny_sgd() {
         let mut t_adam = Tensor::from_vec(1, 2, vec![3.0, -4.0]);
         let mut adam = Adam::new(0.2);
@@ -171,9 +130,8 @@ mod tests {
     fn gradient_clipping_bounds_update_size() {
         let mut t = Tensor::from_vec(1, 1, vec![0.0]);
         t.accumulate_grad(0, 0, 1000.0);
-        let sgd = Sgd::new(1.0).with_clip_norm(1.0);
-        sgd.step(&mut [&mut t]);
-        assert!(t.data()[0].abs() <= 1.0 + 1e-9);
+        clip_global_norm(&mut [&mut t], Some(1.0));
+        assert!(t.grad()[0].abs() <= 1.0 + 1e-9);
     }
 
     #[test]

@@ -101,16 +101,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `param -= lr * grad` directly (plain SGD update).
-    pub fn apply_sgd(&mut self, lr: f64) {
-        if self.grad.len() != self.data.len() {
-            self.grad = vec![0.0; self.data.len()];
-        }
-        for (p, g) in self.data.iter_mut().zip(&self.grad) {
-            *p -= lr * g;
-        }
-    }
-
     /// L2 norm of the gradient, used for gradient clipping.
     pub fn grad_norm_squared(&self) -> f64 {
         self.grad.iter().map(|g| g * g).sum()
@@ -316,14 +306,6 @@ mod tests {
         assert_eq!(t.grad(), &[4.0, 5.0, 6.0, 8.0]);
         t.zero_grad();
         assert!(t.grad().iter().all(|g| *g == 0.0));
-    }
-
-    #[test]
-    fn sgd_update_moves_against_gradient() {
-        let mut t = Tensor::from_vec(1, 1, vec![1.0]);
-        t.accumulate_grad(0, 0, 2.0);
-        t.apply_sgd(0.1);
-        assert!((t.get(0, 0) - 0.8).abs() < 1e-12);
     }
 
     #[test]

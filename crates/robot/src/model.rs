@@ -141,13 +141,6 @@ impl Link {
 /// Errors produced by [`RobotModel`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RobotError {
-    /// The number of joint values supplied does not match the robot's DoF.
-    DimensionMismatch {
-        /// Expected number of joint values (the robot's DoF).
-        expected: usize,
-        /// Number of joint values actually supplied.
-        actual: usize,
-    },
     /// The model definition is inconsistent (e.g. no actuated joints).
     InvalidModel(String),
 }
@@ -155,9 +148,6 @@ pub enum RobotError {
 impl fmt::Display for RobotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RobotError::DimensionMismatch { expected, actual } => {
-                write!(f, "expected {expected} joint values, got {actual}")
-            }
             RobotError::InvalidModel(msg) => write!(f, "invalid robot model: {msg}"),
         }
     }
@@ -250,20 +240,6 @@ impl RobotModel {
     /// The actuated joints, in order (one per degree of freedom).
     pub(crate) fn actuated_joints(&self) -> impl Iterator<Item = &JointModel> {
         self.joints.iter().filter(|j| j.kind.is_actuated())
-    }
-
-    /// Validates that a joint-position (or velocity/torque) vector matches the
-    /// robot's DoF.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RobotError::DimensionMismatch`] on length mismatch.
-    pub fn check_dof(&self, values: &[f64]) -> Result<(), RobotError> {
-        if values.len() != self.dof() {
-            Err(RobotError::DimensionMismatch { expected: self.dof(), actual: values.len() })
-        } else {
-            Ok(())
-        }
     }
 
     /// Clamps a joint-position vector into the joint limits.
@@ -376,15 +352,6 @@ mod tests {
         let joints = vec![JointModel::fixed("f", 0.0, 0.0, 0.0, 0.0)];
         let links = vec![Link::new("l", SpatialInertia::zero())];
         assert!(RobotModel::new("bad", joints, links).is_err());
-    }
-
-    #[test]
-    fn check_dof_validates_length() {
-        let robot = two_link();
-        assert!(robot.check_dof(&[0.0, 0.0]).is_ok());
-        let err = robot.check_dof(&[0.0]).unwrap_err();
-        assert_eq!(err, RobotError::DimensionMismatch { expected: 2, actual: 1 });
-        assert!(err.to_string().contains("expected 2"));
     }
 
     #[test]

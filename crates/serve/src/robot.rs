@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use corki_ipc::{monotonic_ns, Doorbell, ShmSegment};
-use corki_system::fleet::{plan_upload_ms, RobotProfile};
+use corki_system::fleet::{hidden_upload_ms, plan_upload_ms, RobotProfile};
 use corki_system::FleetConfig;
 use corki_telemetry::{EventKind, ShmTelemetry, Stage, PAGE_WORDS};
 
@@ -65,8 +65,8 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
     announce_ready(seg.atomic_u64(READY_OFF), coordinator);
     let start_ns = wait_for_running(run_state, seg.atomic_u64(START_NS_OFF), bell)?;
     // Deterministic start stagger, exactly as the DES schedules the first
-    // capture of robot r at `r · start_stagger_ms`.
-    sleep_until_ns(start_ns + ns_of_ms(robot as f64 * cfg.start_stagger_ms));
+    // capture of robot r at `r · execution_step_ms`.
+    sleep_until_ns(start_ns + ns_of_ms(robot as f64 * cfg.execution_step_ms));
 
     let step_ns = ns_of_ms(if cfg.execution_step_ms > 0.0 {
         profile.control_ms.max(cfg.execution_step_ms)
@@ -109,12 +109,7 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
         } else {
             // Foreground upload: reserve the shared link, sleep out the
             // grant (wait + transfer), then hand the request to the pool.
-            let upload_ms = plan_upload_ms(
-                profile.is_baseline,
-                full_steps,
-                cfg.communication.per_frame_ms,
-                cfg.unhidden_comm_fraction,
-            );
+            let upload_ms = plan_upload_ms(profile.is_baseline, full_steps);
             upload_paid_ms = upload_ms;
             let now = monotonic_ns();
             let (grant_start, grant_end) = link.acquire(now, ns_of_ms(upload_ms));
@@ -166,9 +161,11 @@ pub fn run_robot(shm: &str, robot: usize, config_path: &str) -> Result<(), LiveE
             // After the first executed step of a multi-step plan, the next
             // frame streams up in the background: reserve (but do not wait
             // out) the hidden portion of its upload, so it consumes real
-            // shared-link bandwidth exactly as in the DES.
-            if step == 0 && plan_steps > 1 && cfg.background_uploads && profile.local.is_none() {
-                let hidden_ms = (cfg.communication.per_frame_ms - upload_paid_ms).max(0.0);
+            // shared-link bandwidth exactly as in the DES (which has no
+            // background upload in the unpaced legacy model).
+            if step == 0 && plan_steps > 1 && cfg.execution_step_ms > 0.0 && profile.local.is_none()
+            {
+                let hidden_ms = hidden_upload_ms(upload_paid_ms);
                 if hidden_ms > 0.0 {
                     link.acquire(monotonic_ns(), ns_of_ms(hidden_ms));
                 }

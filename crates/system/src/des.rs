@@ -1,7 +1,7 @@
 //! A minimal discrete-event simulation (DES) core.
 //!
 //! The fleet-serving runtime (and, through it, the single-robot
-//! [`crate::PipelineSimulator`]) advances time by popping events off a queue
+//! [`crate::simulate_pipeline`]) advances time by popping events off a queue
 //! keyed by `(time, sequence-number)`.  The sequence number is a
 //! monotonically increasing tie-breaker, so events scheduled at the same
 //! instant fire in scheduling order and every run of the same configuration

@@ -21,10 +21,11 @@
 //!    control back-end ([`ControlBackend::PerRobot`] or a shared,
 //!    arbitrated accelerator), paced by [`FleetConfig::execution_step_ms`].
 //!
-//! The single-robot [`crate::PipelineSimulator`] is the N=1 special case of
-//! this engine (uncontended link, one FIFO server, per-robot back-end, no
-//! execution pacing) and reproduces the legacy per-frame traces exactly —
-//! see `tests/des_regression.rs`.  The homogeneous single-server fleet of
+//! The single-robot pipeline ([`FleetConfig::single_robot`], run by
+//! [`crate::simulate_pipeline`]) is the N=1 case of this engine
+//! (uncontended link, one FIFO server, per-robot back-end, no execution
+//! pacing) and reproduces the legacy per-frame traces exactly — see
+//! `tests/des_regression.rs`.  The homogeneous single-server fleet of
 //! PR 3 is likewise pinned float-for-float by `tests/fleet_golden.rs`.
 //! With N>1 the engine turns the paper's per-robot claim (one inference buys
 //! a multi-step trajectory) into a serving claim: longer trajectories lower
@@ -74,26 +75,29 @@ pub use faults::{ChurnSpec, CrashSpec, FaultPlan, LinkDegradationSpec, TimeoutSp
 pub use scheduler::{BatchScheduler, PendingRequest, SchedulerKind};
 pub use server::{ServerConfig, ServerPool};
 pub use session::{
-    fleet_robot_seed, on_robot_inference_cost, plan_upload_ms, ControlBackend, RobotCompute,
-    RobotConfig, RobotProfile, DEFAULT_EXECUTION_STEP_MS,
+    fleet_robot_seed, hidden_upload_ms, on_robot_inference_cost, plan_upload_ms, ControlBackend,
+    RobotCompute, RobotConfig, RobotProfile, DEFAULT_ADAPTIVE_LENGTHS, DEFAULT_EXECUTION_STEP_MS,
 };
 pub use stats::{
     FleetOutcome, FleetSummary, RobotOutcome, ServingSamples, ServingStats, WarmupSpec,
 };
 
 use crate::des::{EventQueue, Scheduled};
-use crate::devices::CommunicationModel;
-use crate::pipeline::{mean, percentile, FrameKind, PipelineConfig};
+use crate::devices::InferenceModel;
+use crate::pipeline::{mean, percentile, FrameKind};
 use crate::routing::RoutingPolicy;
 use crate::variant::Variant;
-use corki_accel::{AcceleratorModel, Arbiter, CpuControlModel};
+use corki_accel::Arbiter;
 use corki_telemetry::{ns_of_ms, EventKind, Recorder, Stage};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use session::Session;
 use stats::{mser5_warmup, trim_warmup};
 
-/// Configuration of a fleet-serving simulation.
+/// Configuration of a fleet-serving simulation — the one configuration of
+/// the engine, single-robot pipeline included.  The device constants every
+/// experiment shares (Wi-Fi link, ZC706 accelerator, i7-6770HQ CPU, ACE
+/// skip fraction, upload hiding, jitter) are fixed in the session model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// The robots of the fleet (variant + seed + compute placement each).
@@ -102,41 +106,19 @@ pub struct FleetConfig {
     pub servers: Vec<ServerConfig>,
     /// How offloaded requests are spread over the pool.
     pub routing: RoutingPolicy,
-    /// Communication link model (shared uplink).
-    pub communication: CommunicationModel,
-    /// Accelerator latency model for accelerator-backed variants.
-    pub accelerator: AcceleratorModel,
-    /// CPU control model (baseline and Corki-SW).
-    pub cpu: CpuControlModel,
-    /// Fraction of matrix updates skipped by the ACE units.
-    pub ace_skip_fraction: f64,
     /// Executed-length distribution for [`Variant::CorkiAdaptive`] robots.
     pub adaptive_lengths: Vec<usize>,
-    /// Fraction of the final-frame upload that cannot be hidden under robot
-    /// execution when a trajectory spans more than one step.
-    pub unhidden_comm_fraction: f64,
     /// Camera frames (control steps) each robot executes.
     pub frames_per_robot: usize,
-    /// Relative magnitude of the per-frame measurement jitter.
-    pub jitter: f64,
-    /// Average accelerator power while computing (watts).
-    pub accelerator_power_w: f64,
     /// Real-time duration of one executed control step — the robot's motion
-    /// paces the loop at e.g. the 30 Hz camera rate. `0` disables pacing
-    /// (the legacy latency-only model of the single-robot pipeline).
+    /// paces the loop at e.g. the 30 Hz camera rate.  It also staggers the
+    /// starts (robot `r` captures its first frame at `r · execution_step_ms`,
+    /// avoiding the artificial time-zero convoy of a phase-locked fleet) and
+    /// turns on background uploads (the hidden portion of each multi-step
+    /// plan's frame upload occupies the shared uplink).  `0` is the legacy
+    /// latency-only model of the single-robot pipeline: no pacing, no
+    /// stagger and no background upload.
     pub execution_step_ms: f64,
-    /// Deterministic start offset between consecutive robots (robot `r`
-    /// captures its first frame at `r · start_stagger_ms`).  Prevents the
-    /// artificial time-zero convoy of a perfectly phase-locked fleet; robot
-    /// 0 always starts at time zero.
-    pub start_stagger_ms: f64,
-    /// Model the *hidden* portion of each multi-step plan's frame upload as
-    /// real uplink occupancy: the frame streamed under robot execution
-    /// still consumes shared link bandwidth, delaying other robots'
-    /// uploads.  Off in the N=1 compatibility mode, where the legacy model
-    /// attributes only the unhidden fraction.  On-robot sessions never touch
-    /// the uplink.
-    pub background_uploads: bool,
     /// Control back-end topology.
     pub control_backend: ControlBackend,
     /// Start-up window excluded from the aggregate plan/queue/link latency
@@ -159,48 +141,33 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// A fleet with the paper's default devices: `robots` homogeneous
     /// offloaded robots running `variant`, seeded deterministically from
-    /// `seed`, served by a single V100 FIFO server.
+    /// `seed`, served by a single V100 FIFO server and paced at 30 Hz.
     pub fn paper_defaults(variant: Variant, robots: usize, seed: u64) -> Self {
-        let base = PipelineConfig::paper_defaults(variant);
         FleetConfig {
             robots: (0..robots)
                 .map(|r| RobotConfig {
-                    variant: base.variant.clone(),
+                    variant: variant.clone(),
                     seed: fleet_robot_seed(seed, r as u64),
                     compute: RobotCompute::Offloaded,
                 })
                 .collect(),
             execution_step_ms: DEFAULT_EXECUTION_STEP_MS,
-            start_stagger_ms: DEFAULT_EXECUTION_STEP_MS,
-            background_uploads: true,
-            ..FleetConfig::single_robot(&base)
+            ..FleetConfig::single_robot(variant)
         }
     }
 
-    /// The N=1 compatibility configuration behind [`crate::PipelineSimulator`]:
-    /// one robot, one FIFO server, per-robot control, no execution pacing —
-    /// the exact legacy latency model.
-    pub fn single_robot(config: &PipelineConfig) -> Self {
+    /// The single-robot pipeline of Fig. 13/14 and Tables 3/4 (run it with
+    /// [`crate::simulate_pipeline`]): one robot with jitter seed 7, 300
+    /// frames, one V100 FIFO server, per-robot control and no execution
+    /// pacing — the exact legacy latency model.
+    pub fn single_robot(variant: Variant) -> Self {
         FleetConfig {
-            robots: vec![RobotConfig {
-                variant: config.variant.clone(),
-                seed: config.seed,
-                compute: RobotCompute::Offloaded,
-            }],
-            servers: vec![ServerConfig::new(config.inference, SchedulerKind::Fifo)],
+            robots: vec![RobotConfig { variant, seed: 7, compute: RobotCompute::Offloaded }],
+            servers: vec![ServerConfig::new(InferenceModel::default(), SchedulerKind::Fifo)],
             routing: RoutingPolicy::RoundRobin,
-            communication: config.communication,
-            accelerator: config.accelerator,
-            cpu: config.cpu,
-            ace_skip_fraction: config.ace_skip_fraction,
-            adaptive_lengths: config.adaptive_lengths.clone(),
-            unhidden_comm_fraction: config.unhidden_comm_fraction,
-            frames_per_robot: config.num_frames,
-            jitter: config.jitter,
-            accelerator_power_w: config.accelerator_power_w,
+            adaptive_lengths: DEFAULT_ADAPTIVE_LENGTHS.to_vec(),
+            frames_per_robot: 300,
             execution_step_ms: 0.0,
-            start_stagger_ms: 0.0,
-            background_uploads: false,
             control_backend: ControlBackend::PerRobot,
             warmup_ms: WarmupSpec::Fixed(0.0),
             slo_budget_ms: 400.0,
@@ -370,7 +337,7 @@ impl FleetSimulator {
             telemetry: Recorder::new(cfg.robots.len()),
         };
         for robot in 0..cfg.robots.len() {
-            let mut start = robot as f64 * cfg.start_stagger_ms;
+            let mut start = robot as f64 * cfg.execution_step_ms;
             // Churned robots join late: their first capture waits for the
             // later of the deterministic stagger and the join instant.
             if let Some(churn) = cfg.faults.as_ref().and_then(|f| f.churn_of(robot)) {
@@ -463,12 +430,7 @@ impl Engine<'_> {
             self.queue.schedule(now + local_service_ms, FleetEvent::LocalInferenceDone { robot });
             return;
         }
-        session.base_upload_ms = plan_upload_ms(
-            session.profile.is_baseline,
-            full_steps,
-            self.cfg.communication.per_frame_ms,
-            self.cfg.unhidden_comm_fraction,
-        );
+        session.base_upload_ms = plan_upload_ms(session.profile.is_baseline, full_steps);
         // Each plan opens a fresh attempt; retries claim further ids.
         session.attempt += 1;
         session.active_attempt = Some(session.attempt);
@@ -730,7 +692,7 @@ impl Engine<'_> {
                 session.profile.control_energy_j + hidden_comm_energy,
             )
         };
-        session.record_frame(kind, latency.max(0.0), energy.max(0.0), self.cfg.jitter);
+        session.record_frame(kind, latency.max(0.0), energy.max(0.0));
         session.frame_index += 1;
         session.step_in_plan += 1;
         // The frame that will trigger the next plan streams in the
@@ -738,14 +700,14 @@ impl Engine<'_> {
         // upload still occupies the shared uplink (its energy is charged on
         // the step-1 frame above).  The robot does not block on this grant,
         // but other robots' uploads queue behind it.  On-robot sessions
-        // never touch the uplink.
-        if self.cfg.background_uploads
+        // never touch the uplink, and the unpaced legacy model has no
+        // background upload.
+        if self.cfg.execution_step_ms > 0.0
             && session.profile.local.is_none()
             && session.step_in_plan == 1
             && session.plan_steps > 1
         {
-            let hidden_ms = (self.cfg.communication.per_frame_ms - session.upload_ms).max(0.0);
-            self.link.acquire(now, hidden_ms);
+            self.link.acquire(now, hidden_upload_ms(session.upload_ms));
         }
         if session.frame_index >= frames {
             session.finished_ms = now;

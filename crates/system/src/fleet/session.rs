@@ -11,9 +11,10 @@
 //! [`on_robot_inference_cost`] is what makes the DES a usable oracle for
 //! live runs: the modelled quantities cannot drift apart.
 
-use crate::devices::{baseline_control_ms, InferenceModel};
+use crate::devices::{baseline_control_ms, CommunicationModel, InferenceModel};
 use crate::pipeline::{FrameKind, FrameTrace, StepsTakenModel};
 use crate::variant::Variant;
+use corki_accel::{AcceleratorModel, CpuControlModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -59,9 +60,29 @@ pub struct RobotConfig {
 /// bound the run horizon from below).
 pub const DEFAULT_EXECUTION_STEP_MS: f64 = 1000.0 / 30.0;
 
+/// Executed-length distribution of [`Variant::CorkiAdaptive`] robots when
+/// no measured one is supplied (mean 4.4 steps per inference).
+pub const DEFAULT_ADAPTIVE_LENGTHS: &[usize] = &[5, 4, 3, 5, 6, 4, 5, 3, 5, 4];
+
+// The paper's device constants, the same for every experiment.  The three
+// device models are `CommunicationModel::default()` (Wi-Fi),
+// `AcceleratorModel::default()` (ZC706) and `CpuControlModel::i7_6770hq()`.
+
+/// Fraction of matrix updates skipped by the ACE units (paper: >51 % at the
+/// 40 % threshold).
+const ACE_SKIP_FRACTION: f64 = 0.51;
+/// Fraction of a multi-step plan's frame upload that cannot be hidden under
+/// robot execution.
+const UNHIDDEN_COMM_FRACTION: f64 = 0.3;
+/// Relative magnitude of the per-frame measurement jitter (the noise
+/// visible in Fig. 2/14).
+const JITTER: f64 = 0.04;
+/// Average power of the accelerator while computing, watts.
+const ACCELERATOR_POWER_W: f64 = 2.5;
+
 /// Mixes a fleet seed with a robot index so per-robot jitter streams are
 /// decorrelated (robot 0 of a fleet seeded `s` does **not** reuse `s`
-/// verbatim; the single-robot compatibility path sets the seed explicitly).
+/// verbatim; [`FleetConfig::single_robot`] sets its seed explicitly).
 pub fn fleet_robot_seed(seed: u64, robot: u64) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(robot.wrapping_mul(0xD129_0286_4DB6_4AA7))
 }
@@ -83,20 +104,23 @@ pub fn on_robot_inference_cost(model: &InferenceModel, is_baseline: bool) -> (f6
 
 /// Undegraded duration of the frame upload opening a plan, ms: baseline
 /// robots (and single-step plans) pay the full per-frame transfer, while a
-/// multi-step plan hides all but `unhidden_comm_fraction` of the next
-/// frame's upload under robot execution.  Shared by the DES engine and the
-/// live robot clients so the two paths model the same uplink cost.
-pub fn plan_upload_ms(
-    is_baseline: bool,
-    full_steps: usize,
-    per_frame_ms: f64,
-    unhidden_comm_fraction: f64,
-) -> f64 {
+/// multi-step plan hides all but 30 % of the next frame's upload under
+/// robot execution.  Shared by the DES engine and the live robot clients so
+/// the two paths model the same uplink cost.
+pub fn plan_upload_ms(is_baseline: bool, full_steps: usize) -> f64 {
+    let per_frame_ms = CommunicationModel::default().per_frame_ms;
     if is_baseline || full_steps == 1 {
         per_frame_ms
     } else {
-        per_frame_ms * unhidden_comm_fraction
+        per_frame_ms * UNHIDDEN_COMM_FRACTION
     }
+}
+
+/// The hidden remainder of a frame upload whose foreground part took
+/// `paid_ms`, ms: the share that streams under robot execution after a
+/// multi-step plan's first step, still occupying the shared uplink.
+pub fn hidden_upload_ms(paid_ms: f64) -> f64 {
+    (CommunicationModel::default().per_frame_ms - paid_ms).max(0.0)
 }
 
 /// The calibrated, clock-agnostic constants of one robot session, computed
@@ -140,23 +164,24 @@ impl RobotProfile {
             Variant::CorkiAdaptive => StepsTakenModel::Distribution(cfg.adaptive_lengths.clone()),
             Variant::CorkiSoftware => StepsTakenModel::Fixed(5),
         };
+        let cpu = CpuControlModel::i7_6770hq();
         let control_ms = match variant {
             Variant::RoboFlamingo => baseline_control_ms(),
-            Variant::CorkiSoftware => {
-                cfg.cpu.control_latency_ms * (1.0 - cfg.ace_skip_fraction * 0.42)
+            Variant::CorkiSoftware => cpu.control_latency_ms * (1.0 - ACE_SKIP_FRACTION * 0.42),
+            _ => {
+                AcceleratorModel::default().control_latency_with_skips(ACE_SKIP_FRACTION).latency_ms
             }
-            _ => cfg.accelerator.control_latency_with_skips(cfg.ace_skip_fraction).latency_ms,
         };
         let control_power_w = match variant {
-            Variant::RoboFlamingo | Variant::CorkiSoftware => cfg.cpu.power_w,
-            _ => cfg.accelerator_power_w,
+            Variant::RoboFlamingo | Variant::CorkiSoftware => cpu.power_w,
+            _ => ACCELERATOR_POWER_W,
         };
         let uses_shared_accelerator =
             !matches!(variant, Variant::RoboFlamingo | Variant::CorkiSoftware);
         // On-robot sessions never use the radio: no upload, no per-frame
         // communication energy.
         let (local, comm_energy_j) = match &robot.compute {
-            RobotCompute::Offloaded => (None, cfg.communication.energy_per_frame_j()),
+            RobotCompute::Offloaded => (None, CommunicationModel::default().energy_per_frame_j()),
             RobotCompute::OnRobot(model) => {
                 (Some(on_robot_inference_cost(model, is_baseline)), 0.0)
             }
@@ -254,14 +279,8 @@ impl Session {
 
     /// Decorates one observed frame and appends its trace: one jitter draw
     /// from the session's private stream scales latency and energy alike.
-    pub(crate) fn record_frame(
-        &mut self,
-        kind: FrameKind,
-        latency_ms: f64,
-        energy_j: f64,
-        jitter: f64,
-    ) {
-        let scale = 1.0 + self.rng.gen_range(-jitter..=jitter);
+    pub(crate) fn record_frame(&mut self, kind: FrameKind, latency_ms: f64, energy_j: f64) {
+        let scale = 1.0 + self.rng.gen_range(-JITTER..=JITTER);
         self.traces.push(FrameTrace {
             index: self.frame_index,
             kind,

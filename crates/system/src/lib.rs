@@ -21,8 +21,9 @@
 //! simulation core** ([`des`]): N robot sessions contend for a shared
 //! communication link, a shared inference server behind a pluggable
 //! [`BatchScheduler`], and per-robot or shared control back-ends
-//! ([`fleet`]).  The single-robot [`PipelineSimulator`] is the N=1 special
-//! case and reproduces the original frame-loop traces exactly; fleets of
+//! ([`fleet`]).  The single-robot pipeline ([`FleetConfig::single_robot`],
+//! run by [`simulate_pipeline`]) is the N=1 case of the one configuration
+//! and reproduces the original frame-loop traces exactly; fleets of
 //! N>1 robots expose the serving-scale trade-offs (batching, arbitration,
 //! queueing delay, tail latency) that the `corki` crate's fleet experiments
 //! sweep.
@@ -48,8 +49,8 @@ pub use fleet::{
     RobotOutcome, SchedulerKind, ServerConfig, TimeoutSpec, DEFAULT_EXECUTION_STEP_MS,
 };
 pub use pipeline::{
-    mean, percentile, ExecutionStats, FrameKind, FrameTrace, PipelineConfig, PipelineSimulator,
-    PipelineSummary, StepsTakenModel,
+    mean, percentile, simulate_pipeline, ExecutionStats, FrameKind, FrameTrace, PipelineSummary,
+    StepsTakenModel,
 };
 pub use routing::{ParseRoutingPolicyError, RoutingPolicy};
 pub use scenario::{

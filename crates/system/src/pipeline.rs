@@ -2,16 +2,13 @@
 //! traces and summary statistics for the Fig. 13/14 and Table 3/4
 //! experiments.
 //!
-//! Since the fleet refactor this is the N=1 special case of the
-//! discrete-event engine in [`crate::fleet`]: one robot, an uncontended
-//! link, FIFO service and a private control back-end.  The per-frame traces
-//! are identical to the original hand-rolled frame loop (pinned by
-//! `tests/des_regression.rs`).
+//! The pipeline is a fleet of one on the discrete-event engine in
+//! [`crate::fleet`] ([`FleetConfig::single_robot`]): one robot, an
+//! uncontended link, FIFO service and a private control back-end.  The
+//! per-frame traces are identical to the original hand-rolled frame loop
+//! (pinned by `tests/des_regression.rs`).
 
-use crate::devices::{CommunicationModel, InferenceModel};
 use crate::fleet::{FleetConfig, FleetSimulator};
-use crate::variant::Variant;
-use corki_accel::{AcceleratorModel, CpuControlModel};
 use serde::{Deserialize, Serialize};
 
 /// How many control steps are executed per inference.
@@ -36,76 +33,6 @@ impl StepsTakenModel {
                     d[inference_index % d.len()].max(1)
                 }
             }
-        }
-    }
-
-    /// Mean number of steps per inference.
-    pub fn mean(&self) -> f64 {
-        match self {
-            StepsTakenModel::Fixed(n) => *n as f64,
-            StepsTakenModel::Distribution(d) => {
-                if d.is_empty() {
-                    1.0
-                } else {
-                    d.iter().sum::<usize>() as f64 / d.len() as f64
-                }
-            }
-        }
-    }
-}
-
-/// Configuration of the pipeline simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PipelineConfig {
-    /// The variant to simulate.
-    pub variant: Variant,
-    /// Inference device/precision model.
-    pub inference: InferenceModel,
-    /// Communication link model.
-    pub communication: CommunicationModel,
-    /// The accelerator latency model (used by every Corki variant except
-    /// Corki-SW).
-    pub accelerator: AcceleratorModel,
-    /// The CPU control model (used by the baseline and Corki-SW).
-    pub cpu: CpuControlModel,
-    /// Fraction of matrix updates skipped by the ACE units (paper: >51 % at
-    /// the 40 % threshold).
-    pub ace_skip_fraction: f64,
-    /// Executed-length distribution used by [`Variant::CorkiAdaptive`]
-    /// (typically measured by the `corki-sim` evaluation); defaults to a
-    /// distribution whose mean is ≈4.4 steps.
-    pub adaptive_lengths: Vec<usize>,
-    /// Fraction of the final-frame upload that cannot be hidden under robot
-    /// execution when a trajectory spans more than one step.
-    pub unhidden_comm_fraction: f64,
-    /// Number of camera frames to simulate.
-    pub num_frames: usize,
-    /// Random seed for the per-frame jitter.
-    pub seed: u64,
-    /// Relative magnitude of the per-frame latency jitter (models the
-    /// measurement noise visible in Fig. 2/14).
-    pub jitter: f64,
-    /// Average power of the accelerator while computing (watts).
-    pub accelerator_power_w: f64,
-}
-
-impl PipelineConfig {
-    /// A configuration for the given variant with the paper's default
-    /// devices (V100, fp32, Wi-Fi, ZC706 accelerator, i7-6770HQ CPU).
-    pub fn paper_defaults(variant: Variant) -> Self {
-        PipelineConfig {
-            variant,
-            inference: InferenceModel::default(),
-            communication: CommunicationModel::default(),
-            accelerator: AcceleratorModel::default(),
-            cpu: CpuControlModel::i7_6770hq(),
-            ace_skip_fraction: 0.51,
-            adaptive_lengths: vec![5, 4, 3, 5, 6, 4, 5, 3, 5, 4],
-            unhidden_comm_fraction: 0.3,
-            num_frames: 300,
-            seed: 7,
-            jitter: 0.04,
-            accelerator_power_w: 2.5,
         }
     }
 }
@@ -184,52 +111,33 @@ impl PipelineSummary {
     }
 }
 
-/// Simulates the execution pipeline of one variant.
-#[derive(Debug, Clone)]
-pub struct PipelineSimulator {
-    config: PipelineConfig,
-}
-
-impl PipelineSimulator {
-    /// Creates a simulator.
-    pub fn new(config: PipelineConfig) -> Self {
-        PipelineSimulator { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    /// Runs the simulation (on the discrete-event fleet engine, as a fleet
-    /// of one) and aggregates the per-frame traces.
-    pub fn simulate(&self) -> PipelineSummary {
-        let outcome = FleetSimulator::new(FleetConfig::single_robot(&self.config)).run();
-        let robot = outcome.robots.into_iter().next().expect("the fleet has exactly one robot");
-        let traces = robot.frame_traces;
-        let latencies: Vec<f64> = traces.iter().map(|t| t.latency_ms).collect();
-        let energies: Vec<f64> = traces.iter().map(|t| t.energy_j).collect();
-        let mean_latency = mean(&latencies);
-        let mean_energy = mean(&energies);
-        PipelineSummary {
-            variant: self.config.variant.name(),
-            mean_frame_latency_ms: mean_latency,
-            mean_frame_energy_j: mean_energy,
-            // Keep the summary finite (and JSON round-trippable) for an
-            // empty simulation instead of emitting 1000/0 = inf.
-            frame_rate_hz: if mean_latency > 0.0 { 1000.0 / mean_latency } else { 0.0 },
-            inference_count: robot.inferences,
-            frames: traces.len(),
-            stats: stats(&latencies),
-            frame_traces: traces,
-        }
-    }
-
-    /// Simulates the baseline with the same devices (for speed-up reporting).
-    pub fn simulate_baseline_reference(&self) -> PipelineSummary {
-        let mut config = self.config.clone();
-        config.variant = Variant::RoboFlamingo;
-        PipelineSimulator::new(config).simulate()
+/// Runs the single-robot pipeline `config` (typically
+/// [`FleetConfig::single_robot`]) on the discrete-event engine and
+/// aggregates its per-frame traces.
+///
+/// # Panics
+///
+/// Panics unless the configuration has exactly one robot.
+pub fn simulate_pipeline(config: &FleetConfig) -> PipelineSummary {
+    assert_eq!(config.robots.len(), 1, "the pipeline view simulates exactly one robot");
+    let outcome = FleetSimulator::new(config.clone()).run();
+    let robot = outcome.robots.into_iter().next().expect("the fleet has exactly one robot");
+    let traces = robot.frame_traces;
+    let latencies: Vec<f64> = traces.iter().map(|t| t.latency_ms).collect();
+    let energies: Vec<f64> = traces.iter().map(|t| t.energy_j).collect();
+    let mean_latency = mean(&latencies);
+    let mean_energy = mean(&energies);
+    PipelineSummary {
+        variant: robot.variant,
+        mean_frame_latency_ms: mean_latency,
+        mean_frame_energy_j: mean_energy,
+        // Keep the summary finite (and JSON round-trippable) for an empty
+        // simulation instead of emitting 1000/0 = inf.
+        frame_rate_hz: if mean_latency > 0.0 { 1000.0 / mean_latency } else { 0.0 },
+        inference_count: robot.inferences,
+        frames: traces.len(),
+        stats: stats(&latencies),
+        frame_traces: traces,
     }
 }
 
@@ -259,10 +167,21 @@ fn stats(latencies: &[f64]) -> ExecutionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::{DataRepresentation, InferenceDevice, BASELINE_FRAME_MS};
+    use crate::devices::{DataRepresentation, InferenceDevice, InferenceModel, BASELINE_FRAME_MS};
+    use crate::variant::Variant;
 
     fn summary(variant: Variant) -> PipelineSummary {
-        PipelineSimulator::new(PipelineConfig::paper_defaults(variant)).simulate()
+        simulate_pipeline(&FleetConfig::single_robot(variant))
+    }
+
+    /// Corki-ADAP's speed-up over the baseline on the same `inference`
+    /// device.
+    fn adaptive_speedup(inference: InferenceModel) -> f64 {
+        let mut cfg = FleetConfig::single_robot(Variant::CorkiAdaptive);
+        cfg.servers[0].inference = inference;
+        let s = simulate_pipeline(&cfg);
+        cfg.robots[0].variant = Variant::RoboFlamingo;
+        s.speedup_over(&simulate_pipeline(&cfg))
     }
 
     #[test]
@@ -371,12 +290,8 @@ mod tests {
     #[test]
     fn table3_speedups_hold_across_devices() {
         for device in InferenceDevice::ALL {
-            let mut cfg = PipelineConfig::paper_defaults(Variant::CorkiAdaptive);
-            cfg.inference = InferenceModel::new(device, DataRepresentation::Float32);
-            let sim = PipelineSimulator::new(cfg);
-            let s = sim.simulate();
-            let b = sim.simulate_baseline_reference();
-            let speedup = s.speedup_over(&b);
+            let speedup =
+                adaptive_speedup(InferenceModel::new(device, DataRepresentation::Float32));
             // Paper Table 3: speed-ups between 5.3× and 6.4× across devices.
             assert!(
                 (4.0..8.0).contains(&speedup),
@@ -389,12 +304,8 @@ mod tests {
     #[test]
     fn table4_speedups_hold_across_precisions() {
         for representation in DataRepresentation::ALL {
-            let mut cfg = PipelineConfig::paper_defaults(Variant::CorkiAdaptive);
-            cfg.inference = InferenceModel::new(InferenceDevice::V100, representation);
-            let sim = PipelineSimulator::new(cfg);
-            let s = sim.simulate();
-            let b = sim.simulate_baseline_reference();
-            let speedup = s.speedup_over(&b);
+            let speedup =
+                adaptive_speedup(InferenceModel::new(InferenceDevice::V100, representation));
             assert!(
                 (4.5..8.0).contains(&speedup),
                 "{}: speed-up {speedup:.2} out of range",
@@ -405,12 +316,13 @@ mod tests {
 
     #[test]
     fn steps_taken_model_statistics() {
-        let fixed = StepsTakenModel::Fixed(5);
-        assert_eq!(fixed.mean(), 5.0);
-        let dist = StepsTakenModel::Distribution(vec![3, 5, 7]);
-        assert!((dist.mean() - 5.0).abs() < 1e-12);
-        let empty = StepsTakenModel::Distribution(vec![]);
-        assert_eq!(empty.mean(), 1.0);
+        // Fixed lengths execute at least one step; a distribution cycles by
+        // inference index, and an empty one executes single steps.
+        assert_eq!(StepsTakenModel::Fixed(5).steps_for(3), 5);
+        assert_eq!(StepsTakenModel::Fixed(0).steps_for(0), 1);
+        let dist = StepsTakenModel::Distribution(vec![3, 0, 7]);
+        assert_eq!((0..4).map(|i| dist.steps_for(i)).collect::<Vec<_>>(), [3, 1, 7, 3]);
+        assert_eq!(StepsTakenModel::Distribution(vec![]).steps_for(2), 1);
     }
 
     #[test]
@@ -454,9 +366,9 @@ mod tests {
 
     #[test]
     fn zero_frame_simulations_are_well_formed() {
-        let mut cfg = PipelineConfig::paper_defaults(Variant::CorkiFixed(5));
-        cfg.num_frames = 0;
-        let s = PipelineSimulator::new(cfg).simulate();
+        let mut cfg = FleetConfig::single_robot(Variant::CorkiFixed(5));
+        cfg.frames_per_robot = 0;
+        let s = simulate_pipeline(&cfg);
         assert_eq!(s.frames, 0);
         assert_eq!(s.inference_count, 0);
         assert_eq!(s.mean_frame_latency_ms, 0.0);

@@ -409,7 +409,29 @@ pub enum ScenarioError {
     /// The fault plan injects crashes or upload loss without a timeout
     /// policy, so affected requests would hang forever.
     FaultNeedsTimeout,
+    /// A size exceeds its sanity bound (robots or servers per cell, frames
+    /// per robot, or a variant-mix weight), which would otherwise abort or
+    /// overflow in expansion or in the run.
+    TooLarge {
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: usize,
+        /// The largest accepted value.
+        max: usize,
+    },
 }
+
+/// Robots per cell accepted by [`ScenarioSpec::validate`].  This bound and
+/// the three below are 100× or more the largest use (10,000 robots × 120
+/// frames in the `fleet_des` benchmark cell).
+const MAX_ROBOTS: usize = 1_000_000;
+/// Servers per cell accepted by [`ScenarioSpec::validate`].
+const MAX_SERVERS: usize = 65_536;
+/// `frames_per_robot` accepted by [`ScenarioSpec::validate`].
+const MAX_FRAMES: usize = 1_000_000;
+/// Variant-mix share weight accepted by [`ScenarioSpec::validate`].
+const MAX_MIX_WEIGHT: usize = 1_000_000;
 
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -488,6 +510,9 @@ impl fmt::Display for ScenarioError {
                 "churn entry {event} needs a finite non-negative join time, a leave time after \
                  the join, a robot inside the fleet, and at most one entry per robot"
             ),
+            ScenarioError::TooLarge { field, value, max } => {
+                write!(f, "{field} is {value}, above the limit of {max}")
+            }
             ScenarioError::FaultNeedsTimeout => write!(
                 f,
                 "the fault plan injects crashes or upload loss, which requires a timeout \
@@ -512,6 +537,7 @@ impl ScenarioSpec {
         if self.servers.is_empty() {
             return Err(ScenarioError::NoServers);
         }
+        self.validate_sizes()?;
         for (group, spec) in self.robots.iter().enumerate() {
             if spec.count == 0 {
                 return Err(ScenarioError::EmptyGroup { group });
@@ -575,6 +601,44 @@ impl ScenarioSpec {
         }
         if let Some(faults) = &self.faults {
             self.validate_faults(faults)?;
+        }
+        Ok(())
+    }
+
+    /// Bounds every size that expansion or the run allocates or multiplies
+    /// by, so an absurd spec is an error rather than an abort or overflow.
+    fn validate_sizes(&self) -> Result<(), ScenarioError> {
+        let bound = |field: &'static str, value: usize, max: usize| {
+            if value > max {
+                Err(ScenarioError::TooLarge { field, value, max })
+            } else {
+                Ok(())
+            }
+        };
+        let mut fleet = 0_usize;
+        for group in &self.robots {
+            bound("robots[].count", group.count, MAX_ROBOTS)?;
+            fleet = fleet.saturating_add(group.count);
+        }
+        bound("robots", fleet, MAX_ROBOTS)?;
+        for &count in &self.axes.robot_counts {
+            bound("robot_counts", count, MAX_ROBOTS)?;
+        }
+        bound("servers", self.servers.len(), MAX_SERVERS)?;
+        for &count in &self.axes.server_counts {
+            bound("server_counts", count, MAX_SERVERS)?;
+        }
+        bound("frames_per_robot", self.frames_per_robot, MAX_FRAMES)?;
+        for mix in &self.axes.variants {
+            let mut weights = 0_usize;
+            for share in &mix.groups {
+                bound("variants[].weight", share.weight, MAX_MIX_WEIGHT)?;
+                weights = weights.saturating_add(share.weight);
+            }
+            // Without a fleet-size axis a mix's weights are its robot counts.
+            if self.axes.robot_counts.is_empty() {
+                bound("robots", weights, MAX_ROBOTS)?;
+            }
         }
         Ok(())
     }
@@ -1555,6 +1619,79 @@ mod tests {
             assert_eq!(spec.expand(), Err(expected.clone()), "expand must validate: {expected:?}");
             assert!(!expected.to_string().is_empty());
         }
+    }
+
+    /// Absurd sizes used to validate and then abort or overflow in
+    /// `expand`/`run`; they are errors now.  Only `from_json`/`validate`
+    /// may see these specs: expanding or running one is what must not
+    /// happen.
+    #[test]
+    fn absurd_sizes_are_rejected_by_validation() {
+        let json = ScenarioBuilder::new("sizes")
+            .frames_per_robot(60)
+            .group(Variant::CorkiFixed(5), 2)
+            .group(Variant::CorkiFixed(3), 2)
+            .default_servers(1, SchedulerKind::Fifo)
+            .build()
+            .expect("a small spec is valid")
+            .to_json();
+        assert!(ScenarioSpec::from_json(&json).is_ok());
+        let huge = u64::MAX.to_string();
+        for (from, to, field) in [
+            ("\"server_counts\": []", format!("\"server_counts\": [{huge}]"), "server_counts"),
+            ("\"robot_counts\": []", "\"robot_counts\": [1e12]".to_owned(), "robot_counts"),
+            ("\"count\": 2", format!("\"count\": {huge}"), "robots[].count"),
+            (
+                "\"frames_per_robot\": 60",
+                format!("\"frames_per_robot\": {huge}"),
+                "frames_per_robot",
+            ),
+        ] {
+            let broken = json.replacen(from, &to, 1);
+            assert_ne!(broken, json, "{to}");
+            let err = ScenarioSpec::from_json(&broken).expect_err(&to);
+            assert!(err.contains(field) && err.contains("above the limit"), "{to}: {err}");
+        }
+
+        let valid = || {
+            ScenarioBuilder::new("sizes")
+                .frames_per_robot(60)
+                .group(Variant::CorkiFixed(5), 2)
+                .default_servers(1, SchedulerKind::Fifo)
+                .build()
+                .unwrap()
+        };
+        let too_large = |field, value, max| ScenarioError::TooLarge { field, value, max };
+        let mut s = valid();
+        s.robots[0].count = MAX_ROBOTS / 2 + 1;
+        s.robots.push(s.robots[0].clone());
+        assert_eq!(s.validate(), Err(too_large("robots", MAX_ROBOTS + 2, MAX_ROBOTS)));
+        let mut s = valid();
+        s.servers = vec![s.servers[0]; MAX_SERVERS + 1];
+        assert_eq!(s.validate(), Err(too_large("servers", MAX_SERVERS + 1, MAX_SERVERS)));
+        let mut s = valid();
+        s.axes.variants = vec![VariantMix::mixed([
+            (Variant::CorkiFixed(5), 1),
+            (Variant::CorkiFixed(3), MAX_MIX_WEIGHT + 1),
+        ])];
+        s.axes.robot_counts = vec![8];
+        assert_eq!(
+            s.validate(),
+            Err(too_large("variants[].weight", MAX_MIX_WEIGHT + 1, MAX_MIX_WEIGHT))
+        );
+        // Without a fleet-size axis the mix's weights are the fleet.
+        s.axes.variants = vec![VariantMix::mixed([
+            (Variant::CorkiFixed(5), MAX_MIX_WEIGHT),
+            (Variant::CorkiFixed(3), 1),
+        ])];
+        s.axes.robot_counts.clear();
+        assert_eq!(s.validate(), Err(too_large("robots", MAX_ROBOTS + 1, MAX_ROBOTS)));
+        // The bounds themselves are accepted.
+        let mut s = valid();
+        s.robots[0].count = MAX_ROBOTS;
+        s.frames_per_robot = MAX_FRAMES;
+        s.axes.server_counts = vec![MAX_SERVERS];
+        assert_eq!(s.validate(), Ok(()));
     }
 
     /// Spec JSON reaches the engine through the derived `Deserialize`, so

@@ -46,11 +46,6 @@ impl Variant {
     pub fn name(&self) -> String {
         self.to_string()
     }
-
-    /// Whether this variant predicts trajectories (all but the baseline).
-    pub fn predicts_trajectories(&self) -> bool {
-        !matches!(self, Variant::RoboFlamingo)
-    }
 }
 
 impl fmt::Display for Variant {
@@ -173,13 +168,5 @@ mod tests {
         }
         assert!(Variant::from_value(&serde::Value::String("Corki-0".into())).is_err());
         assert!(Variant::from_value(&serde::Value::Number(3.0)).is_err());
-    }
-
-    #[test]
-    fn only_the_baseline_predicts_single_frames() {
-        assert!(!Variant::RoboFlamingo.predicts_trajectories());
-        assert!(Variant::CorkiFixed(5).predicts_trajectories());
-        assert!(Variant::CorkiAdaptive.predicts_trajectories());
-        assert!(Variant::CorkiSoftware.predicts_trajectories());
     }
 }

@@ -3,16 +3,63 @@
 //! engine.
 //!
 //! `legacy_simulate` below is a line-for-line port of the pre-refactor
-//! `PipelineSimulator::simulate` loop (the specification the DES engine must
+//! single-robot simulation loop (the specification the DES engine must
 //! reproduce *exactly*, float-for-float, including the jitter RNG stream).
 
+use corki_accel::{AcceleratorModel, CpuControlModel};
 use corki_system::{
     fleet::{fleet_robot_seed, FleetConfig, FleetSimulator, SchedulerKind},
-    DataRepresentation, FrameKind, FrameTrace, InferenceDevice, InferenceModel, PipelineConfig,
-    PipelineSimulator, StepsTakenModel, Variant,
+    simulate_pipeline, CommunicationModel, DataRepresentation, FrameKind, FrameTrace,
+    InferenceDevice, InferenceModel, StepsTakenModel, Variant,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The legacy single-robot configuration the reference loop reads, with
+/// the paper's literal device values.
+struct PipelineConfig {
+    variant: Variant,
+    inference: InferenceModel,
+    communication: CommunicationModel,
+    accelerator: AcceleratorModel,
+    cpu: CpuControlModel,
+    ace_skip_fraction: f64,
+    adaptive_lengths: Vec<usize>,
+    unhidden_comm_fraction: f64,
+    num_frames: usize,
+    seed: u64,
+    jitter: f64,
+    accelerator_power_w: f64,
+}
+
+impl PipelineConfig {
+    fn paper_defaults(variant: Variant) -> Self {
+        PipelineConfig {
+            variant,
+            inference: InferenceModel::default(),
+            communication: CommunicationModel::default(),
+            accelerator: AcceleratorModel::default(),
+            cpu: CpuControlModel::i7_6770hq(),
+            ace_skip_fraction: 0.51,
+            adaptive_lengths: vec![5, 4, 3, 5, 6, 4, 5, 3, 5, 4],
+            unhidden_comm_fraction: 0.3,
+            num_frames: 300,
+            seed: 7,
+            jitter: 0.04,
+            accelerator_power_w: 2.5,
+        }
+    }
+
+    /// The same run as a one-robot fleet configuration.
+    fn fleet(&self) -> FleetConfig {
+        let mut fleet = FleetConfig::single_robot(self.variant.clone());
+        fleet.robots[0].seed = self.seed;
+        fleet.servers[0].inference = self.inference;
+        fleet.adaptive_lengths = self.adaptive_lengths.clone();
+        fleet.frames_per_robot = self.num_frames;
+        fleet
+    }
+}
 
 /// The original per-frame simulation loop, kept verbatim as the reference
 /// semantics for the N=1 special case of the fleet engine.
@@ -112,7 +159,7 @@ fn legacy_simulate(cfg: &PipelineConfig) -> (Vec<FrameTrace>, usize) {
 
 fn assert_traces_identical(cfg: &PipelineConfig) {
     let (expected_traces, expected_inferences) = legacy_simulate(cfg);
-    let summary = PipelineSimulator::new(cfg.clone()).simulate();
+    let summary = simulate_pipeline(&cfg.fleet());
     assert_eq!(summary.inference_count, expected_inferences, "{}", cfg.variant);
     // Byte-identical: compare the serialized traces, which captures every
     // f64 bit pattern via the shortest-round-trip float formatting.
@@ -161,7 +208,6 @@ fn n1_des_pipeline_reproduces_legacy_traces_for_odd_configurations() {
 
     let mut cfg = PipelineConfig::paper_defaults(Variant::CorkiSoftware);
     cfg.num_frames = 33;
-    cfg.jitter = 0.0;
     assert_traces_identical(&cfg);
 }
 

@@ -8,7 +8,6 @@
 //!   the paper reports separately for the X, Y and Z dimensions.
 
 use crate::action::EePose;
-use crate::trajectory::Trajectory;
 use corki_math::Vec3;
 use serde::{Deserialize, Serialize};
 
@@ -83,24 +82,6 @@ pub fn compare_pose_sequences(
     }
 }
 
-/// Compares a predicted [`Trajectory`] against a ground-truth waypoint
-/// sequence sampled at the same control step (waypoint `i` corresponds to
-/// time `i · step`, with index 0 the starting pose).
-///
-/// # Panics
-///
-/// Panics if `ground_truth` is empty.
-pub fn compare_trajectory_to_waypoints(
-    predicted: &Trajectory,
-    ground_truth: &[EePose],
-    step: f64,
-) -> TrajectoryErrorStats {
-    assert!(!ground_truth.is_empty(), "compare_trajectory_to_waypoints: empty ground truth");
-    let sampled: Vec<EePose> =
-        (0..ground_truth.len()).map(|i| predicted.sample(i as f64 * step)).collect();
-    compare_pose_sequences(&sampled, ground_truth)
-}
-
 /// Per-axis traces of a rollout, used to regenerate the Fig. 12 style
 /// trajectory plots (X/Y/Z value against time step).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -138,7 +119,6 @@ impl AxisTraces {
 mod tests {
     use super::*;
     use crate::action::GripperState;
-    use crate::CONTROL_STEP;
 
     fn poses_along_x(n: usize, offset: f64) -> Vec<EePose> {
         (0..n)
@@ -188,14 +168,6 @@ mod tests {
         let a = poses_along_x(3, 0.0);
         let b = poses_along_x(4, 0.0);
         let _ = compare_pose_sequences(&a, &b);
-    }
-
-    #[test]
-    fn trajectory_vs_waypoints_close_for_fitted_trajectory() {
-        let poses = poses_along_x(6, 0.0);
-        let traj = Trajectory::fit_waypoints(&poses, CONTROL_STEP).unwrap();
-        let stats = compare_trajectory_to_waypoints(&traj, &poses, CONTROL_STEP);
-        assert!(stats.rmse < 1e-6, "rmse = {}", stats.rmse);
     }
 
     #[test]

@@ -157,16 +157,6 @@ fn angle_between(u: Vec3, v: Vec3) -> f64 {
     (u.dot(v) / (nu * nv)).clamp(-1.0, 1.0).acos()
 }
 
-/// Counts the number of floating-point operations Algorithm 1 performs for a
-/// trajectory of `steps` waypoints in the worst case. Used by the latency
-/// model to substantiate the paper's "< 500 FLOPs" claim.
-pub fn worst_case_flops(steps: usize) -> usize {
-    // Per (P, p) pair: two angle computations (two dots, two norms, one acos
-    // each ≈ 12 FLOPs) plus one cross/norm distance ≈ 14 FLOPs ⇒ ~38 FLOPs.
-    let pairs = steps.saturating_sub(1) * steps / 2;
-    38 * pairs + 4 * steps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,15 +251,6 @@ mod tests {
         let d2 =
             adaptive_trajectory_length(&start, &traj.waypoints(), &AdaptiveLengthConfig::default());
         assert_eq!(d1, d2);
-    }
-
-    #[test]
-    fn flop_bound_matches_paper_claim() {
-        // For the paper's nine-step prediction the worst case stays below the
-        // quoted 500 FLOPs... plus a real margin for bookkeeping.
-        assert!(worst_case_flops(9) < 1500);
-        assert!(worst_case_flops(5) < 500);
-        assert!(worst_case_flops(1) < 50);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! cargo run --release --example pipeline_comparison
 //! ```
 
-use corki::system::{PipelineConfig, PipelineSimulator, Variant};
+use corki::system::{simulate_pipeline, FleetConfig, Variant};
 
 fn main() {
-    let baseline =
-        PipelineSimulator::new(PipelineConfig::paper_defaults(Variant::RoboFlamingo)).simulate();
+    let baseline = simulate_pipeline(&FleetConfig::single_robot(Variant::RoboFlamingo));
     println!(
         "{:<14} {:>13} {:>10} {:>11} {:>9} {:>12} {:>12}",
         "variant",
@@ -22,7 +21,7 @@ fn main() {
         "inferences"
     );
     for variant in Variant::paper_lineup() {
-        let summary = PipelineSimulator::new(PipelineConfig::paper_defaults(variant)).simulate();
+        let summary = simulate_pipeline(&FleetConfig::single_robot(variant));
         println!(
             "{:<14} {:>13.1} {:>10.1} {:>11.2} {:>8.1}x {:>11.1}x {:>12}",
             summary.variant,
@@ -39,8 +38,7 @@ fn main() {
         "baseline long-tail: mean {:.1} ms, p99 {:.1} ms, relative variation {:.2}",
         baseline.stats.mean_ms, baseline.stats.p99_ms, baseline.stats.relative_variation
     );
-    let corki5 =
-        PipelineSimulator::new(PipelineConfig::paper_defaults(Variant::CorkiFixed(5))).simulate();
+    let corki5 = simulate_pipeline(&FleetConfig::single_robot(Variant::CorkiFixed(5)));
     println!(
         "Corki-5 long-tail:  mean {:.1} ms, p99 {:.1} ms, relative variation {:.2}  (the paper's Fig. 14c long-tail effect)",
         corki5.stats.mean_ms, corki5.stats.p99_ms, corki5.stats.relative_variation

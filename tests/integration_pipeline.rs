@@ -4,7 +4,7 @@
 //! into the pipeline model.
 
 use corki::sim::evaluation::{run_job, EvalConfig};
-use corki::system::{PipelineConfig, PipelineSimulator, StepsTakenModel, Variant};
+use corki::system::{simulate_pipeline, FleetConfig, Variant};
 use corki::VariantSetup;
 
 /// Abstract: "Corki largely reduces LLM inference frequency by up to 5.1×,
@@ -12,11 +12,9 @@ use corki::VariantSetup;
 /// speed-ups of Fig. 13 (up to 9.1× for Corki-9, 9.2× energy reduction).
 #[test]
 fn headline_speedups_hold() {
-    let baseline =
-        PipelineSimulator::new(PipelineConfig::paper_defaults(Variant::RoboFlamingo)).simulate();
+    let baseline = simulate_pipeline(&FleetConfig::single_robot(Variant::RoboFlamingo));
 
-    let adap =
-        PipelineSimulator::new(PipelineConfig::paper_defaults(Variant::CorkiAdaptive)).simulate();
+    let adap = simulate_pipeline(&FleetConfig::single_robot(Variant::CorkiAdaptive));
     let adap_speedup = adap.speedup_over(&baseline);
     let adap_inference_reduction = adap.inference_reduction_over(&baseline);
     assert!(
@@ -28,8 +26,7 @@ fn headline_speedups_hold() {
         "Corki-ADAP inference reduction {adap_inference_reduction:.1}× (paper: up to 5.1×)"
     );
 
-    let corki9 =
-        PipelineSimulator::new(PipelineConfig::paper_defaults(Variant::CorkiFixed(9))).simulate();
+    let corki9 = simulate_pipeline(&FleetConfig::single_robot(Variant::CorkiFixed(9)));
     assert!(
         (7.5..11.5).contains(&corki9.speedup_over(&baseline)),
         "Corki-9 speed-up {:.1}× (paper: 9.1×)",
@@ -64,20 +61,18 @@ fn measured_adaptive_lengths_feed_the_pipeline_model() {
         }
     }
     assert!(!lengths.is_empty());
-    let model = StepsTakenModel::Distribution(lengths.clone());
-    assert!(model.mean() >= 1.0 && model.mean() <= 9.0);
+    let mean_length = lengths.iter().sum::<usize>() as f64 / lengths.len() as f64;
+    assert!((1.0..=9.0).contains(&mean_length));
 
-    let mut config = PipelineConfig::paper_defaults(Variant::CorkiAdaptive);
+    let mut config = FleetConfig::single_robot(Variant::CorkiAdaptive);
     config.adaptive_lengths = lengths;
-    let sim = PipelineSimulator::new(config);
-    let adap = sim.simulate();
-    let baseline = sim.simulate_baseline_reference();
+    let adap = simulate_pipeline(&config);
+    config.robots[0].variant = Variant::RoboFlamingo;
+    let baseline = simulate_pipeline(&config);
     let speedup = adap.speedup_over(&baseline);
 
-    let corki3 =
-        PipelineSimulator::new(PipelineConfig::paper_defaults(Variant::CorkiFixed(3))).simulate();
-    let corki9 =
-        PipelineSimulator::new(PipelineConfig::paper_defaults(Variant::CorkiFixed(9))).simulate();
+    let corki3 = simulate_pipeline(&FleetConfig::single_robot(Variant::CorkiFixed(3)));
+    let corki9 = simulate_pipeline(&FleetConfig::single_robot(Variant::CorkiFixed(9)));
     assert!(
         speedup >= corki3.speedup_over(&baseline) * 0.9
             && speedup <= corki9.speedup_over(&baseline) * 1.05,
@@ -90,13 +85,10 @@ fn measured_adaptive_lengths_feed_the_pipeline_model() {
 /// the 30 Hz camera rate target discussed in §2.2.
 #[test]
 fn corki_reaches_real_time_frame_rates() {
-    let baseline =
-        PipelineSimulator::new(PipelineConfig::paper_defaults(Variant::RoboFlamingo)).simulate();
+    let baseline = simulate_pipeline(&FleetConfig::single_robot(Variant::RoboFlamingo));
     assert!(baseline.frame_rate_hz < 10.0);
     for steps in [5usize, 7, 9] {
-        let summary =
-            PipelineSimulator::new(PipelineConfig::paper_defaults(Variant::CorkiFixed(steps)))
-                .simulate();
+        let summary = simulate_pipeline(&FleetConfig::single_robot(Variant::CorkiFixed(steps)));
         assert!(
             summary.frame_rate_hz > 20.0,
             "Corki-{steps} reaches only {:.1} Hz",
