@@ -1,12 +1,12 @@
 //! Time-domain arbitration of a shared, serially reusable resource.
 //!
 //! A fleet of robots contends for shared hardware: the Wi-Fi uplink carries
-//! one frame at a time, and a shared TS-CTC accelerator computes one control
-//! step at a time.  [`Arbiter`] models such a resource as a single server
-//! with non-preemptive FIFO service: a grant starts at the later of the
-//! request time and the instant the resource frees up.  It is the hook the
-//! system layer uses to attach contention to any latency produced by the
-//! device models in this crate.
+//! one frame at a time.  (Control does not contend: every robot carries its
+//! own TS-CTC accelerator.)  [`Arbiter`] models such a resource as a single
+//! server with non-preemptive FIFO service: a grant starts at the later of
+//! the request time and the instant the resource frees up.  It is the hook
+//! the system layer uses to attach contention to any latency produced by
+//! the device models in this crate.
 
 use serde::{Deserialize, Serialize};
 

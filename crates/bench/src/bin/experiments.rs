@@ -108,10 +108,6 @@ fn live_child_role(args: &[String]) -> i32 {
     }
 }
 
-/// Renders one telemetry report as a per-stage latency table plus a
-/// one-line timeline summary, indented under its cell's sweep row.
-/// Quantiles are log2-bucket ceilings, so they are conservative within one
-/// power of two of the exact nearest-rank value.
 /// What a live report must hold to count as a complete run: samples in
 /// each of the six telemetry stages, one round-trip transit sample per
 /// offloaded plan, and at least one telemetry drain.
@@ -141,6 +137,10 @@ fn live_report_problems(report: &corki_serve::LiveReport) -> Vec<String> {
     problems
 }
 
+/// Renders one telemetry report as a per-stage latency table plus a
+/// one-line timeline summary, indented under its cell's sweep row.
+/// Quantiles are log2-bucket ceilings, so they are conservative within one
+/// power of two of the exact nearest-rank value.
 fn print_telemetry(report: &corki_telemetry::TelemetryReport) {
     println!(
         "    {:<14} {:>9} {:>8} {:>10} {:>10} {:>10} {:>10}",

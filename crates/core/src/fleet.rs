@@ -20,9 +20,7 @@
 
 use corki_sim::evaluation::{parallel_map, run_job, session_seed, EvalConfig};
 use corki_system::fleet::{FleetSimulator, SchedulerKind};
-use corki_system::scenario::{
-    CompositionSpec, ConcreteScenario, ScenarioBuilder, ScenarioSpec, VariantMix,
-};
+use corki_system::scenario::{CompositionSpec, ConcreteScenario, ScenarioBuilder, ScenarioSpec};
 use corki_system::{RoutingPolicy, Variant};
 use corki_telemetry::TelemetryReport;
 use serde::{Deserialize, Serialize};
@@ -51,7 +49,7 @@ pub fn paper_sweep(smoke: bool) -> ScenarioSpec {
     let builder = ScenarioBuilder::new("fleet-experiment")
         .seed(2024)
         .default_servers(1, SchedulerKind::Fifo)
-        .variant_axis(variants.into_iter().map(VariantMix::uniform).collect())
+        .variant_axis(variants.to_vec())
         .scheduler_axis(vec![
             SchedulerKind::Fifo,
             SchedulerKind::DynamicBatch { max_batch: 8, timeout_ms: 15.0 },
@@ -297,10 +295,10 @@ mod tests {
     fn paper_sweep_expands_to_the_pinned_cells() {
         let smoke = paper_sweep(true).expand().expect("smoke shape expands");
         assert_eq!(smoke.len(), 16);
-        assert_eq!(scenario_fingerprint(&smoke), "89f60a08ae43ba95");
+        assert_eq!(scenario_fingerprint(&smoke), "9e121eb2b39aaab9");
         let full = paper_sweep(false).expand().expect("full shape expands");
         assert_eq!(full.len(), 256);
-        assert_eq!(scenario_fingerprint(&full), "45d1b86fa02536dd");
+        assert_eq!(scenario_fingerprint(&full), "51f7236b314e89a5");
     }
 
     #[test]
@@ -319,6 +317,14 @@ mod tests {
         }
     }
 
+    /// 64-bit FNV-1a of `bytes` as 16 lowercase hex characters.
+    fn fnv1a_hex(bytes: &[u8]) -> String {
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        format!("{hash:016x}")
+    }
+
     #[test]
     fn sweep_is_byte_identical_across_job_counts() {
         let spec = paper_sweep(true);
@@ -331,6 +337,12 @@ mod tests {
                 "jobs={jobs} changed the sweep"
             );
         }
+        // The default smoke sweep end to end, rows and telemetry: any change
+        // to an output of the engine moves this hash.
+        let cells = spec.expand().expect("valid scenario");
+        let detailed =
+            serde_json::to_string(&scenario_sweep_detailed_with_jobs(&cells, 1)).unwrap();
+        assert_eq!(fnv1a_hex(detailed.as_bytes()), "2730685c20c960d3");
     }
 
     #[test]
@@ -402,10 +414,7 @@ mod tests {
         spec.frames_per_robot = 240;
         spec.warmup_ms = WarmupSpec::Fixed(2000.0);
         spec.axes.variants =
-            [Variant::RoboFlamingo, Variant::CorkiFixed(3), Variant::CorkiFixed(9)]
-                .into_iter()
-                .map(VariantMix::uniform)
-                .collect();
+            vec![Variant::RoboFlamingo, Variant::CorkiFixed(3), Variant::CorkiFixed(9)];
         spec.axes.schedulers = vec![SchedulerKind::Fifo];
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let rows = sweep_rows(&spec, cores);

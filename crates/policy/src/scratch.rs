@@ -7,7 +7,7 @@
 //! those temporaries so they are allocated once (growing to their high-water
 //! mark on the first few calls) and reused forever after; combined with the
 //! `*_into` kernels of `corki-nn` and the token-window buffer recycling in
-//! [`push_token_from`], a warm control step performs zero heap allocations.
+//! [`recycled_slot`], a warm control step performs zero heap allocations.
 
 use crate::TOKEN_WINDOW;
 use corki_nn::{InferenceScratch, LstmCell, LstmState};

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use corki::fleet::FleetSweepRow;
 use corki_ipc::{monotonic_ns, Doorbell, ShmSegment, SpscRing};
 use corki_system::fleet::{RobotProfile, ServerPool, ServingSamples, WarmupSpec};
-use corki_system::{scenario_fingerprint, ConcreteScenario, ControlBackend};
+use corki_system::{scenario_fingerprint, ConcreteScenario};
 use corki_telemetry::{Recorder, ShmTelemetry, Stage, PAGE_WORDS};
 
 use crate::proto::{
@@ -28,10 +28,10 @@ use crate::LiveError;
 
 /// Most robot processes a live run will spawn: beyond this, a single-host
 /// run measures scheduler thrash, not serving behaviour.
-pub const MAX_LIVE_ROBOTS: usize = 64;
+const MAX_LIVE_ROBOTS: usize = 64;
 
 /// Most inference-worker processes a live run will spawn.
-pub const MAX_LIVE_SERVERS: usize = 16;
+const MAX_LIVE_SERVERS: usize = 16;
 
 /// Prefix of every live-run segment name (`corki-live-<pid>`).
 const SEGMENT_PREFIX: &str = "corki-live-";
@@ -49,22 +49,13 @@ const EPOCH_HEADROOM: Duration = Duration::from_millis(10);
 const TELEMETRY_DRAIN_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Checks that a cell is expressible as a live run.  The live path covers
-/// the fault-free serving model; fault injection, shared-accelerator
-/// arbitration and adaptive warm-up detection remain DES-only.
-pub fn ensure_live_supported(cell: &ConcreteScenario) -> Result<(), LiveError> {
+/// the fault-free serving model; fault injection remains DES-only, and so
+/// does adaptive warm-up detection, which `run_live` refuses when it reads
+/// the fixed window.
+fn ensure_live_supported(cell: &ConcreteScenario) -> Result<(), LiveError> {
     let cfg = &cell.config;
     if cfg.faults.is_some() {
         return Err(LiveError::Unsupported("fault plans are DES-only".into()));
-    }
-    if cfg.control_backend != ControlBackend::PerRobot {
-        return Err(LiveError::Unsupported(
-            "shared-accelerator control arbitration is DES-only".into(),
-        ));
-    }
-    if cfg.warmup_ms == WarmupSpec::Auto {
-        return Err(LiveError::Unsupported(
-            "adaptive (MSER-5) warm-up detection is DES-only; use a fixed warmup_ms".into(),
-        ));
     }
     if cfg.robots.len() > MAX_LIVE_ROBOTS {
         return Err(LiveError::Unsupported(format!(
@@ -84,7 +75,7 @@ pub fn ensure_live_supported(cell: &ConcreteScenario) -> Result<(), LiveError> {
 /// Unlinks `/dev/shm/corki-live-*` segments whose owning process is gone
 /// (a previous run died before its owner unlink ran).  Returns how many
 /// were removed.
-pub fn cleanup_stale_segments() -> usize {
+fn cleanup_stale_segments() -> usize {
     let Ok(entries) = std::fs::read_dir("/dev/shm") else { return 0 };
     let mut removed = 0;
     for entry in entries.flatten() {
@@ -261,7 +252,9 @@ pub fn run_live(cell: &ConcreteScenario, exe: &std::path::Path) -> Result<LiveRe
 
     let cfg = &cell.config;
     let WarmupSpec::Fixed(warmup_ms) = cfg.warmup_ms else {
-        return Err(LiveError::Unsupported("adaptive warm-up detection is DES-only".into()));
+        return Err(LiveError::Unsupported(
+            "adaptive (MSER-5) warm-up detection is DES-only; use a fixed warmup_ms".into(),
+        ));
     };
     let robots = cfg.robots.len();
     let servers = cfg.servers.len();

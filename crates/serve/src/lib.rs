@@ -37,16 +37,13 @@
 
 mod coordinator;
 mod link;
-pub mod proto;
+mod proto;
 mod report;
 mod robot;
 mod sync;
 mod worker;
 
-pub use coordinator::{
-    cleanup_stale_segments, ensure_live_supported, run_live, MAX_LIVE_ROBOTS, MAX_LIVE_SERVERS,
-};
-pub use link::LiveLink;
+pub use coordinator::run_live;
 pub use report::{LiveReport, StageStats, TransitStats};
 pub use robot::run_robot;
 pub use worker::run_worker;
@@ -55,7 +52,7 @@ pub use worker::run_worker;
 #[derive(Debug)]
 pub enum LiveError {
     /// The cell uses features the live path does not express (faults,
-    /// shared-accelerator control, adaptive warm-up, oversized fleets).
+    /// adaptive warm-up, oversized fleets).
     Unsupported(String),
     /// A system call failed (segment mapping, process spawning, …).
     Io(std::io::Error),

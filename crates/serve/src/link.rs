@@ -3,7 +3,7 @@
 //! becomes free.
 //!
 //! The DES models the shared camera-frame uplink as a FIFO resource
-//! ([`corki_accel::Arbiter`]): a transfer starting at `now` begins at
+//! (`corki_accel::Arbiter`): a transfer starting at `now` begins at
 //! `max(now, free)` and occupies the link until `start + duration`.  The
 //! live path replicates exactly that algebra with a compare-and-swap loop —
 //! each robot process reserves its slice of link time, then *sleeps* until

@@ -20,10 +20,9 @@ const WORDS: usize = MSG_SIZE / 8;
 /// Identifies a live-run segment header (`"CORKLIVE"`).
 pub const LIVE_MAGIC: u64 = 0x434f_524b_4c49_5645;
 
-/// Run states published in the segment header.
+/// Run states published in the segment header.  A fresh segment reads 0:
+/// children attach and report ready.
 pub mod state {
-    /// Children attach and report ready.
-    pub const INIT: u64 = 0;
     /// The epoch is published; everyone runs.
     pub const RUNNING: u64 = 1;
     /// A participant failed; everyone exits as fast as possible.

@@ -111,7 +111,7 @@ mod tests {
         // missing ring fails every try.
         let fastest = (0..5)
             .map(|_| {
-                run_state.store(state::INIT, Ordering::Release);
+                run_state.store(0, Ordering::Release);
                 let armed = Barrier::new(2);
                 std::thread::scope(|scope| {
                     let child = scope.spawn(|| {

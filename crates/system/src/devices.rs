@@ -21,6 +21,10 @@ const INFERENCE_SHARE: f64 = 0.727;
 const CONTROL_SHARE: f64 = 0.099;
 /// Share of the baseline frame spent in data communication (Fig. 2a).
 const COMMUNICATION_SHARE: f64 = 0.174;
+/// Relative latency overhead of predicting a full trajectory (extra output
+/// tokens) compared with a single action.  The paper's Corki-1 showing
+/// slightly *higher* energy than the baseline pins this at a few percent.
+const TRAJECTORY_HEAD_OVERHEAD: f64 = 0.05;
 
 /// The GPUs/CPUs the paper evaluates LLM inference on (Table 3).
 ///
@@ -255,27 +259,18 @@ pub struct InferenceModel {
     pub device: InferenceDevice,
     /// Numeric precision.
     pub representation: DataRepresentation,
-    /// Relative latency overhead of predicting a full trajectory (extra
-    /// output tokens) compared with a single action. The paper's Corki-1
-    /// showing slightly *higher* energy than the baseline pins this at a few
-    /// percent.
-    pub trajectory_head_overhead: f64,
 }
 
 impl Default for InferenceModel {
     fn default() -> Self {
-        InferenceModel {
-            device: InferenceDevice::V100,
-            representation: DataRepresentation::Float32,
-            trajectory_head_overhead: 0.05,
-        }
+        InferenceModel::new(InferenceDevice::V100, DataRepresentation::Float32)
     }
 }
 
 impl InferenceModel {
-    /// Creates an inference model for a device at fp32.
+    /// Creates an inference model for a device at a precision.
     pub fn new(device: InferenceDevice, representation: DataRepresentation) -> Self {
-        InferenceModel { device, representation, ..Default::default() }
+        InferenceModel { device, representation }
     }
 
     /// Latency of one baseline (single-action) inference, milliseconds.
@@ -288,7 +283,7 @@ impl InferenceModel {
 
     /// Latency of one Corki (trajectory) inference, milliseconds.
     pub fn trajectory_latency_ms(&self) -> f64 {
-        self.action_latency_ms() * (1.0 + self.trajectory_head_overhead)
+        self.action_latency_ms() * (1.0 + TRAJECTORY_HEAD_OVERHEAD)
     }
 
     /// Energy of one baseline inference, joules.

@@ -1,9 +1,9 @@
 //! The event-driven multi-robot fleet-serving runtime.
 //!
-//! N independent robot sessions share a *pool* of LLM inference servers, one
-//! communication link and (optionally) one control accelerator; everything is
-//! driven by the deterministic event queue of [`crate::des`].  Each session
-//! cycles through the Corki serving loop:
+//! N independent robot sessions share a *pool* of LLM inference servers and
+//! one communication link; everything is driven by the deterministic event
+//! queue of [`crate::des`].  Each session cycles through the Corki serving
+//! loop:
 //!
 //! 1. **capture** — the robot finishes its current plan and captures a frame;
 //!    robots that offload inference contend for the shared link, robots that
@@ -18,15 +18,16 @@
 //!    model (service time grows mildly with batch size) and returns a plan
 //!    per robot; on-robot sessions run the inference locally instead;
 //! 4. **execute** — the robot executes its trajectory step by step on its
-//!    control back-end ([`ControlBackend::PerRobot`] or a shared,
-//!    arbitrated accelerator), paced by [`FleetConfig::execution_step_ms`].
+//!    own control hardware (every robot carries its own TS-CTC accelerator,
+//!    as in the paper's Fig. 1b), paced by
+//!    [`FleetConfig::execution_step_ms`].
 //!
 //! The single-robot pipeline ([`FleetConfig::single_robot`], run by
 //! [`crate::simulate_pipeline`]) is the N=1 case of this engine
-//! (uncontended link, one FIFO server, per-robot back-end, no execution
-//! pacing) and reproduces the legacy per-frame traces exactly — see
-//! `tests/des_regression.rs`.  The homogeneous single-server fleet of
-//! PR 3 is likewise pinned float-for-float by `tests/fleet_golden.rs`.
+//! (uncontended link, one FIFO server, no execution pacing) and reproduces
+//! the legacy per-frame traces exactly — see `tests/des_regression.rs`.
+//! The homogeneous single-server fleets are likewise pinned
+//! float-for-float by `tests/fleet_golden.rs`.
 //! With N>1 the engine turns the paper's per-robot claim (one inference buys
 //! a multi-step trajectory) into a serving claim: longer trajectories lower
 //! the per-robot request rate, which raises the number of robots one server
@@ -75,8 +76,8 @@ pub use faults::{ChurnSpec, CrashSpec, FaultPlan, LinkDegradationSpec, TimeoutSp
 pub use scheduler::{BatchScheduler, PendingRequest, SchedulerKind};
 pub use server::{ServerConfig, ServerPool};
 pub use session::{
-    fleet_robot_seed, hidden_upload_ms, on_robot_inference_cost, plan_upload_ms, ControlBackend,
-    RobotCompute, RobotConfig, RobotProfile, DEFAULT_ADAPTIVE_LENGTHS, DEFAULT_EXECUTION_STEP_MS,
+    fleet_robot_seed, hidden_upload_ms, on_robot_inference_cost, plan_upload_ms, RobotCompute,
+    RobotConfig, RobotProfile, DEFAULT_ADAPTIVE_LENGTHS, DEFAULT_EXECUTION_STEP_MS,
 };
 pub use stats::{
     FleetOutcome, FleetSummary, RobotOutcome, ServingSamples, ServingStats, WarmupSpec,
@@ -119,8 +120,6 @@ pub struct FleetConfig {
     /// latency-only model of the single-robot pipeline: no pacing, no
     /// stagger and no background upload.
     pub execution_step_ms: f64,
-    /// Control back-end topology.
-    pub control_backend: ControlBackend,
     /// Start-up window excluded from the aggregate plan/queue/link latency
     /// statistics.  A fixed `0` ms (the default) keeps every sample — the
     /// PR 3 behaviour; fleet sweeps enable a warm-up so short runs report
@@ -158,8 +157,8 @@ impl FleetConfig {
 
     /// The single-robot pipeline of Fig. 13/14 and Tables 3/4 (run it with
     /// [`crate::simulate_pipeline`]): one robot with jitter seed 7, 300
-    /// frames, one V100 FIFO server, per-robot control and no execution
-    /// pacing — the exact legacy latency model.
+    /// frames, one V100 FIFO server and no execution pacing — the exact
+    /// legacy latency model.
     pub fn single_robot(variant: Variant) -> Self {
         FleetConfig {
             robots: vec![RobotConfig { variant, seed: 7, compute: RobotCompute::Offloaded }],
@@ -168,7 +167,6 @@ impl FleetConfig {
             adaptive_lengths: DEFAULT_ADAPTIVE_LENGTHS.to_vec(),
             frames_per_robot: 300,
             execution_step_ms: 0.0,
-            control_backend: ControlBackend::PerRobot,
             warmup_ms: WarmupSpec::Fixed(0.0),
             slo_budget_ms: 400.0,
             faults: None,
@@ -255,7 +253,6 @@ struct Engine<'a> {
     queue: EventQueue<FleetEvent>,
     sessions: Vec<Session>,
     link: Arbiter,
-    shared_accelerator: Option<Arbiter>,
     pool: ServerPool,
     /// The pending `SchedulerWake` of each server, so a held-back batch
     /// schedules one wake-up rather than one per arrival.
@@ -319,10 +316,6 @@ impl FleetSimulator {
                 .map(|(index, robot)| Session::new(index, robot, cfg))
                 .collect(),
             link: Arbiter::new(),
-            shared_accelerator: match cfg.control_backend {
-                ControlBackend::PerRobot => None,
-                ControlBackend::SharedAccelerator => Some(Arbiter::new()),
-            },
             pool: ServerPool::new(&cfg.servers, cfg.routing),
             next_wake_ms: vec![None; cfg.servers.len()],
             samples: ServingSamples::default(),
@@ -645,18 +638,11 @@ impl Engine<'_> {
     }
 
     fn start_step(&mut self, robot: usize, now: f64) {
-        let control_ms = self.sessions[robot].profile.control_ms;
-        let arbitrated = self.sessions[robot].profile.uses_shared_accelerator;
-        let (wait_ms, compute_end) = match self.shared_accelerator.as_mut() {
-            Some(arbiter) if arbitrated => {
-                let grant = arbiter.acquire(now, control_ms);
-                (grant.wait_ms, grant.end_ms)
-            }
-            _ => (0.0, now + control_ms),
-        };
-        self.sessions[robot].ctl_wait_ms = wait_ms;
-        // The robot's physical motion paces the step; compute must fit inside
-        // the step period or it becomes the bottleneck.
+        // Every robot computes its control on its own hardware, so the step
+        // never waits for it to free up.  The robot's physical motion paces
+        // the step; compute must fit inside the step period or it becomes
+        // the bottleneck.
+        let compute_end = now + self.sessions[robot].profile.control_ms;
         let paced_end = now + self.cfg.execution_step_ms;
         let step_end = if compute_end > paced_end { compute_end } else { paced_end };
         self.telemetry.record_ms(Stage::ControlStep, step_end - now);
@@ -671,7 +657,7 @@ impl Engine<'_> {
         // the legacy single-robot pipeline (fleet-only waits are folded in
         // as exact zeros when uncontended).
         let (kind, latency, energy) = if session.step_in_plan == 0 {
-            let fleet_extra = (session.link_wait_ms + session.queue_wait_ms) + session.ctl_wait_ms;
+            let fleet_extra = session.link_wait_ms + session.queue_wait_ms;
             let (base_latency, base_energy) = if session.profile.is_baseline {
                 (
                     session.batch_service_ms + session.profile.control_ms + session.upload_ms,
@@ -688,7 +674,7 @@ impl Engine<'_> {
             let hidden_comm_energy = if session.step_in_plan == 1 { comm_energy_j } else { 0.0 };
             (
                 FrameKind::Execution,
-                session.profile.control_ms + session.ctl_wait_ms,
+                session.profile.control_ms,
                 session.profile.control_energy_j + hidden_comm_energy,
             )
         };
@@ -897,18 +883,6 @@ mod tests {
             stf_short <= fifo_short * 1.05,
             "STF should not slow the short-trajectory robot: {stf_short:.1} vs {fifo_short:.1}"
         );
-    }
-
-    #[test]
-    fn shared_accelerator_adds_arbitration_waits() {
-        let mut cfg = quick_fleet(Variant::CorkiFixed(5), 8, SchedulerKind::Fifo);
-        cfg.control_backend = ControlBackend::SharedAccelerator;
-        // Remove pacing so control computations collide aggressively.
-        cfg.execution_step_ms = 0.0;
-        let shared = FleetSimulator::new(cfg.clone()).run().summary;
-        cfg.control_backend = ControlBackend::PerRobot;
-        let private = FleetSimulator::new(cfg).run().summary;
-        assert!(shared.mean_frame_latency_ms >= private.mean_frame_latency_ms);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// How requests waiting at one inference server are released as batches.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum SchedulerKind {
     /// Serve one request at a time, in arrival order.
     Fifo,

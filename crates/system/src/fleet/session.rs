@@ -21,15 +21,6 @@ use serde::{Deserialize, Serialize};
 
 use super::FleetConfig;
 
-/// Where a robot's control computation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ControlBackend {
-    /// Every robot owns its control hardware (no contention).
-    PerRobot,
-    /// All accelerator-backed robots share one arbitrated accelerator.
-    SharedAccelerator,
-}
-
 /// Where a robot's LLM inference runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RobotCompute {
@@ -137,8 +128,6 @@ pub struct RobotProfile {
     pub steps_model: StepsTakenModel,
     /// Whether the robot runs the single-action baseline variant.
     pub is_baseline: bool,
-    /// Whether the robot's control runs on the (shareable) accelerator.
-    pub uses_shared_accelerator: bool,
     /// Display name of the robot's variant.
     pub variant_name: String,
     /// Duration of one control computation, ms.
@@ -176,8 +165,6 @@ impl RobotProfile {
             Variant::RoboFlamingo | Variant::CorkiSoftware => cpu.power_w,
             _ => ACCELERATOR_POWER_W,
         };
-        let uses_shared_accelerator =
-            !matches!(variant, Variant::RoboFlamingo | Variant::CorkiSoftware);
         // On-robot sessions never use the radio: no upload, no per-frame
         // communication energy.
         let (local, comm_energy_j) = match &robot.compute {
@@ -189,7 +176,6 @@ impl RobotProfile {
         RobotProfile {
             steps_model,
             is_baseline,
-            uses_shared_accelerator,
             variant_name: variant.name(),
             control_ms,
             control_energy_j: control_ms / 1000.0 * control_power_w,
@@ -219,7 +205,6 @@ pub(crate) struct Session {
     pub(crate) queue_wait_ms: f64,
     pub(crate) batch_service_ms: f64,
     pub(crate) inference_energy_j: f64,
-    pub(crate) ctl_wait_ms: f64,
     // Fault state.
     /// Monotone attempt counter; each capture (and each retry) claims a
     /// fresh id so stale deliveries and timeouts can be recognised.
@@ -257,7 +242,6 @@ impl Session {
             queue_wait_ms: 0.0,
             batch_service_ms: 0.0,
             inference_energy_j: 0.0,
-            ctl_wait_ms: 0.0,
             attempt: 0,
             active_attempt: None,
             retries_this_plan: 0,

@@ -29,7 +29,7 @@ pub struct RobotOutcome {
     /// Mean end-to-end plan latency (capture → trajectory received), ms.
     pub mean_plan_latency_ms: f64,
     /// Per-frame latency/energy traces (legacy-compatible attribution plus
-    /// any link/queue/arbitration waits absorbed by inference frames).
+    /// any link and queue waits absorbed by inference frames).
     pub frame_traces: Vec<FrameTrace>,
 }
 

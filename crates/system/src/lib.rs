@@ -18,14 +18,14 @@
 //! data representations).
 //!
 //! Since the fleet refactor both pipelines run on a **discrete-event
-//! simulation core** ([`des`]): N robot sessions contend for a shared
-//! communication link, a shared inference server behind a pluggable
-//! [`BatchScheduler`], and per-robot or shared control back-ends
+//! simulation core** ([`des`]): N robot sessions, each with its own control
+//! accelerator, contend for a shared communication link and a pool of
+//! inference servers, each behind a pluggable [`BatchScheduler`]
 //! ([`fleet`]).  The single-robot pipeline ([`FleetConfig::single_robot`],
 //! run by [`simulate_pipeline`]) is the N=1 case of the one configuration
 //! and reproduces the original frame-loop traces exactly; fleets of
-//! N>1 robots expose the serving-scale trade-offs (batching, arbitration,
-//! queueing delay, tail latency) that the `corki` crate's fleet experiments
+//! N>1 robots expose the serving-scale trade-offs (batching, link
+//! contention, queueing delay, tail latency) that the `corki` crate's fleet experiments
 //! sweep.
 
 #![forbid(unsafe_code)]
@@ -44,9 +44,9 @@ pub use devices::{
     ParseDataRepresentationError, ParseInferenceDeviceError, BASELINE_FRAME_MS,
 };
 pub use fleet::{
-    BatchScheduler, ChurnSpec, ControlBackend, CrashSpec, FaultPlan, FleetConfig, FleetOutcome,
-    FleetSimulator, FleetSummary, LinkDegradationSpec, PendingRequest, RobotCompute, RobotConfig,
-    RobotOutcome, SchedulerKind, ServerConfig, TimeoutSpec, DEFAULT_EXECUTION_STEP_MS,
+    BatchScheduler, ChurnSpec, CrashSpec, FaultPlan, FleetConfig, FleetOutcome, FleetSimulator,
+    FleetSummary, LinkDegradationSpec, PendingRequest, RobotCompute, RobotConfig, RobotOutcome,
+    SchedulerKind, ServerConfig, TimeoutSpec, DEFAULT_EXECUTION_STEP_MS,
 };
 pub use pipeline::{
     mean, percentile, simulate_pipeline, ExecutionStats, FrameKind, FrameTrace, PipelineSummary,

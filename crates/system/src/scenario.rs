@@ -4,37 +4,37 @@
 //! A [`ScenarioSpec`] is a plain, serde-serializable value that fully
 //! describes a fleet experiment —
 //!
-//! * **robot groups** ([`RobotGroupSpec`]): count, [`Variant`],
-//!   [`RobotCompute`] placement and (optionally) explicit per-robot seeds;
+//! * **robot groups** ([`RobotGroupSpec`]): count, [`Variant`] and
+//!   [`RobotCompute`] placement;
 //! * **server pool** ([`ServerConfig`] per server: its own device model and
 //!   its own batch scheduler);
 //! * **routing**, **warm-up window**, **duration** (frames per robot) and
 //!   the **latency budget** of the robots-per-server summary;
-//! * **sweep axes** ([`ScenarioAxes`]): fleet sizes, variant mixes
-//!   ([`VariantMix`] — mixed-variant fleets are first-class), schedulers,
-//!   pool sizes and device compositions ([`CompositionSpec`]).
+//! * **sweep axes** ([`ScenarioAxes`]): fleet sizes, variants, schedulers,
+//!   pool sizes and device compositions ([`CompositionSpec`]).  A
+//!   mixed-variant fleet is a spec with several robot groups.
 //!
 //! [`ScenarioSpec::expand`] deterministically lowers a spec with axes into
 //! concrete, runnable cells ([`ConcreteScenario`], each carrying a full
 //! [`FleetConfig`] plus the canonical row labels), nesting the axes
 //! pool-size-major exactly like the historical sweep: servers → composition
-//! → scheduler → variant mix → fleet size.  A spec without axes expands to
+//! → scheduler → variant → fleet size.  A spec without axes expands to
 //! exactly one cell.  Validation never panics: every way a spec can be
 //! malformed is a [`ScenarioError`] variant.
 //!
 //! Specs written by hand (or committed under `crates/bench/scenarios/`)
 //! parse strictly: unknown keys are rejected loudly instead of silently
 //! falling back to defaults.  Every label that appears in result rows comes
-//! from the one canonical `Display` implementation of its type
-//! ([`VariantMix`], [`SchedulerKind`] (joined per pool by
-//! [`FleetConfig::scheduler_label`]), [`RoutingPolicy`],
-//! [`CompositionLabel`]).
+//! from one canonical function: the fleet's variant label
+//! (`Corki-3+Corki-9`) from its groups, and the `Display` implementation
+//! of [`SchedulerKind`] (joined per pool by
+//! [`FleetConfig::scheduler_label`]), [`RoutingPolicy`] and
+//! [`CompositionLabel`].
 
 use crate::devices::{DataRepresentation, InferenceDevice, InferenceModel};
 pub use crate::fleet::WarmupSpec;
 use crate::fleet::{
-    ControlBackend, FaultPlan, FleetConfig, RobotCompute, SchedulerKind, ServerConfig,
-    DEFAULT_EXECUTION_STEP_MS,
+    FaultPlan, FleetConfig, RobotCompute, SchedulerKind, ServerConfig, DEFAULT_EXECUTION_STEP_MS,
 };
 use crate::routing::RoutingPolicy;
 use crate::variant::Variant;
@@ -57,124 +57,34 @@ pub struct RobotGroupSpec {
     /// Where the group's inference runs (offloaded to the pool, or on an
     /// on-robot device that bypasses the uplink).
     pub compute: RobotCompute,
-    /// Explicit per-robot jitter seeds (`count` entries).  `None` derives
-    /// seeds deterministically from the scenario seed and the robot's global
-    /// index, which is what every paper experiment uses.
-    pub seeds: Option<Vec<u64>>,
 }
 
 impl RobotGroupSpec {
-    /// An offloaded group with derived seeds.
+    /// An offloaded group.
     pub fn offloaded(variant: Variant, count: usize) -> Self {
-        RobotGroupSpec { variant, count, compute: RobotCompute::Offloaded, seeds: None }
+        RobotGroupSpec { variant, count, compute: RobotCompute::Offloaded }
     }
 
-    /// An on-robot group (each robot carries `model`) with derived seeds.
+    /// An on-robot group (each robot carries `model`).
     pub fn on_robot(variant: Variant, count: usize, model: InferenceModel) -> Self {
-        RobotGroupSpec { variant, count, compute: RobotCompute::OnRobot(model), seeds: None }
-    }
-}
-
-/// One share of a [`VariantMix`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct VariantShare {
-    /// The variant of this share.
-    pub variant: Variant,
-    /// Relative weight: robots are allocated to shares pro rata (weights
-    /// `[1, 1]` split a fleet of 8 into 4 + 4).
-    pub weight: usize,
-}
-
-/// One entry of the variant axis: a fleet-wide variant composition.  A
-/// uniform mix reproduces the classic one-variant-per-cell sweep; a mix with
-/// several shares puts e.g. Corki-3 robots next to Corki-9 ones in the same
-/// fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct VariantMix {
-    /// The weighted shares of the mix.
-    pub groups: Vec<VariantShare>,
-}
-
-impl VariantMix {
-    /// The classic single-variant fleet.
-    pub fn uniform(variant: Variant) -> Self {
-        VariantMix { groups: vec![VariantShare { variant, weight: 1 }] }
-    }
-
-    /// A weighted mixed-variant fleet.
-    pub fn mixed(parts: impl IntoIterator<Item = (Variant, usize)>) -> Self {
-        VariantMix {
-            groups: parts
-                .into_iter()
-                .map(|(variant, weight)| VariantShare { variant, weight })
-                .collect(),
-        }
-    }
-
-    /// The shares in canonical, fleet-size-independent form (behind
-    /// [`fmt::Display`]): shares of the same variant merged (a fleet split
-    /// into several groups of one variant is still uniform), then weights
-    /// reduced by their greatest common divisor.
-    fn reduced(&self) -> Vec<(String, usize)> {
-        let mut merged: Vec<(String, usize)> = Vec::new();
-        for share in &self.groups {
-            let name = share.variant.name();
-            match merged.iter_mut().find(|(existing, _)| *existing == name) {
-                Some((_, weight)) => *weight += share.weight,
-                None => merged.push((name, share.weight)),
-            }
-        }
-        let divisor = merged.iter().fold(0, |d, (_, weight)| gcd(d, *weight)).max(1);
-        for (_, weight) in &mut merged {
-            *weight /= divisor;
-        }
-        merged
-    }
-}
-
-impl fmt::Display for VariantMix {
-    /// The canonical mix label: the variant name for uniform mixes (so
-    /// classic sweep rows keep their historical labels), otherwise the
-    /// gcd-reduced shares joined with `+` (`Corki-3+Corki-9`,
-    /// `2xCorki-3+Corki-9`).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let reduced = self.reduced();
-        if reduced.len() == 1 {
-            return f.write_str(&reduced[0].0);
-        }
-        let parts: Vec<String> = reduced
-            .iter()
-            .map(
-                |(name, weight)| {
-                    if *weight == 1 {
-                        name.clone()
-                    } else {
-                        format!("{weight}x{name}")
-                    }
-                },
-            )
-            .collect();
-        f.write_str(&parts.join("+"))
+        RobotGroupSpec { variant, count, compute: RobotCompute::OnRobot(model) }
     }
 }
 
 /// One entry of the device-composition axis: how [`RobotCompute`] placements
 /// are overlaid on a swept fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum CompositionSpec {
     /// Keep every robot's compute as the groups declare it (for fleets whose
     /// groups are all offloaded this is the classic homogeneous shape).
     Homogeneous,
-    /// Every `period`-th robot (indices where `index % period == period-1`)
-    /// carries its own on-robot inference device and bypasses the uplink and
-    /// the pool; the rest keep their declared compute.
+    /// Every second robot (the odd indices) carries its own on-robot
+    /// inference device and bypasses the uplink and the pool; the rest keep
+    /// their declared compute.
     MixedOnRobot {
         /// Device/precision model of the on-robot boards.
         on_robot: InferenceModel,
-        /// One robot in `period` runs on-robot (clamped to at least 2).
-        period: usize,
     },
 }
 
@@ -187,7 +97,6 @@ impl CompositionSpec {
                 InferenceDevice::JetsonOrin32Gb,
                 DataRepresentation::Float16,
             ),
-            period: 2,
         }
     }
 
@@ -196,11 +105,11 @@ impl CompositionSpec {
     pub fn label(&self) -> String {
         match self {
             CompositionSpec::Homogeneous => CompositionLabel::Offloaded.to_string(),
-            CompositionSpec::MixedOnRobot { on_robot, period } => CompositionLabel::Mixed {
+            CompositionSpec::MixedOnRobot { on_robot } => CompositionLabel::Mixed {
                 device: on_robot.device,
                 representation: on_robot.representation,
                 on_robot: 1,
-                fleet: (*period).max(2),
+                fleet: 2,
             }
             .to_string(),
         }
@@ -208,12 +117,9 @@ impl CompositionSpec {
 
     /// Applies the composition to a fleet configuration.
     pub fn apply(&self, config: &mut FleetConfig) {
-        if let CompositionSpec::MixedOnRobot { on_robot, period } = self {
-            let period = (*period).max(2);
-            for (index, robot) in config.robots.iter_mut().enumerate() {
-                if index % period == period - 1 {
-                    robot.compute = RobotCompute::OnRobot(*on_robot);
-                }
+        if let CompositionSpec::MixedOnRobot { on_robot } = self {
+            for robot in config.robots.iter_mut().skip(1).step_by(2) {
+                robot.compute = RobotCompute::OnRobot(*on_robot);
             }
         }
     }
@@ -221,17 +127,17 @@ impl CompositionSpec {
 
 /// The sweep axes of a scenario.  Every axis is optional (an empty vector
 /// keeps the spec's base value); non-empty axes multiply into cells nested
-/// pool-size-major: servers → composition → scheduler → variant mix → fleet
+/// pool-size-major: servers → composition → scheduler → variant → fleet
 /// size.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct ScenarioAxes {
     /// Total fleet sizes to sweep; robot groups are rescaled pro rata.
     pub robot_counts: Vec<usize>,
-    /// Fleet-wide variant compositions to sweep (replacing the base groups'
-    /// variants; every mix robot offloads unless a composition entry says
+    /// Variants to sweep, one uniform fleet each (replacing the base
+    /// groups; every robot offloads unless a composition entry says
     /// otherwise).
-    pub variants: Vec<VariantMix>,
+    pub variants: Vec<Variant>,
     /// Batch disciplines to sweep (applied to every server of the pool).
     pub schedulers: Vec<SchedulerKind>,
     /// Pool sizes to sweep (replicas of the spec's first server).
@@ -263,8 +169,8 @@ impl ScenarioAxes {
 pub struct ScenarioSpec {
     /// Scenario name (used in bench case names and logs).
     pub name: String,
-    /// Base seed; robots derive their jitter seeds from it (unless a group
-    /// pins explicit seeds).
+    /// Base seed; robots derive their jitter seeds from it and their index
+    /// in the fleet.
     pub seed: u64,
     /// Camera frames (control steps) each robot executes — the scenario's
     /// duration.
@@ -274,8 +180,6 @@ pub struct ScenarioSpec {
     pub warmup_ms: WarmupSpec,
     /// How offloaded requests are spread over the pool.
     pub routing: RoutingPolicy,
-    /// Control back-end topology.
-    pub control_backend: ControlBackend,
     /// The robot groups of the base fleet (may be empty when the variant
     /// axis generates the fleets instead).
     pub robots: Vec<RobotGroupSpec>,
@@ -337,29 +241,9 @@ pub enum ScenarioError {
         /// `"robot_counts"` or `"server_counts"`.
         axis: &'static str,
     },
-    /// A variant mix has no shares, or a share with zero weight.
-    InvalidVariantMix {
-        /// Index of the offending mix on the variant axis.
-        index: usize,
-    },
-    /// A group pins explicit seeds whose length does not match its count.
-    SeedCountMismatch {
-        /// Index of the offending group.
-        group: usize,
-        /// Seeds provided.
-        seeds: usize,
-        /// Robots in the group.
-        robots: usize,
-    },
-    /// A group pins explicit seeds while the fleet-size axis rescales groups
-    /// (the two cannot be reconciled deterministically).
-    SeedsWithScaledCounts {
-        /// Index of the offending group.
-        group: usize,
-    },
-    /// A base group pins explicit seeds or on-robot compute while a variant
-    /// axis is set — the axis replaces the base groups wholesale, so the
-    /// pinned details would be silently discarded.
+    /// A base group pins on-robot compute while a variant axis is set — the
+    /// axis replaces the base groups wholesale, so the pinned compute would
+    /// be silently discarded.
     GroupsShadowedByVariantAxis {
         /// Index of the offending group.
         group: usize,
@@ -409,9 +293,9 @@ pub enum ScenarioError {
     /// The fault plan injects crashes or upload loss without a timeout
     /// policy, so affected requests would hang forever.
     FaultNeedsTimeout,
-    /// A size exceeds its sanity bound (robots or servers per cell, frames
-    /// per robot, or a variant-mix weight), which would otherwise abort or
-    /// overflow in expansion or in the run.
+    /// A size exceeds its sanity bound (robots or servers per cell, or
+    /// frames per robot), which would otherwise abort or overflow in
+    /// expansion or in the run.
     TooLarge {
         /// The offending field.
         field: &'static str,
@@ -423,15 +307,13 @@ pub enum ScenarioError {
 }
 
 /// Robots per cell accepted by [`ScenarioSpec::validate`].  This bound and
-/// the three below are 100× or more the largest use (10,000 robots × 120
+/// the two below are 100× or more the largest use (10,000 robots × 120
 /// frames in the `fleet_des` benchmark cell).
 const MAX_ROBOTS: usize = 1_000_000;
 /// Servers per cell accepted by [`ScenarioSpec::validate`].
 const MAX_SERVERS: usize = 65_536;
 /// `frames_per_robot` accepted by [`ScenarioSpec::validate`].
 const MAX_FRAMES: usize = 1_000_000;
-/// Variant-mix share weight accepted by [`ScenarioSpec::validate`].
-const MAX_MIX_WEIGHT: usize = 1_000_000;
 
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -458,21 +340,10 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ZeroAxisEntry { axis } => {
                 write!(f, "the {axis} axis contains a zero entry")
             }
-            ScenarioError::InvalidVariantMix { index } => {
-                write!(f, "variant mix {index} needs at least one share, all with positive weight")
-            }
-            ScenarioError::SeedCountMismatch { group, seeds, robots } => {
-                write!(f, "robot group {group} pins {seeds} explicit seeds for {robots} robots")
-            }
-            ScenarioError::SeedsWithScaledCounts { group } => write!(
-                f,
-                "robot group {group} pins explicit seeds, which cannot be combined with a \
-                 fleet-size axis"
-            ),
             ScenarioError::GroupsShadowedByVariantAxis { group } => write!(
                 f,
-                "robot group {group} pins explicit seeds or on-robot compute, which a variant \
-                 axis would silently discard (the axis replaces the base groups)"
+                "robot group {group} pins on-robot compute, which a variant axis would \
+                 silently discard (the axis replaces the base groups)"
             ),
             ScenarioError::WarmupExceedsHorizon { warmup_ms, horizon_ms } => write!(
                 f,
@@ -542,23 +413,10 @@ impl ScenarioSpec {
             if spec.count == 0 {
                 return Err(ScenarioError::EmptyGroup { group });
             }
-            if let Some(seeds) = &spec.seeds {
-                if seeds.len() != spec.count {
-                    return Err(ScenarioError::SeedCountMismatch {
-                        group,
-                        seeds: seeds.len(),
-                        robots: spec.count,
-                    });
-                }
-                if !self.axes.robot_counts.is_empty() && self.axes.variants.is_empty() {
-                    return Err(ScenarioError::SeedsWithScaledCounts { group });
-                }
-            }
             // A variant axis replaces the base groups wholesale; refuse to
-            // silently drop anything the groups explicitly pinned.
-            let pins_details =
-                spec.seeds.is_some() || matches!(spec.compute, RobotCompute::OnRobot(_));
-            if pins_details && !self.axes.variants.is_empty() {
+            // silently drop a compute placement the groups pinned.
+            let on_robot = matches!(spec.compute, RobotCompute::OnRobot(_));
+            if on_robot && !self.axes.variants.is_empty() {
                 return Err(ScenarioError::GroupsShadowedByVariantAxis { group });
             }
         }
@@ -589,11 +447,6 @@ impl ScenarioSpec {
                 if max_batch == 0 || !timeout_ms.is_finite() || timeout_ms < 0.0 {
                     return Err(ScenarioError::InvalidScheduler { max_batch, timeout_ms });
                 }
-            }
-        }
-        for (index, mix) in self.axes.variants.iter().enumerate() {
-            if mix.groups.is_empty() || mix.groups.iter().any(|share| share.weight == 0) {
-                return Err(ScenarioError::InvalidVariantMix { index });
             }
         }
         if matches!(&self.adaptive_lengths, Some(lengths) if lengths.is_empty()) {
@@ -628,19 +481,7 @@ impl ScenarioSpec {
         for &count in &self.axes.server_counts {
             bound("server_counts", count, MAX_SERVERS)?;
         }
-        bound("frames_per_robot", self.frames_per_robot, MAX_FRAMES)?;
-        for mix in &self.axes.variants {
-            let mut weights = 0_usize;
-            for share in &mix.groups {
-                bound("variants[].weight", share.weight, MAX_MIX_WEIGHT)?;
-                weights = weights.saturating_add(share.weight);
-            }
-            // Without a fleet-size axis a mix's weights are its robot counts.
-            if self.axes.robot_counts.is_empty() {
-                bound("robots", weights, MAX_ROBOTS)?;
-            }
-        }
-        Ok(())
+        bound("frames_per_robot", self.frames_per_robot, MAX_FRAMES)
     }
 
     /// Checks the structural invariants of a fault plan against the spec's
@@ -770,13 +611,22 @@ struct TemplateGroup {
     variant: Variant,
     weight: usize,
     compute: RobotCompute,
-    seeds: Option<Vec<u64>>,
+}
+
+impl FleetTemplate {
+    fn new(groups: Vec<TemplateGroup>) -> Self {
+        FleetTemplate {
+            variant_label: variant_label(&groups),
+            declared_composition: declared_composition_label(&groups),
+            groups,
+        }
+    }
 }
 
 impl ScenarioSpec {
     /// Deterministically lowers the spec into concrete cells, nesting any
-    /// axes pool-size-major (servers → composition → scheduler → variant mix
-    /// → fleet size).  Two calls on equal specs produce equal cells.
+    /// axes pool-size-major (servers → composition → scheduler → variant →
+    /// fleet size).  Two calls on equal specs produce equal cells.
     ///
     /// # Errors
     ///
@@ -815,46 +665,30 @@ impl ScenarioSpec {
     }
 
     /// The fleet templates of the variant dimension: the base groups when no
-    /// variant axis is set, one all-offloaded template per mix otherwise.
+    /// variant axis is set, one uniform all-offloaded template per variant
+    /// otherwise.
     fn fleet_templates(&self) -> Vec<FleetTemplate> {
         if self.axes.variants.is_empty() {
-            let groups: Vec<TemplateGroup> = self
+            let groups = self
                 .robots
                 .iter()
                 .map(|spec| TemplateGroup {
                     variant: spec.variant.clone(),
                     weight: spec.count,
                     compute: spec.compute,
-                    seeds: spec.seeds.clone(),
                 })
                 .collect();
-            let mix =
-                VariantMix::mixed(groups.iter().map(|group| (group.variant.clone(), group.weight)));
-            vec![FleetTemplate {
-                variant_label: mix.to_string(),
-                declared_composition: declared_composition_label(&groups),
-                groups,
-            }]
+            vec![FleetTemplate::new(groups)]
         } else {
             self.axes
                 .variants
                 .iter()
-                .map(|mix| {
-                    let groups: Vec<TemplateGroup> = mix
-                        .groups
-                        .iter()
-                        .map(|share| TemplateGroup {
-                            variant: share.variant.clone(),
-                            weight: share.weight,
-                            compute: RobotCompute::Offloaded,
-                            seeds: None,
-                        })
-                        .collect();
-                    FleetTemplate {
-                        variant_label: mix.to_string(),
-                        declared_composition: declared_composition_label(&groups),
-                        groups,
-                    }
+                .map(|variant| {
+                    FleetTemplate::new(vec![TemplateGroup {
+                        variant: variant.clone(),
+                        weight: 1,
+                        compute: RobotCompute::Offloaded,
+                    }])
                 })
                 .collect()
         }
@@ -883,14 +717,11 @@ impl ScenarioSpec {
         let mut config = FleetConfig::paper_defaults(first_variant, total, self.seed);
         let mut index = 0;
         for (group, &count) in template.groups.iter().zip(&counts) {
-            for slot in 0..count {
-                config.robots[index].variant = group.variant.clone();
-                config.robots[index].compute = group.compute;
-                if let Some(seeds) = &group.seeds {
-                    config.robots[index].seed = seeds[slot];
-                }
-                index += 1;
+            for robot in &mut config.robots[index..index + count] {
+                robot.variant = group.variant.clone();
+                robot.compute = group.compute;
             }
+            index += count;
         }
         config.servers = match server_count {
             Some(count) => vec![self.servers[0]; count],
@@ -904,7 +735,6 @@ impl ScenarioSpec {
         config.warmup_ms = self.warmup_ms;
         config.slo_budget_ms = self.latency_budget_ms;
         config.faults = self.faults.clone();
-        config.control_backend = self.control_backend;
         composition.apply(&mut config);
         if let Some(lengths) = &self.adaptive_lengths {
             config.adaptive_lengths = lengths.clone();
@@ -975,6 +805,35 @@ fn allocate_pro_rata(weights: &[usize], total: usize) -> Vec<usize> {
         index += 1;
     }
     counts
+}
+
+/// The fleet-size-independent variant label of declared groups: shares of
+/// the same variant merged (a fleet split into several groups of one
+/// variant is still uniform) and weights reduced by their greatest common
+/// divisor.  A uniform fleet is labeled by its variant name (`Corki-3`), a
+/// mixed one by its shares joined with `+` (`Corki-3+Corki-9`,
+/// `2xCorki-3+Corki-9`).
+fn variant_label(groups: &[TemplateGroup]) -> String {
+    let mut merged: Vec<(String, usize)> = Vec::new();
+    for group in groups {
+        let name = group.variant.name();
+        match merged.iter_mut().find(|(existing, _)| *existing == name) {
+            Some((_, weight)) => *weight += group.weight,
+            None => merged.push((name, group.weight)),
+        }
+    }
+    if let [(name, _)] = merged.as_slice() {
+        return name.clone();
+    }
+    let divisor = merged.iter().fold(0, |d, (_, weight)| gcd(d, *weight)).max(1);
+    let parts: Vec<String> = merged
+        .iter()
+        .map(|(name, weight)| match weight / divisor {
+            1 => name.clone(),
+            share => format!("{share}x{name}"),
+        })
+        .collect();
+    parts.join("+")
 }
 
 /// The fleet-size-independent composition label of declared groups:
@@ -1073,8 +932,8 @@ pub struct ScenarioBuilder {
 
 impl ScenarioBuilder {
     /// Starts a scenario with the paper's defaults: seed 2024, 240 frames
-    /// per robot, no warm-up, round-robin routing, per-robot control, a
-    /// 400 ms latency budget, no servers, no groups, no axes.
+    /// per robot, no warm-up, round-robin routing, a 400 ms latency budget,
+    /// no servers, no groups, no axes.
     pub fn new(name: impl Into<String>) -> Self {
         ScenarioBuilder {
             spec: ScenarioSpec {
@@ -1083,7 +942,6 @@ impl ScenarioBuilder {
                 frames_per_robot: 240,
                 warmup_ms: WarmupSpec::Fixed(0.0),
                 routing: RoutingPolicy::RoundRobin,
-                control_backend: ControlBackend::PerRobot,
                 robots: Vec::new(),
                 servers: Vec::new(),
                 adaptive_lengths: None,
@@ -1130,12 +988,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the control back-end topology.
-    pub fn control_backend(mut self, backend: ControlBackend) -> Self {
-        self.spec.control_backend = backend;
-        self
-    }
-
     /// Appends an offloaded robot group.
     pub fn group(mut self, variant: Variant, count: usize) -> Self {
         self.spec.robots.push(RobotGroupSpec::offloaded(variant, count));
@@ -1145,17 +997,6 @@ impl ScenarioBuilder {
     /// Appends an on-robot group (each robot carries `model`).
     pub fn on_robot_group(mut self, variant: Variant, count: usize, model: InferenceModel) -> Self {
         self.spec.robots.push(RobotGroupSpec::on_robot(variant, count, model));
-        self
-    }
-
-    /// Appends an offloaded group with explicit per-robot seeds.
-    pub fn seeded_group(mut self, variant: Variant, seeds: Vec<u64>) -> Self {
-        self.spec.robots.push(RobotGroupSpec {
-            variant,
-            count: seeds.len(),
-            compute: RobotCompute::Offloaded,
-            seeds: Some(seeds),
-        });
         self
     }
 
@@ -1191,9 +1032,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the variant-mix axis.
-    pub fn variant_axis(mut self, mixes: Vec<VariantMix>) -> Self {
-        self.spec.axes.variants = mixes;
+    /// Sets the variant axis.
+    pub fn variant_axis(mut self, variants: Vec<Variant>) -> Self {
+        self.spec.axes.variants = variants;
         self
     }
 
@@ -1265,10 +1106,7 @@ mod tests {
         let spec = ScenarioBuilder::new("axes")
             .frames_per_robot(30)
             .default_servers(1, SchedulerKind::Fifo)
-            .variant_axis(vec![
-                VariantMix::uniform(Variant::RoboFlamingo),
-                VariantMix::uniform(Variant::CorkiFixed(3)),
-            ])
+            .variant_axis(vec![Variant::RoboFlamingo, Variant::CorkiFixed(3)])
             .scheduler_axis(vec![
                 SchedulerKind::Fifo,
                 SchedulerKind::DynamicBatch { max_batch: 8, timeout_ms: 15.0 },
@@ -1392,19 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_seeds_are_honoured() {
-        let spec = ScenarioBuilder::new("seeded")
-            .frames_per_robot(30)
-            .seeded_group(Variant::CorkiFixed(5), vec![7, 9, 11])
-            .default_servers(1, SchedulerKind::Fifo)
-            .build()
-            .expect("seeded spec is valid");
-        let cells = spec.expand().expect("expands");
-        let seeds: Vec<u64> = cells[0].config.robots.iter().map(|r| r.seed).collect();
-        assert_eq!(seeds, [7, 9, 11]);
-    }
-
-    #[test]
     fn spec_json_round_trips_byte_stable() {
         let spec = ScenarioBuilder::new("roundtrip")
             .seed(3)
@@ -1436,10 +1261,37 @@ mod tests {
         // An extra unknown key is rejected even when every real key is set.
         // The retired engine knobs count as unknown too: an old scenario
         // file that still sets them fails instead of being half-honoured.
-        for key in ["warmupms", "shards", "threads"] {
+        for key in ["warmupms", "shards", "threads", "control_backend"] {
             let json = smoke_spec().to_json().replacen('{', &format!("{{\n  \"{key}\": 1,"), 1);
             let err = ScenarioSpec::from_json(&json).expect_err("extra key must not parse");
             assert!(err.contains(&format!("unknown field `{key}`")), "{err}");
+        }
+        // The same holds inside nested objects: robot groups, inference
+        // models, and the struct variants of scheduler and composition.
+        let json = ScenarioBuilder::new("nested")
+            .frames_per_robot(60)
+            .group(Variant::CorkiFixed(5), 4)
+            .default_servers(1, SchedulerKind::DynamicBatch { max_batch: 4, timeout_ms: 15.0 })
+            .composition_axis(vec![CompositionSpec::jetson_every_second()])
+            .build()
+            .expect("nested spec is valid")
+            .to_json();
+        assert!(ScenarioSpec::from_json(&json).is_ok());
+        for (from, to, key) in [
+            ("\"count\": 4", "\"count\": 4, \"seeds\": null", "seeds"),
+            (
+                "\"representation\": \"32-bit Float\"",
+                "\"representation\": \"32-bit Float\", \"trajectory_head_overhead\": 0.05",
+                "trajectory_head_overhead",
+            ),
+            ("\"timeout_ms\": 15", "\"timeout_ms\": 15, \"timeout_msec\": 99", "timeout_msec"),
+            ("\"on_robot\": {", "\"period\": 2, \"on_robot\": {", "period"),
+            ("\"on_robot\": {", "\"peroid\": 3, \"on_robot\": {", "peroid"),
+        ] {
+            let broken = json.replacen(from, to, 1);
+            assert_ne!(broken, json, "{to}");
+            let err = ScenarioSpec::from_json(&broken).expect_err(to);
+            assert!(err.contains(&format!("unknown field `{key}`")), "{to}: {err}");
         }
     }
 
@@ -1523,26 +1375,10 @@ mod tests {
                 s.axes.server_counts = vec![0];
                 s
             }),
-            (ScenarioError::InvalidVariantMix { index: 0 }, {
-                let mut s = valid().build().unwrap();
-                s.axes.variants = vec![VariantMix { groups: Vec::new() }];
-                s
-            }),
-            (ScenarioError::SeedCountMismatch { group: 0, seeds: 1, robots: 2 }, {
-                let mut s = valid().build().unwrap();
-                s.robots[0].seeds = Some(vec![1]);
-                s
-            }),
-            (ScenarioError::SeedsWithScaledCounts { group: 0 }, {
-                let mut s = valid().build().unwrap();
-                s.robots[0].seeds = Some(vec![1, 2]);
-                s.axes.robot_counts = vec![4];
-                s
-            }),
             (ScenarioError::GroupsShadowedByVariantAxis { group: 0 }, {
                 let mut s = valid().build().unwrap();
                 s.robots[0].compute = RobotCompute::OnRobot(InferenceModel::default());
-                s.axes.variants = vec![VariantMix::uniform(Variant::CorkiFixed(3))];
+                s.axes.variants = vec![Variant::CorkiFixed(3)];
                 s
             }),
             (ScenarioError::EmptyAdaptiveLengths, {
@@ -1669,23 +1505,6 @@ mod tests {
         let mut s = valid();
         s.servers = vec![s.servers[0]; MAX_SERVERS + 1];
         assert_eq!(s.validate(), Err(too_large("servers", MAX_SERVERS + 1, MAX_SERVERS)));
-        let mut s = valid();
-        s.axes.variants = vec![VariantMix::mixed([
-            (Variant::CorkiFixed(5), 1),
-            (Variant::CorkiFixed(3), MAX_MIX_WEIGHT + 1),
-        ])];
-        s.axes.robot_counts = vec![8];
-        assert_eq!(
-            s.validate(),
-            Err(too_large("variants[].weight", MAX_MIX_WEIGHT + 1, MAX_MIX_WEIGHT))
-        );
-        // Without a fleet-size axis the mix's weights are the fleet.
-        s.axes.variants = vec![VariantMix::mixed([
-            (Variant::CorkiFixed(5), MAX_MIX_WEIGHT),
-            (Variant::CorkiFixed(3), 1),
-        ])];
-        s.axes.robot_counts.clear();
-        assert_eq!(s.validate(), Err(too_large("robots", MAX_ROBOTS + 1, MAX_ROBOTS)));
         // The bounds themselves are accepted.
         let mut s = valid();
         s.robots[0].count = MAX_ROBOTS;

@@ -5,7 +5,10 @@
 //! pin the homogeneous single-server configurations float-for-float: per
 //! robot the full jittered frame traces, inference counts and completion
 //! times, plus the aggregate serving metrics that do not depend on the
-//! summary's (extensible) shape.
+//! summary's (extensible) shape.  The four fixtures cover a FIFO Corki-5
+//! fleet, a batched Corki-ADAP fleet, a mixed Corki-1/Corki-9 fleet under
+//! shortest-trajectory-first and a FIFO baseline fleet; in all of them
+//! every robot computes its control on its own accelerator.
 //!
 //! Since the `ScenarioSpec` redesign the pinned configurations are written
 //! as declarative scenarios instead of inline config literals — so these
@@ -16,7 +19,7 @@
 //! fleet_golden` — only ever on purpose, alongside a reviewed engine change.
 
 use corki_system::fleet::{FleetConfig, FleetSimulator, RobotOutcome, SchedulerKind};
-use corki_system::{ControlBackend, ScenarioBuilder, Variant};
+use corki_system::{ScenarioBuilder, Variant};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -136,17 +139,4 @@ fn baseline_fleet_matches_pr3_traces() {
             .default_servers(1, SchedulerKind::Fifo),
     );
     assert_matches_golden("fleet_baseline_fifo_n3.json", cfg);
-}
-
-#[test]
-fn shared_accelerator_fleet_matches_pr3_traces() {
-    let cfg = expand_single(
-        ScenarioBuilder::new("golden-sharedctl")
-            .seed(3)
-            .frames_per_robot(60)
-            .control_backend(ControlBackend::SharedAccelerator)
-            .group(Variant::CorkiFixed(5), 8)
-            .default_servers(1, SchedulerKind::Fifo),
-    );
-    assert_matches_golden("fleet_corki5_sharedctl_n8.json", cfg);
 }
