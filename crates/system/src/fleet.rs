@@ -39,6 +39,13 @@
 //! loop needs a few cycles to reach its stationary regime and short runs
 //! otherwise fold the transient into p99.
 //!
+//! Per-robot records are bounded the way telemetry bounds its timelines:
+//! only robots below [`corki_telemetry::MAX_TIMELINES`] keep per-frame
+//! [`RobotOutcome::frame_traces`] rows.  The engine keeps every frame's
+//! latency in one preallocated robot-major store instead, so the summary's
+//! frame statistics still cover the whole fleet while the rows of a run
+//! stay bounded by 64 robots, whatever the fleet size.
+//!
 //! # Module layout
 //!
 //! The state machines are split into transport- and clock-agnostic cores
@@ -85,7 +92,7 @@ pub use stats::{
 
 use crate::des::{EventQueue, Scheduled};
 use crate::devices::InferenceModel;
-use crate::pipeline::{mean, percentile, FrameKind};
+use crate::pipeline::{mean, percentile_in_place, FrameKind};
 use crate::routing::RoutingPolicy;
 use crate::variant::Variant;
 use corki_accel::Arbiter;
@@ -261,6 +268,11 @@ struct Engine<'a> {
     // warm-up window can be trimmed at aggregation time.
     samples: ServingSamples,
     link_waits_ms: Vec<(f64, f64)>,
+    /// The jittered latency of every executed frame, robot-major: frame
+    /// `f` of robot `r` at `r * frames_per_robot + f`.  Covers the robots
+    /// without trace rows too, so the summary's frame statistics see every
+    /// frame.
+    frame_latencies: Vec<f64>,
     on_robot_inferences: usize,
     // Fault bookkeeping (all zero / empty on fault-free runs).
     fallback_inferences: usize,
@@ -320,6 +332,7 @@ impl FleetSimulator {
             next_wake_ms: vec![None; cfg.servers.len()],
             samples: ServingSamples::default(),
             link_waits_ms: Vec::new(),
+            frame_latencies: vec![0.0; cfg.robots.len() * cfg.frames_per_robot],
             on_robot_inferences: 0,
             fallback_inferences: 0,
             timed_out_requests: 0,
@@ -678,7 +691,8 @@ impl Engine<'_> {
                 session.profile.control_energy_j + hidden_comm_energy,
             )
         };
-        session.record_frame(kind, latency.max(0.0), energy.max(0.0));
+        self.frame_latencies[robot * frames + session.frame_index] =
+            session.record_frame(robot, kind, latency.max(0.0), energy.max(0.0));
         session.frame_index += 1;
         session.step_in_plan += 1;
         // The frame that will trigger the next plan streams in the
@@ -711,9 +725,18 @@ impl Engine<'_> {
             WarmupSpec::Auto => mser5_warmup(&self.queue_depth_series),
         };
         let makespan_ms = self.sessions.iter().map(|s| s.finished_ms).fold(0.0_f64, f64::max);
-        let total_frames: usize = self.sessions.iter().map(|s| s.frame_index).sum();
-        let frame_latencies: Vec<f64> =
-            self.sessions.iter().flat_map(|s| s.traces.iter().map(|t| t.latency_ms)).collect();
+        // Compact each robot's executed prefix in place, robot-major, so the
+        // mean sums the frames in robot-then-frame order; the slots of frames
+        // a churned-out robot never ran are closed up.
+        let mut frame_latencies = self.frame_latencies;
+        let mut total_frames = 0;
+        for (robot, session) in self.sessions.iter().enumerate() {
+            let start = robot * cfg.frames_per_robot;
+            frame_latencies.copy_within(start..start + session.frame_index, total_frames);
+            total_frames += session.frame_index;
+        }
+        frame_latencies.truncate(total_frames);
+        let mean_frame_latency_ms = mean(&frame_latencies);
         let serving = self.samples.summarize(warmup, cfg.slo_budget_ms);
         let link_waits = trim_warmup(&self.link_waits_ms, warmup);
         let (server_utilization, per_server_utilization) = self.pool.utilization(makespan_ms);
@@ -730,8 +753,8 @@ impl Engine<'_> {
             } else {
                 0.0
             },
-            mean_frame_latency_ms: mean(&frame_latencies),
-            p99_frame_latency_ms: percentile(&frame_latencies, 0.99),
+            mean_frame_latency_ms,
+            p99_frame_latency_ms: percentile_in_place(&mut frame_latencies, 0.99),
             mean_plan_latency_ms: serving.mean_plan_latency_ms,
             p99_plan_latency_ms: serving.p99_plan_latency_ms,
             mean_queue_delay_ms: serving.mean_queue_delay_ms,
@@ -1197,6 +1220,39 @@ mod tests {
             "a leaver abandons its remaining frames: {}",
             outcome.robots[2].frames
         );
+    }
+
+    #[test]
+    fn frame_statistics_cover_robots_without_trace_rows() {
+        // 150 robots, so 86 of them keep no trace rows; two of those leave
+        // early (gaps in the robot-major latency store), one traced robot
+        // leaves early and one untraced robot joins late.
+        let mut cfg = FleetConfig::paper_defaults(Variant::CorkiFixed(5), 150, 2024).with_pool(4);
+        cfg.frames_per_robot = 40;
+        cfg.routing = RoutingPolicy::LeastQueueDepth;
+        cfg.faults = Some(FaultPlan {
+            churn: vec![
+                ChurnSpec { robot: 10, join_at_ms: 0.0, leave_at_ms: Some(700.0) },
+                ChurnSpec { robot: 70, join_at_ms: 0.0, leave_at_ms: Some(4000.0) },
+                ChurnSpec { robot: 121, join_at_ms: 0.0, leave_at_ms: Some(6000.0) },
+                ChurnSpec { robot: 149, join_at_ms: 8000.0, leave_at_ms: None },
+            ],
+            ..FaultPlan::none()
+        });
+        let outcome = FleetSimulator::new(cfg).run();
+        for leaver in [10, 70, 121] {
+            assert!(outcome.robots[leaver].frames < 40, "robot {leaver} leaves early");
+        }
+        assert_eq!(outcome.robots[149].frames, 40);
+        for robot in &outcome.robots {
+            let rows = if robot.robot < corki_telemetry::MAX_TIMELINES { robot.frames } else { 0 };
+            assert_eq!(robot.frame_traces.len(), rows, "robot {}", robot.robot);
+        }
+        // Recorded when every robot kept its rows and the statistics were
+        // taken over them: the store and its compaction change no bit.
+        let summary = &outcome.summary;
+        assert_eq!(summary.mean_frame_latency_ms.to_bits(), 0x4092_5014_c790_125d);
+        assert_eq!(summary.p99_frame_latency_ms.to_bits(), 0x40bb_81eb_0bd5_59f4);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::devices::{baseline_control_ms, CommunicationModel, InferenceModel};
 use crate::pipeline::{FrameKind, FrameTrace, StepsTakenModel};
 use crate::variant::Variant;
 use corki_accel::{AcceleratorModel, CpuControlModel};
+use corki_telemetry::MAX_TIMELINES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -221,6 +222,7 @@ pub(crate) struct Session {
     /// Service time and energy of a fallback inference in flight.
     pub(crate) fallback_pending: Option<(f64, f64)>,
     // Outputs.
+    /// Per-frame trace rows; only robots below [`MAX_TIMELINES`] keep them.
     pub(crate) traces: Vec<FrameTrace>,
     pub(crate) plan_latency_sum_ms: f64,
     pub(crate) finished_ms: f64,
@@ -255,21 +257,39 @@ impl Session {
                 .as_ref()
                 .map(|_| StdRng::seed_from_u64(robot.seed ^ FAULT_RNG_SALT)),
             fallback_pending: None,
-            traces: Vec::with_capacity(cfg.frames_per_robot),
+            traces: Vec::with_capacity(if keeps_traces(index) { cfg.frames_per_robot } else { 0 }),
             plan_latency_sum_ms: 0.0,
             finished_ms: 0.0,
         }
     }
 
-    /// Decorates one observed frame and appends its trace: one jitter draw
-    /// from the session's private stream scales latency and energy alike.
-    pub(crate) fn record_frame(&mut self, kind: FrameKind, latency_ms: f64, energy_j: f64) {
+    /// Decorates one observed frame of robot `robot` and returns its
+    /// latency: one jitter draw from the session's private stream scales
+    /// latency and energy alike.  Every robot draws, so each jitter stream
+    /// is the same whether or not its robot keeps a trace row.
+    pub(crate) fn record_frame(
+        &mut self,
+        robot: usize,
+        kind: FrameKind,
+        latency_ms: f64,
+        energy_j: f64,
+    ) -> f64 {
         let scale = 1.0 + self.rng.gen_range(-JITTER..=JITTER);
-        self.traces.push(FrameTrace {
-            index: self.frame_index,
-            kind,
-            latency_ms: latency_ms * scale,
-            energy_j: energy_j * scale,
-        });
+        let latency_ms = latency_ms * scale;
+        if keeps_traces(robot) {
+            self.traces.push(FrameTrace {
+                index: self.frame_index,
+                kind,
+                latency_ms,
+                energy_j: energy_j * scale,
+            });
+        }
+        latency_ms
     }
+}
+
+/// Whether robot `robot` keeps per-frame trace rows: the robots that keep
+/// a telemetry timeline, so both per-robot records cover the same robots.
+fn keeps_traces(robot: usize) -> bool {
+    robot < MAX_TIMELINES
 }

@@ -9,7 +9,7 @@
 //! [`ServingSamples::summarize`], so the oracle comparison compares like
 //! with like.
 
-use crate::pipeline::{mean, percentile, FrameTrace};
+use crate::pipeline::{mean, percentile_in_place, FrameTrace};
 use corki_telemetry::TelemetryReport;
 use serde::{Deserialize, Serialize};
 
@@ -29,7 +29,10 @@ pub struct RobotOutcome {
     /// Mean end-to-end plan latency (capture → trajectory received), ms.
     pub mean_plan_latency_ms: f64,
     /// Per-frame latency/energy traces (legacy-compatible attribution plus
-    /// any link and queue waits absorbed by inference frames).
+    /// any link and queue waits absorbed by inference frames).  Rows exist
+    /// only for robots below [`corki_telemetry::MAX_TIMELINES`], the robots
+    /// that keep a telemetry timeline; other robots carry none.  The
+    /// summary's frame statistics still cover every executed frame.
     pub frame_traces: Vec<FrameTrace>,
 }
 
@@ -209,16 +212,18 @@ impl ServingSamples {
     /// serving statistics; a plan violates the SLO when its latency is
     /// strictly above `slo_budget_ms`.  Empty sample sets yield zeros.
     pub fn summarize(&self, warmup_ms: f64, slo_budget_ms: f64) -> ServingStats {
-        let plans = trim_warmup(&self.plan_latencies_ms, warmup_ms);
-        let waits = trim_warmup(&self.queue_waits_ms, warmup_ms);
+        let mut plans = trim_warmup(&self.plan_latencies_ms, warmup_ms);
+        let mut waits = trim_warmup(&self.queue_waits_ms, warmup_ms);
         let inferences: usize = self.batch_sizes.iter().sum();
+        // The means sum in recording order, before the in-place percentiles
+        // reorder the trimmed copies.
         ServingStats {
             mean_plan_latency_ms: mean(&plans),
-            p99_plan_latency_ms: percentile(&plans, 0.99),
             mean_queue_delay_ms: mean(&waits),
-            p99_queue_delay_ms: percentile(&waits, 0.99),
             slo_violation_fraction: plans.iter().filter(|&&ms| ms > slo_budget_ms).count() as f64
                 / plans.len().max(1) as f64,
+            p99_plan_latency_ms: percentile_in_place(&mut plans, 0.99),
+            p99_queue_delay_ms: percentile_in_place(&mut waits, 0.99),
             inferences,
             mean_batch_size: inferences as f64 / self.batch_sizes.len().max(1) as f64,
         }

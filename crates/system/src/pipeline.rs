@@ -144,7 +144,7 @@ pub fn simulate_pipeline(config: &FleetConfig) -> PipelineSummary {
 // The one nearest-rank estimator shared by pipeline, fleet, live-report
 // and telemetry-histogram statistics lives in `corki-telemetry`; the
 // re-exports keep this module the statistics home of the simulation side.
-pub use corki_telemetry::{mean, percentile, quantile_index};
+pub use corki_telemetry::{mean, percentile, percentile_in_place, quantile_index};
 
 fn stats(latencies: &[f64]) -> ExecutionStats {
     if latencies.is_empty() {

@@ -5,7 +5,9 @@
 //! steady-state burst of schedule/pop traffic must leave the allocation
 //! counter untouched, on either lane of the queue.  A fleet-level bound
 //! pins the per-frame allocation budget of the full engine, on every
-//! routing path, so per-event `Box`/`Vec` churn cannot sneak back in.
+//! routing path, so per-event `Box`/`Vec` churn cannot sneak back in, and
+//! a byte bound pins what a fleet larger than the trace cap stores per
+//! frame.
 
 use corki_system::des::EventQueue;
 use corki_system::fleet::{FleetConfig, FleetSimulator};
@@ -17,7 +19,7 @@ use corki_system::{
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::allocation_count;
+use counting_alloc::{allocation_count, byte_count};
 
 /// Steady-state schedule/pop traffic on the event queue must be
 /// allocation-free: the 4-ary heap is a flat arena that reaches its
@@ -74,18 +76,18 @@ fn lane_heavy_event_queue_steady_state_performs_zero_allocations() {
     assert_eq!(queue.len(), 1024);
 }
 
-/// The marginal allocations per robot-frame of one fleet cell: the count
-/// for a 480-frame run minus that of a 240-frame run, over the 240 extra
-/// frames of every robot.  Bounded buffers (the per-robot telemetry
+/// The marginal `counter` reading per robot-frame of one fleet cell: the
+/// reading for a 480-frame run minus that of a 240-frame run, over the 240
+/// extra frames of every robot.  Bounded buffers (the per-robot telemetry
 /// timelines, the event queue's arenas) are still growing in runs of up to
 /// ~200 frames, so the shorter horizon already has to be past them.
-fn marginal_allocations_per_robot_frame(config: &FleetConfig) -> f64 {
+fn marginal_per_robot_frame(config: &FleetConfig, counter: fn() -> usize) -> f64 {
     let run = |frames: usize| {
         let mut config = config.clone();
         config.frames_per_robot = frames;
-        let before = allocation_count();
+        let before = counter();
         let outcome = FleetSimulator::new(config).run();
-        let after = allocation_count();
+        let after = counter();
         assert!(outcome.summary.throughput_steps_per_s > 0.0);
         after - before
     };
@@ -97,7 +99,7 @@ fn marginal_allocations_per_robot_frame(config: &FleetConfig) -> f64 {
 }
 
 /// Fleet-level arena bound: doubling the horizon must cost only the
-/// amortized trace pushes, on every routing path.  Batches are recycled
+/// amortized growth of the per-run sample `Vec`s, on every routing path.  Batches are recycled
 /// through the engine's batch pool, events live inline in the queue's two
 /// lanes, routing scans the pool in place, and sessions/servers are
 /// allocated once up front — so the marginal cost of a longer run is one
@@ -152,11 +154,36 @@ fn fleet_event_loop_allocations_grow_sublinearly_with_the_horizon() {
         ("crash", &crash),
         ("overloaded-stf", &overloaded_stf),
     ] {
-        let per_robot_frame = marginal_allocations_per_robot_frame(config);
+        let per_robot_frame = marginal_per_robot_frame(config, allocation_count);
         assert!(
             per_robot_frame < 0.02,
-            "{name}: the marginal horizon cost must stay amortized trace pushes, \
+            "{name}: the marginal horizon cost must stay amortized sample-vector growth, \
              measured {per_robot_frame:.4} allocations per robot-frame"
         );
     }
+}
+
+/// Byte bound for a fleet larger than the trace cap: 256 robots, of which
+/// only the first `MAX_TIMELINES` (64) keep `FrameTrace` rows.  Every frame
+/// still costs its 8-byte slot in the engine's robot-major latency store,
+/// the traced quarter of the fleet adds its 32-byte rows (8 B per
+/// robot-frame on average), and the per-plan plan, queue-wait and
+/// link-wait samples, their warm-up-trimmed copies and their doubling
+/// growth add the rest.  The count is of bytes requested, so it is
+/// deterministic for one toolchain.  Measured on x86-64 Linux: 101.8 B per
+/// robot-frame when every robot kept its 32-byte rows and the summary
+/// collected every latency into a growing `Vec` and copied it again for the
+/// percentile; 58.7 B with the rows capped and the latencies selected in
+/// place.  The bound of 64 B also trips if the percentile copy (8 B per
+/// robot-frame) comes back.
+#[test]
+fn fleet_bytes_per_robot_frame_stay_below_uncapped_trace_rows() {
+    let mut config = FleetConfig::paper_defaults(Variant::CorkiFixed(5), 256, 2024).with_pool(8);
+    config.routing = RoutingPolicy::LeastQueueDepth;
+    let per_robot_frame = marginal_per_robot_frame(&config, byte_count);
+    assert!(
+        per_robot_frame < 64.0,
+        "a 256-robot fleet must store trace rows for the capped robots only, \
+         measured {per_robot_frame:.1} bytes per robot-frame"
+    );
 }

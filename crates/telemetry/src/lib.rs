@@ -36,7 +36,7 @@ mod stats;
 
 pub use report::{RobotTimeline, StageSummary, TelemetryReport, TimelineEventRow};
 pub use shm::{ShmTelemetry, PAGE_BYTES, PAGE_WORDS, STAGE_WORDS, TIMELINE_WORDS};
-pub use stats::{mean, ns_of_ms, percentile, quantile_index};
+pub use stats::{mean, ns_of_ms, percentile, percentile_in_place, quantile_index};
 
 /// Number of log2 buckets per stage histogram. Bucket 0 holds exact
 /// zeros; bucket `b ≥ 1` holds `[2^(b-1), 2^b)` nanoseconds, so the top
@@ -53,7 +53,9 @@ pub const TIMELINE_CAP: usize = 32;
 /// How many robots keep a timeline in a [`Recorder`]. Matches the live
 /// path's per-segment robot cap; a 10k-robot DES run keeps timelines for
 /// the first 64 robots and drops (counts) nothing — robots beyond the cap
-/// simply have no timeline.
+/// simply have no timeline.  The same cap bounds the per-frame trace rows
+/// of a DES fleet run (`RobotOutcome::frame_traces` in `corki-system`),
+/// so a change to which robots are sampled moves both records together.
 pub const MAX_TIMELINES: usize = 64;
 
 /// One stage of the served-plan taxonomy shared by the DES and the live

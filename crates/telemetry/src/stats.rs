@@ -32,8 +32,16 @@ pub fn quantile_index(len: usize, q: f64) -> usize {
 ///
 /// Edge cases are pinned so no `NaN`/`inf` can leak into serialized
 /// reports: `n = 0` yields `0.0`, `n = 1` yields the single sample for any
-/// `q`, and `q` outside `[0, 1]` (or `NaN`) is clamped.
+/// `q`, and `q` outside `[0, 1]` (or `NaN`) is clamped.  Copies the
+/// samples; a caller that owns them uses [`percentile_in_place`].
 pub fn percentile(values: &[f64], q: f64) -> f64 {
+    percentile_in_place(&mut values.to_vec(), q)
+}
+
+/// [`percentile`] on samples the caller owns: the same estimator and edge
+/// cases, without the copy.  Reorders `values`, so any order-sensitive
+/// reduction over them (a floating-point sum) must come first.
+pub fn percentile_in_place(values: &mut [f64], q: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -41,9 +49,8 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     // one order statistic, and the k-th order statistic is the same value
     // whether found by sorting or partitioning — O(n) instead of
     // O(n log n) on the fleet-scale sample vectors.
-    let mut scratch = values.to_vec();
-    let index = quantile_index(scratch.len(), q);
-    let (_, kth, _) = scratch.select_nth_unstable_by(index, |a, b| a.total_cmp(b));
+    let index = quantile_index(values.len(), q);
+    let (_, kth, _) = values.select_nth_unstable_by(index, |a, b| a.total_cmp(b));
     *kth
 }
 
@@ -73,6 +80,19 @@ mod tests {
         assert_eq!(percentile(&values, 0.0), 1.0);
         assert_eq!(percentile(&values, 0.5), 3.0);
         assert_eq!(percentile(&values, 1.0), 5.0);
+    }
+
+    #[test]
+    fn in_place_percentile_agrees_with_the_copying_form() {
+        let values: Vec<f64> = (0..101).map(|i| (i * 37 % 101) as f64 * 0.5).collect();
+        for q in [0.0, 0.5, 0.99, 1.0, f64::NAN] {
+            let mut owned = values.clone();
+            assert_eq!(
+                percentile_in_place(&mut owned, q).to_bits(),
+                percentile(&values, q).to_bits()
+            );
+        }
+        assert_eq!(percentile_in_place(&mut [], 0.99), 0.0);
     }
 
     #[test]
